@@ -289,28 +289,24 @@ def cmd_train(args) -> int:
     by_person_b: dict[str, list[int]] = {}
     for entry, row in zip(entries_b, rows_b):
         by_person_b.setdefault(entry.person_id, []).append(row)
+    pair_rows = [
+        (ra, rb, pid)
+        for pid in split.train_ids
+        for ra in by_person_a.get(pid, [])
+        for rb in by_person_b.get(pid, [])
+    ]
 
     layout = reps[0].layout
     kinds = _kinds_in_layout(layout) if per_feature else ["ALL"]
     models: dict[str, ccl.CclModel] = {}
-    pair_count = 0
     for kind in kinds:
         if kind == "ALL":
             offset, length = 0, matrix.shape[1]
         else:
             offset, length = descriptor.feature_span(layout, kind)
-        pairs = []
-        for pid in split.train_ids:
-            for ra in by_person_a.get(pid, []):
-                for rb in by_person_b.get(pid, []):
-                    pairs.append(
-                        ccl.PairedSample(
-                            x=matrix[ra, offset : offset + length],
-                            y=matrix[rb, offset : offset + length],
-                            person_id=pid,
-                        )
-                    )
-        pair_count = len(pairs)
+        block = matrix[:, offset : offset + length]
+        pairs = [ccl.PairedSample(x=block[ra], y=block[rb], person_id=pid)
+                 for ra, rb, pid in pair_rows]
         r_eff = min(ranks, length)
         if r_eff < ranks:
             print(
@@ -320,10 +316,11 @@ def cmd_train(args) -> int:
         stats = ccl.accumulate_stats(pairs, ridge=ridge)
         models[kind] = ccl.solve_subspace(stats, r_eff)
         head = ", ".join("%.4g" % v for v in models[kind].eigenvalues[:5])
-        print(f"{kind}: d={length} r={r_eff} eigenvalues [{head}{', ...' if r_eff > 5 else ''}]")
+        print(f"{kind}: d={length} r={r_eff} pairs={len(pairs)} "
+              f"eigenvalues [{head}{', ...' if r_eff > 5 else ''}]")
 
     ccl.save_models(args.out, models)
-    print(f"trained on {pair_count} pairs from {len(split.train_ids)} identities -> {args.out}")
+    print(f"trained on {len(pair_rows)} pairs from {len(split.train_ids)} identities -> {args.out}")
     return EXIT_OK
 
 

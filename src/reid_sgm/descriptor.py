@@ -444,7 +444,7 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
     Layout: magic ``SGMD``, version u16, count u32, dim u32 (all
     little-endian), count*dim float32 values row-major, then a JSON text
     footer holding the shared layout and the per-row source ids.  All
-    rows must share one layout.
+    rows must share one layout and have distinct source ids.
     """
     if not reps:
         raise ValueError("nothing to save")
@@ -452,6 +452,8 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
     for rep in reps[1:]:
         if rep.layout != layout:
             raise ArtifactMismatch("descriptor rows disagree on layout")
+    if len({rep.source_id for rep in reps}) != len(reps):
+        raise ArtifactMismatch("descriptor rows repeat a source id, which the reader rejects")
     dim = reps[0].dim
     matrix = np.vstack([rep.vector for rep in reps]).astype("<f4")
     footer = json.dumps(
@@ -465,7 +467,11 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
 
 
 def load_descriptors(path) -> list[ImageRepresentation]:
-    """Read back a descriptor file written by ``save_descriptors``."""
+    """Read back a descriptor file written by ``save_descriptors``.
+
+    A file with no rows, a repeated source id or a non-finite value is
+    rejected as ``CorruptFile``; the values are returned unchanged.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != DESCRIPTOR_MAGIC:
@@ -476,6 +482,8 @@ def load_descriptors(path) -> list[ImageRepresentation]:
     version, count, dim = struct.unpack("<HII", data[4 : 4 + header])
     if version != DESCRIPTOR_VERSION:
         raise UnsupportedFormat(f"{path}: unsupported version {version}")
+    if count == 0:
+        raise CorruptFile(f"{path}: holds no rows")
     start = 4 + header
     need = count * dim * 4
     if len(data) < start + need:
@@ -491,6 +499,14 @@ def load_descriptors(path) -> list[ImageRepresentation]:
         raise CorruptFile(f"{path}: footer lists {len(source_ids)} ids for {count} rows")
     if sum(rec.length for rec in layout) != dim:
         raise CorruptFile(f"{path}: layout does not cover dim {dim}")
+    if not all(isinstance(sid, str) for sid in source_ids):
+        raise CorruptFile(f"{path}: footer holds a source id that is not a string")
+    if len(set(source_ids)) != count:
+        raise CorruptFile(f"{path}: footer repeats a source id")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise CorruptFile(f"{path}: row {bad} ({source_ids[bad]!r}) holds non-finite values")
     return [
         ImageRepresentation(vector=matrix[i].copy(), layout=layout, source_id=source_ids[i])
         for i in range(count)

@@ -159,13 +159,16 @@ def cmc_single_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
     if len(set(probe_ids)) != len(probe_ids):
         raise ProtocolViolation("duplicate identity among probes under the single-shot protocol")
     lookup = {pid: j for j, pid in enumerate(gallery_ids)}
-    hits = np.zeros(len(gallery_ids), dtype=np.int64)
-    for i, pid in enumerate(probe_ids):
+    for pid in probe_ids:
         if pid not in lookup:
             raise ProtocolViolation(f"probe {pid!r} has no gallery match")
-        order = np.argsort(-scores[i], kind="stable")
-        rank = int(np.nonzero(order == lookup[pid])[0][0])
-        hits[rank] += 1
+    if np.isnan(scores).any():
+        raise ProtocolViolation("score matrix holds NaN, which has no rank")
+    match = np.array([lookup[pid] for pid in probe_ids], dtype=np.int64)
+    true = scores[np.arange(len(probe_ids)), match][:, None]
+    before = np.arange(len(gallery_ids))[None, :] < match[:, None]
+    rank = (scores > true).sum(axis=1) + ((scores == true) & before).sum(axis=1)
+    hits = np.bincount(rank, minlength=len(gallery_ids))
     return hits.cumsum() / len(probe_ids)
 
 

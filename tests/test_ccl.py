@@ -1,5 +1,7 @@
 """Coupled statistics, subspace solving, scoring, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from reid_sgm.ccl import (
     CclModel,
     PairedSample,
     accumulate_stats,
+    fit,
     load_models,
     project,
     save_models,
@@ -51,6 +54,24 @@ def stats_from_matrices(sigma_m, sigma_e):
         sigma_e=sigma_e,
         pair_count=2 * d,
     )
+
+
+SCORE_RTOL = 1e-12
+
+
+def looped_score_matrix(model, gallery, probes):
+    """Oracle for ``score_matrix``: one ``score`` call per entry."""
+    out = np.empty((len(probes), len(gallery)))
+    for i, px in enumerate(probes):
+        for j, gy in enumerate(gallery):
+            out[i, j] = score(model, px, gy)
+    return out
+
+
+def relative_error(got, ref):
+    """Largest absolute deviation over the largest reference magnitude."""
+    ref = np.asarray(ref, dtype=np.float64)
+    return float(np.abs(np.asarray(got) - ref).max() / np.abs(ref).max())
 
 
 def hand_model(inv_m, inv_e, inv_avg):
@@ -201,6 +222,78 @@ class TestSolveSubspace:
             solve_subspace(stats, 2)
 
 
+def dense_oracle_model(stats, r):
+    """Model from scipy's dense generalized eigensolver on the d x d stats."""
+    sigma_m, sigma_e = stats.sigma_m, stats.sigma_e
+    vals, vecs = scipy.linalg.eigh(sigma_m, sigma_e)
+    w = vecs[:, ::-1][:, :r]
+    proj_m = w.T @ sigma_m @ w
+    proj_e = w.T @ sigma_e @ w
+    return CclModel(
+        w=w, eigenvalues=vals[::-1][:r],
+        inv_sigma_m=np.linalg.inv(proj_m),
+        inv_sigma_e=np.linalg.inv(proj_e),
+        inv_sigma=np.linalg.inv(0.5 * (proj_m + proj_e)),
+        mean_x=stats.mean_x, mean_y=stats.mean_y,
+    )
+
+
+def fused_scores(model, probes_raw, gallery_raw):
+    return score_matrix(
+        model, project(model, gallery_raw, "B"), project(model, probes_raw, "A")
+    )
+
+
+class TestSpanSolve:
+    """The solve in the span of the pairs against the dense d x d oracle.
+
+    Vectors inside the degenerate eigenvalue-1 block are not unique, so
+    the comparison uses eigenvalues and scores, which that block does
+    not affect.
+    """
+
+    @pytest.mark.parametrize(
+        "n, d, r",
+        [
+            (6, 40, 5),    # d > 2n + r
+            (3, 40, 10),   # r > 2n: the top r reach into the eigenvalue-1 block
+            (3, 19, 12),   # r > 2n and k = 2n + r = d - 1
+            (20, 30, 5),   # d <= 2n: the full matrices
+        ],
+    )
+    def test_matches_dense_oracle(self, rng, n, d, r):
+        stats = accumulate_stats(make_pairs(rng, n=n, d=d, spread=0.5))
+        model = solve_subspace(stats, r)
+        oracle = dense_oracle_model(stats, r)
+        assert model.w.shape == (d, r)
+        assert np.allclose(model.eigenvalues, oracle.eigenvalues, rtol=1e-8)
+        probes_raw = rng.normal(size=(7, d))
+        gallery_raw = rng.normal(size=(9, d))
+        got = fused_scores(model, probes_raw, gallery_raw)
+        ref = fused_scores(oracle, probes_raw, gallery_raw)
+        assert relative_error(got, ref) <= 1e-8
+
+    def test_no_ridge_beyond_span_rejected(self, rng):
+        stats = accumulate_stats(make_pairs(rng, n=4, d=30), ridge=0.0)
+        with pytest.raises(NotPositiveDefinite):
+            solve_subspace(stats, 3)
+
+    def test_wide_fit_forms_no_square_matrix(self, rng):
+        d, n, r = 20000, 8, 10
+        xs = rng.normal(size=(n, d))
+        ys = xs + 0.3 * rng.normal(size=(n, d))
+        pairs = [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
+        tracemalloc.start()
+        try:
+            model = fit(pairs, r=r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.w.shape == (d, r)
+        # One d x d float64 matrix would take 3.2 GB.
+        assert peak < 64 * 2**20
+
+
 class TestProject:
     def test_mean_goes_to_zero(self, rng):
         stats = accumulate_stats(make_pairs(rng, n=30, d=5))
@@ -291,7 +384,7 @@ class TestScoreMatrix:
         a, b = rng.normal(size=4), rng.normal(size=4)
         out = score_matrix(model, [b], [a])
         assert out.shape == (1, 1)
-        assert out[0, 0] == score(model, a, b)
+        assert relative_error(out, score(model, a, b)) <= SCORE_RTOL
 
     def test_swapped_roles_transpose(self, rng):
         model = hand_model(random_spd(rng, 4), random_spd(rng, 4), random_spd(rng, 4))
@@ -299,16 +392,19 @@ class TestScoreMatrix:
         probes = rng.normal(size=(5, 4))
         fwd = score_matrix(model, gallery, probes)
         rev = score_matrix(model, probes, gallery)
-        assert np.array_equal(fwd, rev.T)
+        assert relative_error(fwd, looped_score_matrix(model, gallery, probes)) <= SCORE_RTOL
+        assert relative_error(rev.T, fwd) <= SCORE_RTOL
 
     def test_matches_looped_scores_bitwise(self, rng):
-        model = hand_model(random_spd(rng, 3), random_spd(rng, 3), random_spd(rng, 3))
-        gallery = rng.normal(size=(10, 3))
-        probes = rng.normal(size=(10, 3))
-        out = score_matrix(model, gallery, probes)
-        for i in range(10):
-            for j in range(10):
-                assert out[i, j] == score(model, probes[i], gallery[j])
+        # Named for the bit-equal contract the GEMM scorer replaced; the
+        # looped oracle now bounds it to a relative SCORE_RTOL.
+        for r in (3, 17):
+            model = hand_model(random_spd(rng, r), random_spd(rng, r), random_spd(rng, r))
+            gallery = rng.normal(size=(10, r))
+            probes = rng.normal(size=(12, r))
+            out = score_matrix(model, gallery, probes)
+            assert out.shape == (12, 10)
+            assert relative_error(out, looped_score_matrix(model, gallery, probes)) <= SCORE_RTOL
 
     def test_dimension_mismatch(self, rng):
         model = hand_model(np.eye(3), np.eye(3), np.eye(3))

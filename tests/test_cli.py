@@ -1,5 +1,8 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -258,6 +261,63 @@ class TestEval:
         assert "640" in err and "320" in err
 
 
+class TestMalformedDescriptors:
+    """Each defect ends in exit 2 from the reader, never a traceback or a report."""
+
+    @staticmethod
+    def rewrite(descriptors, tmp_path, count=None, values=None, source_ids=None):
+        data = descriptors.read_bytes()
+        _, rows, dim = struct.unpack("<HII", data[4:14])
+        matrix = np.frombuffer(data[14 : 14 + 4 * rows * dim], dtype="<f4").reshape(rows, dim)
+        footer = json.loads(data[14 + 4 * rows * dim :])
+        if count is not None:
+            matrix = matrix[:count]
+            footer["source_ids"] = footer["source_ids"][:count]
+        if values is not None:
+            matrix = values(matrix.copy())
+        if source_ids is not None:
+            footer["source_ids"] = source_ids(footer["source_ids"])
+        path = tmp_path / "bad.sgmd"
+        path.write_bytes(
+            data[:6] + struct.pack("<II", len(matrix), dim)
+            + np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+            + json.dumps(footer).encode("utf-8")
+        )
+        return path
+
+    def test_zero_rows(self, corpus, descriptors, model, tmp_path, capsys):
+        path = self.rewrite(descriptors, tmp_path, count=0)
+        code = main([
+            "eval", str(path), str(model), str(corpus / "manifest.csv"), "--splits", "1",
+        ])
+        assert code == 2
+        assert "no rows" in capsys.readouterr().err
+
+    def test_nan_row(self, corpus, descriptors, model, tmp_path, capsys):
+        def poison(matrix):
+            matrix[3, 7] = np.nan
+            return matrix
+
+        path = self.rewrite(descriptors, tmp_path, values=poison)
+        code = main([
+            "eval", str(path), str(model), str(corpus / "manifest.csv"), "--splits", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "non-finite" in captured.err
+        assert captured.out == ""
+
+    def test_duplicate_source_ids(self, corpus, descriptors, model, tmp_path, capsys):
+        path = self.rewrite(
+            descriptors, tmp_path, source_ids=lambda ids: [ids[0]] + ids[1:-1] + [ids[0]]
+        )
+        code = main([
+            "eval", str(path), str(model), str(corpus / "manifest.csv"), "--splits", "1",
+        ])
+        assert code == 2
+        assert "repeats a source id" in capsys.readouterr().err
+
+
 class TestFeatureFusion:
     def test_three_kind_workflow(self, corpus, tmp_path, capsys):
         desc = tmp_path / "fused.sgmd"
@@ -266,6 +326,7 @@ class TestFeatureFusion:
             "--features", "SGM,CH,SILTP", "--spaces", "RGB,HSV",
         ])
         assert code == 0
+        capsys.readouterr()
         reps = load_descriptors(desc)
         assert reps[0].dim == 640 + 1920 + 1620
 
@@ -275,7 +336,9 @@ class TestFeatureFusion:
             "--out", str(mdl), "--r", "12", "--seed", "9",
         ])
         assert code == 0
-        capsys.readouterr()
+        kind_lines = capsys.readouterr().out.splitlines()[:3]
+        for kind, line in zip(("SGM", "CH", "SILTP"), kind_lines):
+            assert line.startswith(f"{kind}: ") and " pairs=6 " in line
         models = load_models(mdl)
         assert list(models) == ["SGM", "CH", "SILTP"]
         assert {m.rank for m in models.values()} == {12}

@@ -413,6 +413,11 @@ class TestPersistence:
         with pytest.raises(ArtifactMismatch):
             save_descriptors(tmp_path / "d.sgmd", [a, b])
 
+    def test_repeated_source_id_rejected(self, tmp_path, palette):
+        reps = self.make_reps(palette, n=2)
+        with pytest.raises(ArtifactMismatch):
+            save_descriptors(tmp_path / "d.sgmd", [reps[0], reps[1], reps[0]])
+
     def test_csv_export(self, tmp_path, palette):
         reps = self.make_reps(palette, n=2)
         path = tmp_path / "d.csv"

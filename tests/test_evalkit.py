@@ -45,6 +45,16 @@ def brute_force_single_shot(scores, probe_ids, gallery_ids):
     return rates / len(probe_ids)
 
 
+def argsort_single_shot(scores, probe_ids, gallery_ids):
+    """Oracle for ``cmc_single_shot``: one stable argsort per probe."""
+    lookup = {pid: j for j, pid in enumerate(gallery_ids)}
+    hits = np.zeros(len(gallery_ids), dtype=np.int64)
+    for i, pid in enumerate(probe_ids):
+        order = np.argsort(-scores[i], kind="stable")
+        hits[int(np.nonzero(order == lookup[pid])[0][0])] += 1
+    return hits.cumsum() / len(probe_ids)
+
+
 class TestSplits:
     def test_even_half_split(self):
         manifest = toy_manifest(632)
@@ -110,6 +120,20 @@ class TestCmcSingleShot:
             got = cmc_single_shot(scores, ids, ids)
             ref = brute_force_single_shot(scores, ids, ids)
             assert np.array_equal(got, ref)
+
+    def test_matches_argsort_oracle_with_ties(self, rng):
+        ids = [f"p{i}" for i in range(30)]
+        gallery = ids[::-1]
+        for levels in (2, 3, 7, 1000):
+            scores = rng.integers(0, levels, size=(30, 30)).astype(np.float64)
+            scores[:3] = np.inf
+            got = cmc_single_shot(scores, ids, gallery)
+            assert np.array_equal(got, argsort_single_shot(scores, ids, gallery))
+
+    def test_nan_score_rejected(self):
+        scores = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ProtocolViolation):
+            cmc_single_shot(scores, ["a", "b"], ["a", "b"])
 
     def test_monotone_and_final_one(self, rng):
         ids = [f"p{i}" for i in range(8)]
