@@ -28,6 +28,7 @@ from .errors import (
 from .imaging import ALL_SPACES, ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
 from .sgm import (
     DEFAULT_EPSILON0,
+    PALETTE_SIZE,
     ColorNamePalette,
     GaussianMapModel,
     default_palette,
@@ -150,6 +151,8 @@ def build_maps(
     mask: ForegroundMask | None = None,
     epsilon0: float = DEFAULT_EPSILON0,
     model: GaussianMapModel | None = None,
+    grid: PixelSet | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convert an image into its 16 soft Gaussian maps, shape (16, h, w).
 
@@ -157,9 +160,13 @@ def build_maps(
     is given (whole image when it selects nothing) and then evaluated at
     every location of the full grid.  A pre-fitted ``model`` skips the
     fit, which serves both shared-corpus fits and the forced-identity
-    covariance variant.
+    covariance variant.  ``grid`` is the image already converted to
+    ``space``; it is converted here when None.  ``out`` is an optional
+    (2, h*w, 16) float64 work array; the returned stack is then a view
+    of it, valid until the next call that reuses it.
     """
-    grid = convert(image, space)
+    if grid is None:
+        grid = convert(image, space)
     if model is None:
         fit_pixels = grid
         if mask is not None:
@@ -169,8 +176,12 @@ def build_maps(
             if keep.any():
                 fit_pixels = PixelSet(space=space, points=grid.points[keep])
         model = fit_model(fit_pixels, palette, epsilon0)
-    weights = soft_map(model, grid.points, palette, k)
-    return np.ascontiguousarray(weights.reshape(image.height, image.width, 16).transpose(2, 0, 1))
+    if out is None:
+        out = np.empty((2, image.height * image.width, PALETTE_SIZE))
+    weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
+    stack = out[1].reshape(PALETTE_SIZE, image.height, image.width)
+    np.copyto(stack, weights.reshape(image.height, image.width, PALETTE_SIZE).transpose(2, 0, 1))
+    return stack
 
 
 def max_pool(stack: np.ndarray) -> np.ndarray:
@@ -182,10 +193,16 @@ def max_pool(stack: np.ndarray) -> np.ndarray:
     planes, height, width = stack.shape
     if height < POOL_SIZE or width < POOL_SIZE:
         raise StackTooSmall(f"stack is {width}x{height}; pooling needs at least 3x3")
-    rows = np.arange(0, height, POOL_SIZE)
-    cols = np.arange(0, width, POOL_SIZE)
-    pooled = np.maximum.reduceat(stack, rows, axis=1)
-    pooled = np.maximum.reduceat(pooled, cols, axis=2)
+    rows = stack[:, ::POOL_SIZE, :].copy()
+    for offset in range(1, POOL_SIZE):
+        part = stack[:, offset::POOL_SIZE, :]
+        head = rows[:, : part.shape[1], :]
+        np.maximum(head, part, out=head)
+    pooled = rows[:, :, ::POOL_SIZE].copy()
+    for offset in range(1, POOL_SIZE):
+        part = rows[:, :, offset::POOL_SIZE]
+        head = pooled[:, :, : part.shape[2]]
+        np.maximum(head, part, out=head)
     return pooled
 
 
@@ -245,6 +262,9 @@ def extract_sgm(
     16 x stripes x spaces x views components.
     """
     palette = palette or default_palette()
+    # Both views map the same grid; only the fitted model differs.
+    grids = {space: convert(image, space) for space in config.spaces}
+    work = np.empty((2, image.height * image.width, PALETTE_SIZE))
     segments = []
     layout = []
     for view, view_mask in _views(mask, config):
@@ -258,6 +278,7 @@ def extract_sgm(
             stack = build_maps(
                 image, space, palette, config.k,
                 mask=view_mask, epsilon0=config.epsilon0, model=model,
+                grid=grids[space], out=work,
             )
             pooled = max_pool(stack)
             for idx, bounds in enumerate(stripe_bounds(pooled.shape[1], config.stripes)):
@@ -312,12 +333,12 @@ def extract_color_histogram(
     bounds = stripe_bounds(image.height, config.stripes)
     segments = []
     layout = []
+    points = {space: convert(image, space).points for space in config.spaces}
     for view, view_mask in _views(mask, config):
         selectors = _stripe_pixel_selector(view_mask, bounds, image.width)
         for space in config.spaces:
-            points = convert(image, space).points
             for idx, select in enumerate(selectors):
-                vals = points[select]
+                vals = points[space][select]
                 bins = np.minimum((vals * CH_BINS).astype(np.int64), CH_BINS - 1)
                 hist = np.concatenate(
                     [np.bincount(bins[:, c], minlength=CH_BINS) for c in range(3)]
@@ -469,8 +490,9 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
 def load_descriptors(path) -> list[ImageRepresentation]:
     """Read back a descriptor file written by ``save_descriptors``.
 
-    A file with no rows, a repeated source id or a non-finite value is
-    rejected as ``CorruptFile``; the values are returned unchanged.
+    A file with no rows, a footer that is not an object of lists, a
+    repeated source id or a non-finite value is rejected as
+    ``CorruptFile``; the values are returned unchanged.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -493,8 +515,13 @@ def load_descriptors(path) -> list[ImageRepresentation]:
         footer = json.loads(data[start + need :].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: malformed footer: {exc}") from None
-    layout = _layout_from_json(footer.get("layout", []))
+    if not isinstance(footer, dict):
+        raise CorruptFile(f"{path}: footer is not a JSON object")
+    layout_records = footer.get("layout", [])
     source_ids = footer.get("source_ids", [])
+    if not isinstance(layout_records, list) or not isinstance(source_ids, list):
+        raise CorruptFile(f"{path}: footer layout and source_ids must be lists")
+    layout = _layout_from_json(layout_records)
     if len(source_ids) != count:
         raise CorruptFile(f"{path}: footer lists {len(source_ids)} ids for {count} rows")
     if sum(rec.length for rec in layout) != dim:

@@ -293,12 +293,16 @@ def pixel_likelihoods(
     model: GaussianMapModel,
     z: np.ndarray,
     palette: ColorNamePalette,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gaussian likelihood of each color name for pixel(s) ``z``.
 
     ``z`` may be a single 3-vector or an (n, 3) batch; the result is a
     16-vector or an (n, 16) array.  Entries are finite and nonnegative;
-    exponent underflow flushes to zero.
+    exponent underflow flushes to zero.  ``out`` receives the result and
+    ``work`` holds the cross term; both are (n, 16) float64 arrays,
+    allocated when None, so a caller mapping many grids can reuse them.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -306,12 +310,17 @@ def pixel_likelihoods(
     names = palette.names
     a = model.rectified_inverse
     za = pts @ a
-    quad = (
-        (za * pts).sum(axis=1)[:, None]
-        + ((names @ a) * names).sum(axis=1)[None, :]
-        - 2.0 * (za @ names.T)
+    # quad = z'Az + c'Ac - 2 z'Ac, then norm * exp(-quad / 2), in place.
+    like = np.add(
+        (za * pts).sum(axis=1)[:, None], ((names @ a) * names).sum(axis=1)[None, :], out=out
     )
-    like = model.norm_const * np.exp(-0.5 * np.maximum(quad, 0.0))
+    cross = np.matmul(za, names.T, out=work)
+    cross *= 2.0
+    like -= cross
+    np.maximum(like, 0.0, out=like)
+    like *= -0.5
+    np.exp(like, out=like)
+    like *= model.norm_const
     return like[0] if single else like
 
 
@@ -320,30 +329,51 @@ def soft_map(
     z: np.ndarray,
     palette: ColorNamePalette,
     k: int,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Normalized soft color-name descriptor over the k best names.
 
     Keeps the k largest likelihoods (ties go to the lower palette
     index), zeroes the rest and sum-normalizes.  If everything kept
     underflowed to zero, the kept entries share uniform weight 1/k.
-    Accepts a single pixel or an (n, 3) batch like ``pixel_likelihoods``.
+    Accepts a single pixel or an (n, 3) batch like ``pixel_likelihoods``,
+    and the same ``out``/``work`` buffers.
+
+    Each row is sorted once: every value above the k-th largest is kept,
+    and values equal to it fill the remaining slots lowest index first.
     """
     if not 1 <= k <= PALETTE_SIZE:
         raise ValueError(f"k must lie in [1, {PALETTE_SIZE}], got {k}")
-    like = pixel_likelihoods(model, z, palette)
+    like = pixel_likelihoods(model, z, palette, out=out, work=work)
     single = like.ndim == 1
     like = np.atleast_2d(like)
 
-    # Stable sort on the negated values: descending, ties by lower index.
-    order = np.argsort(-like, axis=1, kind="stable")
-    keep = order[:, :k]
-    kept = np.take_along_axis(like, keep, axis=1)
-    sums = kept.sum(axis=1, keepdims=True)
-    weights = np.divide(kept, sums, out=np.full_like(kept, 1.0 / k), where=sums > 0)
+    # Ascending sort of the negated rows: column j holds -(j+1)-th largest.
+    desc = np.negative(like, out=work)
+    desc.sort(axis=1)
+    # The kept values in descending order: the sequence the stable argsort
+    # this replaces summed, so the weights stay the same bit for bit.
+    sums = -desc[:, :k].sum(axis=1, keepdims=True)
+    kth = -desc[:, k - 1 : k]
+    keep = like >= kth
+    if k < PALETTE_SIZE:
+        # Rows where the k-th and (k+1)-th largest tie keep too many names.
+        tied = np.flatnonzero(desc[:, k - 1] == desc[:, k])
+        if tied.size:
+            rows, edge = like[tied], kth[tied]
+            above = rows > edge
+            at = rows == edge
+            slots = k - above.sum(axis=1, keepdims=True)
+            keep[tied] = above | (at & (np.cumsum(at, axis=1) <= slots))
 
-    out = np.zeros_like(like)
-    np.put_along_axis(out, keep, weights, axis=1)
-    return out[0] if single else out
+    like *= keep  # likelihoods are >= 0, so dropped names become +0.0
+    positive = sums > 0
+    np.divide(like, sums, out=like, where=positive)
+    if not positive.all():
+        flat = ~positive[:, 0]
+        like[flat] = keep[flat] * (1.0 / k)
+    return like[0] if single else like
 
 
 def transform_space(model: GaussianMapModel) -> np.ndarray:

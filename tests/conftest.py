@@ -25,6 +25,56 @@ def solid_image(width, height, rgb):
     return RasterImage(width=width, height=height, pixels=pixels)
 
 
+def expression_likelihoods(model, z, palette):
+    """Oracle for ``pixel_likelihoods``: the whole-array expression it evaluates in place."""
+    z = np.asarray(z, dtype=np.float64)
+    single = z.ndim == 1
+    pts = np.atleast_2d(z)
+    names = palette.names
+    a = model.rectified_inverse
+    za = pts @ a
+    quad = (
+        (za * pts).sum(axis=1)[:, None]
+        + ((names @ a) * names).sum(axis=1)[None, :]
+        - 2.0 * (za @ names.T)
+    )
+    like = model.norm_const * np.exp(-0.5 * np.maximum(quad, 0.0))
+    return like[0] if single else like
+
+
+def argsort_top_k(like, k):
+    """Oracle for ``soft_map``'s selection: stable argsort, gather, scatter."""
+    single = like.ndim == 1
+    like = np.atleast_2d(like)
+    # Stable sort on the negated values: descending, ties by lower index.
+    order = np.argsort(-like, axis=1, kind="stable")
+    keep = order[:, :k]
+    kept = np.take_along_axis(like, keep, axis=1)
+    sums = kept.sum(axis=1, keepdims=True)
+    weights = np.divide(kept, sums, out=np.full_like(kept, 1.0 / k), where=sums > 0)
+    out = np.zeros_like(like)
+    np.put_along_axis(out, keep, weights, axis=1)
+    return out[0] if single else out
+
+
+def argsort_soft_map(model, z, palette, k):
+    """Oracle for ``soft_map``."""
+    return argsort_top_k(expression_likelihoods(model, z, palette), k)
+
+
+def reduceat_max_pool(stack):
+    """Oracle for ``max_pool``: two ``np.maximum.reduceat`` passes."""
+    rows = np.arange(0, stack.shape[1], 3)
+    cols = np.arange(0, stack.shape[2], 3)
+    pooled = np.maximum.reduceat(stack, rows, axis=1)
+    return np.maximum.reduceat(pooled, cols, axis=2)
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 @pytest.fixture(scope="session")
 def palette():
     return default_palette()

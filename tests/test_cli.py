@@ -9,7 +9,7 @@ import pytest
 from reid_sgm.cli import main
 from reid_sgm.descriptor import load_descriptors
 from reid_sgm.ccl import load_models
-from reid_sgm.evalkit import load_manifest
+from reid_sgm.evalkit import SynthSpec, load_manifest, synth_dataset
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,26 @@ class TestSynth:
         a = (tmp_path / "a" / "images" / "id0_camA_0.ppm").read_bytes()
         b = (tmp_path / "b" / "images" / "id0_camA_0.ppm").read_bytes()
         assert a != b
+
+    def test_spec_honors_every_field(self, tmp_path):
+        spec = tmp_path / "s.cfg"
+        spec.write_text("n_ids = 2\nnoise = 5\nillum_jitter = 0.4\nseed = 3\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "cli")]) == 0
+        synth_dataset(
+            SynthSpec(n_ids=2, noise=5.0, illum_jitter=0.4, seed=3), tmp_path / "lib"
+        )
+        plain = tmp_path / "plain"
+        synth_dataset(SynthSpec(n_ids=2, noise=5.0, seed=3), plain)
+        name = "images/id0_camA_0.ppm"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        assert (tmp_path / "cli" / name).read_bytes() != (plain / name).read_bytes()
+
+    def test_misspelt_spec_key_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text("n_ids = 2\nilum_jitter = 0.4\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert "ilum_jitter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExtract:
@@ -215,7 +235,7 @@ class TestEval:
             "--splits", "1", "--seed", "9", "--ranks", "1",
         ])
         assert code == 0
-        cli_rate = float(capsys.readouterr().out.strip().splitlines()[1])
+        cli_rate = capsys.readouterr().out.strip().splitlines()[1]
 
         manifest = load_manifest(corpus / "manifest.csv")
         reps = {r.source_id: r for r in load_descriptors(descriptors)}
@@ -230,7 +250,8 @@ class TestEval:
         curve = rs.evaluate_single_shot(
             mdl, np.vstack(probes), split.test_ids, np.vstack(gallery), split.test_ids
         )
-        assert cli_rate == pytest.approx(curve[0], abs=1e-9)
+        # the CSV prints rates with six decimals
+        assert cli_rate == "%.6f" % curve[0]
 
     def test_probe_camera_flip(self, corpus, descriptors, model, capsys):
         rates = {}
@@ -306,6 +327,18 @@ class TestMalformedDescriptors:
         assert code == 2
         assert "non-finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "footer, message",
+        [(b"[]", "not a JSON object"), (b'{"layout": [], "source_ids": 5}', "must be lists")],
+    )
+    def test_inspect_malformed_footer(self, descriptors, tmp_path, capsys, footer, message):
+        data = descriptors.read_bytes()
+        _, rows, dim = struct.unpack("<HII", data[4:14])
+        path = tmp_path / "bad.sgmd"
+        path.write_bytes(data[: 14 + 4 * rows * dim] + footer)
+        assert main(["inspect", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_duplicate_source_ids(self, corpus, descriptors, model, tmp_path, capsys):
         path = self.rewrite(

@@ -34,10 +34,17 @@ from reid_sgm.descriptor import (
     stripe_bounds,
     stripe_descriptor,
 )
-from reid_sgm.imaging import ColorSpace, ForegroundMask
-from reid_sgm.sgm import ColorNamePalette
+from reid_sgm.imaging import ColorSpace, ForegroundMask, RasterImage, convert
+from reid_sgm.sgm import ColorNamePalette, fit_model, identity_model
 
-from conftest import make_image, make_mask, solid_image
+from conftest import (
+    argsort_soft_map,
+    assert_bitwise_equal,
+    make_image,
+    make_mask,
+    reduceat_max_pool,
+    solid_image,
+)
 
 
 def brute_force_pool(plane):
@@ -433,15 +440,77 @@ class TestPersistence:
         assert np.allclose([float(v) for v in row[1:]], reps[0].vector, rtol=1e-6)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     stack=arrays(
         np.float64,
-        st.tuples(st.just(4), st.integers(3, 12), st.integers(3, 12)),
-        elements=st.floats(0.0, 1.0, allow_nan=False),
+        st.tuples(st.just(4), st.integers(3, 20), st.integers(3, 20)),
+        elements=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0, allow_nan=False),
     )
 )
 def test_pooling_never_leaves_window_range(stack):
     pooled = max_pool(stack)
     for p in range(stack.shape[0]):
         assert np.array_equal(pooled[p], brute_force_pool(stack[p]))
+    assert_bitwise_equal(pooled, reduceat_max_pool(stack))
+
+
+def per_view_convert_sgm(image, mask, config, palette, shared_models=None):
+    """Oracle for ``extract_sgm``: converts every (view, space) afresh,
+    selects the top k by stable argsort and pools by ``reduceat``."""
+    views = [("whole", None)]
+    if mask is not None and config.use_mask:
+        views.append(("foreground", mask))
+    segments = []
+    for view, view_mask in views:
+        for space in config.spaces:
+            if config.euclidean:
+                model = identity_model(config.epsilon0)
+            elif shared_models is not None:
+                model = shared_models[(space, view)]
+            else:
+                model = fit_model(convert(image, space, view_mask), palette, config.epsilon0)
+            weights = argsort_soft_map(model, convert(image, space).points, palette, config.k)
+            stack = weights.reshape(image.height, image.width, 16).transpose(2, 0, 1)
+            pooled = reduceat_max_pool(np.ascontiguousarray(stack))
+            for bounds in stripe_bounds(pooled.shape[1], config.stripes):
+                segments.append(stripe_descriptor(pooled, bounds))
+    return np.concatenate(segments).astype(np.float32)
+
+
+def posterized_image(width, height, seed=0):
+    """Few distinct colors, so pixels and palette distances tie often."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([0, 64, 128, 255], dtype=np.uint8)
+    pixels = levels[rng.integers(0, 4, size=(height, width, 3))]
+    return RasterImage(width=width, height=height, pixels=pixels)
+
+
+class TestExtractSgmOracle:
+    """``extract_sgm`` equals the per-view-convert oracle bit for bit."""
+
+    @pytest.mark.parametrize("make", [make_image, posterized_image])
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            ("masked", ExtractionConfig()),
+            ("empty_mask", ExtractionConfig()),
+            ("euclidean", ExtractionConfig(euclidean=True)),
+            ("shared_models", ExtractionConfig()),
+            ("k1", ExtractionConfig(k=1, stripes=4)),
+            ("k16", ExtractionConfig(k=16, stripes=7)),
+        ],
+    )
+    def test_bitwise_equal(self, palette, make, case, config):
+        image = make(17, 40, seed=5)
+        mask = make_mask(17, 40, border=3)
+        if case == "empty_mask":
+            mask = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
+        shared = None
+        if case == "shared_models":
+            shared = fit_shared_models(
+                [(image, mask), (make(17, 40, seed=6), mask)], config, palette
+            )
+        rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
+        expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
+        assert_bitwise_equal(rep.vector, expected)

@@ -1,11 +1,14 @@
 """Soft Gaussian mapping: covariance fit, rectification, descriptors."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reid_sgm import sgm
 from reid_sgm.errors import EmptyPixelSet
 from reid_sgm.imaging import ColorSpace, PixelSet
 from reid_sgm.sgm import (
@@ -21,6 +24,8 @@ from reid_sgm.sgm import (
     soft_map,
     transform_space,
 )
+
+from conftest import argsort_soft_map, argsort_top_k, assert_bitwise_equal, expression_likelihoods
 
 _PALETTE = None
 
@@ -322,6 +327,83 @@ def test_soft_map_is_probability_vector(pts, z, k):
     assert (weights >= 0.0).all()
     assert np.count_nonzero(weights) <= k
     assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFastPathOracles:
+    """The in-place likelihoods and the sort-threshold top-k, bit for bit."""
+
+    @staticmethod
+    def models(palette, rng):
+        return (
+            identity_model(),
+            fit_model(pixel_set(rng.random((80, 3))), palette),
+            model_from_sigma(np.eye(3) * 1e-10, epsilon0=1e-4),  # every likelihood underflows
+        )
+
+    def test_likelihoods_match_expression(self, palette, rng):
+        pts = np.vstack([rng.random((500, 3)), palette.names])
+        out, work = np.full((516, 16), np.nan), np.full((516, 16), np.nan)
+        for model in self.models(palette, rng):
+            expected = expression_likelihoods(model, pts, palette)
+            assert_bitwise_equal(pixel_likelihoods(model, pts, palette), expected)
+            assert pixel_likelihoods(model, pts, palette, out=out, work=work) is out
+            assert_bitwise_equal(out, expected)
+            assert_bitwise_equal(
+                pixel_likelihoods(model, pts[7], palette),
+                expression_likelihoods(model, pts[7], palette),
+            )
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_soft_map_matches_oracle_on_pixels(self, palette, rng, k):
+        # pixels on a 1/8 lattice plus the palette itself tie often
+        pts = np.vstack([np.round(rng.random((2000, 3)) * 8) / 8, palette.names])
+        n = pts.shape[0]
+        for model in self.models(palette, rng):
+            expected = argsort_soft_map(model, pts, palette, k)
+            assert_bitwise_equal(soft_map(model, pts, palette, k), expected)
+            out, work = np.full((n, 16), np.nan), np.full((n, 16), np.nan)
+            assert soft_map(model, pts, palette, k, out=out, work=work) is out
+            assert_bitwise_equal(out, expected)
+            assert_bitwise_equal(
+                soft_map(model, pts[-3], palette, k), argsort_soft_map(model, pts[-3], palette, k)
+            )
+
+
+@st.composite
+def likelihood_rows(draw):
+    """Rows over a few levels (ties at the top-k edge), some all underflowed."""
+    n = draw(st.integers(1, 24))
+    levels = draw(
+        st.lists(
+            st.floats(0.0, 1.0, allow_nan=False) | st.sampled_from([0.0, 5e-324, 1e-300]),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    picks = draw(arrays(np.int64, (n, 16), elements=st.integers(0, len(levels) - 1)))
+    rows = np.asarray(levels, dtype=np.float64)[picks]
+    rows[draw(arrays(np.bool_, (n,)))] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+@settings(max_examples=25, deadline=None)
+@given(rows=likelihood_rows())
+def test_soft_map_selection_matches_argsort_oracle(k, rows):
+    def likelihoods(model, z, palette, out=None, work=None):
+        if out is None:
+            return rows.copy()
+        out[...] = rows
+        return out
+
+    palette = shared_palette()
+    z = np.zeros((rows.shape[0], 3))
+    with mock.patch.object(sgm, "pixel_likelihoods", likelihoods):
+        fresh = soft_map(None, z, palette, k)
+        reused = soft_map(None, z, palette, k, out=np.empty_like(rows), work=np.empty_like(rows))
+    expected = argsort_top_k(rows, k)
+    assert_bitwise_equal(fresh, expected)
+    assert_bitwise_equal(reused, expected)
 
 
 class TestTransformSpace:
