@@ -43,7 +43,6 @@ from .evalkit import (
     SynthSpec,
     cmc_multi_shot,
     cmc_single_shot,
-    evaluate_multi_shot,
     evaluate_single_shot,
     load_manifest,
     make_splits,
@@ -63,7 +62,6 @@ from .sgm import (
     ColorNamePalette,
     GaussianMapModel,
     default_palette,
-    eig3_symmetric,
     fit_model,
     identity_model,
     load_palette,
@@ -74,61 +72,3 @@ from .sgm import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CclModel",
-    "CmcReport",
-    "ColorNamePalette",
-    "ColorSpace",
-    "CoupledStats",
-    "DatasetManifest",
-    "ExtractionConfig",
-    "ForegroundMask",
-    "GaussianMapModel",
-    "ImageRepresentation",
-    "LayoutRecord",
-    "ManifestEntry",
-    "PairedSample",
-    "PixelSet",
-    "RasterImage",
-    "SplitSpec",
-    "SynthSpec",
-    "accumulate_stats",
-    "build_maps",
-    "cmc_multi_shot",
-    "cmc_single_shot",
-    "convert",
-    "default_palette",
-    "eig3_symmetric",
-    "evaluate_multi_shot",
-    "evaluate_single_shot",
-    "export_csv",
-    "extract_color_histogram",
-    "extract_features",
-    "extract_sgm",
-    "extract_siltp",
-    "fit_model",
-    "fuse",
-    "identity_model",
-    "load_descriptors",
-    "load_image",
-    "load_manifest",
-    "load_mask",
-    "load_models",
-    "load_palette",
-    "make_splits",
-    "max_pool",
-    "model_from_sigma",
-    "pixel_likelihoods",
-    "project",
-    "report",
-    "save_descriptors",
-    "save_models",
-    "score",
-    "score_matrix",
-    "soft_map",
-    "solve_subspace",
-    "stripe_descriptor",
-    "synth_dataset",
-    "transform_space",
-]

@@ -42,47 +42,34 @@ class PairedSample:
     person_id: str = ""
 
 
+@dataclass(frozen=True, kw_only=True)
 class CoupledStats:
     """Means and ridged intra-personal covariances of the coupled variables.
 
-    ``accumulate_stats`` keeps the covariances factored as
-    ``sigma_m = M^T M + ridge_term * I`` and ``sigma_e = E^T E + ridge_term * I``:
-    the rows of ``m_rows`` (M) and ``e_rows`` (E) are the centered
-    m = x + y and e = x - y of each pair over sqrt(n).  Reading ``sigma_m``
-    or ``sigma_e`` forms the d x d matrix; ``solve_subspace`` does not
-    when 2n + r < d.  Stats built from explicit ``sigma_m``/``sigma_e``
-    matrices instead hold those, and the solver uses them as given.
+    The covariances stay factored as ``sigma_m = M^T M + ridge_term * I``
+    and ``sigma_e = E^T E + ridge_term * I``: ``accumulate_stats`` fills
+    the rows of ``m_rows`` (M) and ``e_rows`` (E) with the centered
+    m = x + y and e = x - y of each pair over sqrt(n).  Reading
+    ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
+    does not when 2n + r < d.
     """
 
-    def __init__(self, *, dim: int, mean_x: np.ndarray, mean_y: np.ndarray, pair_count: int,
-                 m_rows: np.ndarray | None = None, e_rows: np.ndarray | None = None,
-                 ridge_term: float = 0.0, sigma_m: np.ndarray | None = None,
-                 sigma_e: np.ndarray | None = None):
-        given = [arr is not None for arr in (m_rows, e_rows, sigma_m, sigma_e)]
-        if given not in ([True, True, False, False], [False, False, True, True]):
-            raise ValueError("give either m_rows and e_rows or sigma_m and sigma_e")
-        self.dim = dim
-        self.mean_x = mean_x
-        self.mean_y = mean_y
-        self.pair_count = pair_count
-        self.m_rows = m_rows
-        self.e_rows = e_rows
-        self.ridge_term = ridge_term
-        self._sigma_m = sigma_m
-        self._sigma_e = sigma_e
+    dim: int
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+    pair_count: int
+    m_rows: np.ndarray
+    e_rows: np.ndarray
+    ridge_term: float
 
     @property
     def sigma_m(self) -> np.ndarray:
         """Covariance of m = x + y over matched pairs, ridge included (d x d)."""
-        if self._sigma_m is not None:
-            return self._sigma_m
         return _ridged_gram(self.m_rows, self.ridge_term)
 
     @property
     def sigma_e(self) -> np.ndarray:
         """Covariance of e = x - y over matched pairs, ridge included (d x d)."""
-        if self._sigma_e is not None:
-            return self._sigma_e
         return _ridged_gram(self.e_rows, self.ridge_term)
 
 
@@ -169,10 +156,8 @@ def _coupled_problem(stats: CoupledStats, r: int):
     the r extra directions keep at least r eigenvalues of 1 in the
     reduced problem, as many as the top r of the full one can hold.
     Returns (Q^T sigma_m Q, Q^T sigma_e Q, Q), or the full matrices
-    and None when k >= d or the stats hold explicit covariances.
+    and None when k >= d.
     """
-    if stats.m_rows is None:
-        return stats.sigma_m, stats.sigma_e, None
     n = stats.m_rows.shape[0]
     k = 2 * n + r
     if k >= stats.dim:
@@ -247,13 +232,6 @@ def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("projected covariance is singular") from None
     return 0.5 * (inv + inv.T)
-
-
-def fit(pairs: list[PairedSample], r: int = DEFAULT_SUBSPACE_DIM,
-        ridge: float = DEFAULT_RIDGE) -> CclModel:
-    """Convenience wrapper: accumulate statistics, then solve."""
-    stats = accumulate_stats(pairs, ridge=ridge)
-    return solve_subspace(stats, min(r, stats.dim))
 
 
 def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:

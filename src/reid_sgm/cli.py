@@ -77,6 +77,9 @@ class _Options:
     def __init__(self, args):
         self.args = args
         self.config = load_config(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.config) - _option_dests(build_parser()))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
 
     def get(self, key: str, default, cast):
         cli = getattr(self.args, key, None)
@@ -94,6 +97,18 @@ class _Options:
         if n < 1:
             raise ValueError(f"thread count must be >= 1, got {n}")
         return n
+
+
+def _option_dests(parser: argparse.ArgumentParser) -> set[str]:
+    """Dests of every option of a parser and of its subcommands."""
+    dests = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                dests |= _option_dests(sub)
+        elif action.option_strings and action.dest != "help":
+            dests.add(action.dest)
+    return dests
 
 
 def _parse_spaces(raw: str):
@@ -225,6 +240,13 @@ def _kinds_in_layout(layout):
     return kinds
 
 
+def _block_span(layout, kind: str) -> tuple[int, int]:
+    """(offset, length) of a model's block; the kind "ALL" spans the whole layout."""
+    if kind == "ALL":
+        return 0, sum(rec.length for rec in layout)
+    return descriptor.feature_span(layout, kind)
+
+
 def _matrix(reps) -> np.ndarray:
     return np.vstack([rep.vector for rep in reps]).astype(np.float64)
 
@@ -247,6 +269,10 @@ def cmd_train(args) -> int:
     fraction = opts.get("fraction", 0.5, float)
     seed = opts.get("seed", 0, int)
     split_index = opts.get("split_index", 0, int)
+    if split_index < 0:
+        raise ValueError(f"split index must be >= 0, got {split_index}")
+    if ranks < 1:
+        raise ValueError(f"subspace dimension r must be >= 1, got {ranks}")
 
     reps = descriptor.load_descriptors(args.descriptors)
     manifest = evalkit.load_manifest(args.manifest)
@@ -273,10 +299,7 @@ def cmd_train(args) -> int:
     kinds = _kinds_in_layout(layout) if per_feature else ["ALL"]
     models: dict[str, ccl.CclModel] = {}
     for kind in kinds:
-        if kind == "ALL":
-            offset, length = 0, matrix.shape[1]
-        else:
-            offset, length = descriptor.feature_span(layout, kind)
+        offset, length = _block_span(layout, kind)
         block = matrix[:, offset : offset + length]
         pairs = [ccl.PairedSample(x=block[ra], y=block[rb], person_id=pid)
                  for ra, rb, pid in pair_rows]
@@ -299,10 +322,7 @@ def cmd_train(args) -> int:
 
 def _check_artifacts(models, layout):
     for kind, model in models.items():
-        if kind == "ALL":
-            offset, length = 0, sum(rec.length for rec in layout)
-        else:
-            offset, length = descriptor.feature_span(layout, kind)
+        _, length = _block_span(layout, kind)
         if model.dim != length:
             raise ArtifactMismatch(
                 f"{kind}: model expects dim {model.dim} but descriptors provide {length}"
@@ -313,10 +333,7 @@ def _fused_scores(models, layout, matrix, probe_rows, gallery_rows, probe_view):
     gallery_view = "B" if probe_view == "A" else "A"
     total = None
     for kind, model in models.items():
-        if kind == "ALL":
-            offset, length = 0, matrix.shape[1]
-        else:
-            offset, length = descriptor.feature_span(layout, kind)
+        offset, length = _block_span(layout, kind)
         block = matrix[:, offset : offset + length]
         probes = ccl.project(model, block[probe_rows], probe_view)
         gallery = ccl.project(model, block[gallery_rows], gallery_view)

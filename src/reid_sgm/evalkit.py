@@ -139,6 +139,36 @@ def make_splits(
     return splits
 
 
+def _identity_cmc(scores, probe_ids: list, gallery_ids: list) -> np.ndarray:
+    """CMC over gallery identities in their order of first appearance.
+
+    A probe scores an identity by its best image (its only one under the
+    single-shot protocol).  Its rank counts the identities scoring above
+    its true match plus the tied ones before it; ranks are then tallied.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(probe_ids), len(gallery_ids)):
+        raise ProtocolViolation(
+            f"score matrix {scores.shape} does not match {len(probe_ids)} probes "
+            f"x {len(gallery_ids)} gallery entries"
+        )
+    if np.isnan(scores).any():
+        raise ProtocolViolation("score matrix holds NaN, which has no rank")
+    columns = {pid: j for j, pid in enumerate(dict.fromkeys(gallery_ids))}
+    for pid in probe_ids:
+        if pid not in columns:
+            raise ProtocolViolation(f"probe {pid!r} has no gallery match")
+    identity = np.array([columns[pid] for pid in gallery_ids], dtype=np.int64)
+    order = np.argsort(identity, kind="stable")
+    starts = np.searchsorted(identity[order], np.arange(len(columns)))
+    best = np.maximum.reduceat(scores[:, order], starts, axis=1)
+    match = np.array([columns[pid] for pid in probe_ids], dtype=np.int64)
+    true = best[np.arange(len(match)), match][:, None]
+    before = np.arange(len(columns))[None, :] < match[:, None]
+    rank = (best > true).sum(axis=1) + ((best == true) & before).sum(axis=1)
+    return np.bincount(rank, minlength=len(columns)).cumsum() / len(match)
+
+
 def cmc_single_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
     """CMC rates from a probe-by-gallery score matrix, one image per id.
 
@@ -146,30 +176,13 @@ def cmc_single_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
     top k+1 gallery entries; ranking is by descending score with ties
     broken by the lower gallery index.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     probe_ids = list(probe_ids)
     gallery_ids = list(gallery_ids)
-    if scores.shape != (len(probe_ids), len(gallery_ids)):
-        raise ProtocolViolation(
-            f"score matrix {scores.shape} does not match {len(probe_ids)} probes "
-            f"x {len(gallery_ids)} gallery entries"
-        )
     if len(set(gallery_ids)) != len(gallery_ids):
         raise ProtocolViolation("duplicate identity in gallery under the single-shot protocol")
     if len(set(probe_ids)) != len(probe_ids):
         raise ProtocolViolation("duplicate identity among probes under the single-shot protocol")
-    lookup = {pid: j for j, pid in enumerate(gallery_ids)}
-    for pid in probe_ids:
-        if pid not in lookup:
-            raise ProtocolViolation(f"probe {pid!r} has no gallery match")
-    if np.isnan(scores).any():
-        raise ProtocolViolation("score matrix holds NaN, which has no rank")
-    match = np.array([lookup[pid] for pid in probe_ids], dtype=np.int64)
-    true = scores[np.arange(len(probe_ids)), match][:, None]
-    before = np.arange(len(gallery_ids))[None, :] < match[:, None]
-    rank = (scores > true).sum(axis=1) + ((scores == true) & before).sum(axis=1)
-    hits = np.bincount(rank, minlength=len(gallery_ids))
-    return hits.cumsum() / len(probe_ids)
+    return _identity_cmc(scores, probe_ids, gallery_ids)
 
 
 def cmc_multi_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
@@ -179,29 +192,7 @@ def cmc_multi_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
     images; ties are broken by first appearance in the gallery.  The
     curve has one entry per distinct gallery identity.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    probe_ids = list(probe_ids)
-    gallery_ids = list(gallery_ids)
-    if scores.shape != (len(probe_ids), len(gallery_ids)):
-        raise ProtocolViolation(
-            f"score matrix {scores.shape} does not match {len(probe_ids)} probes "
-            f"x {len(gallery_ids)} gallery entries"
-        )
-    identities = list(dict.fromkeys(gallery_ids))
-    columns = {pid: [] for pid in identities}
-    for j, pid in enumerate(gallery_ids):
-        columns[pid].append(j)
-    known = set(identities)
-    hits = np.zeros(len(identities), dtype=np.int64)
-    for i, pid in enumerate(probe_ids):
-        if pid not in known:
-            raise ProtocolViolation(f"probe {pid!r} has no gallery match")
-        best = np.array([scores[i, cols].max() for cols in columns.values()])
-        order = np.argsort(-best, kind="stable")
-        target = identities.index(pid)
-        rank = int(np.nonzero(order == target)[0][0])
-        hits[rank] += 1
-    return hits.cumsum() / len(probe_ids)
+    return _identity_cmc(scores, list(probe_ids), list(gallery_ids))
 
 
 def evaluate_single_shot(
@@ -210,13 +201,6 @@ def evaluate_single_shot(
     """Score projected probe/gallery sets with one model and run CMC."""
     scores = ccl.score_matrix(model, gallery, probes)
     return cmc_single_shot(scores, probe_ids, gallery_ids)
-
-
-def evaluate_multi_shot(
-    model: ccl.CclModel, probes, probe_ids, gallery, gallery_ids
-) -> np.ndarray:
-    scores = ccl.score_matrix(model, gallery, probes)
-    return cmc_multi_shot(scores, probe_ids, gallery_ids)
 
 
 @dataclass(frozen=True)

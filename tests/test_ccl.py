@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from reid_sgm.ccl import (
     CclModel,
+    CoupledStats,
     PairedSample,
     accumulate_stats,
-    fit,
     load_models,
     project,
     save_models,
@@ -42,18 +42,27 @@ def random_spd(rng, d, scale=1.0):
 
 
 def stats_from_matrices(sigma_m, sigma_e):
-    """CoupledStats shell around explicitly chosen covariances."""
-    from reid_sgm.ccl import CoupledStats
+    """CoupledStats whose factor rows reproduce chosen PSD covariances.
 
+    Each matrix is factored as R^T R with R = (V sqrt(clip(lambda, 0)))^T
+    from its eigendecomposition, with no ridge.  There are n = d rows,
+    so the solver takes its full-matrix branch.
+    """
     d = sigma_m.shape[0]
     return CoupledStats(
         dim=d,
         mean_x=np.zeros(d),
         mean_y=np.zeros(d),
-        sigma_m=sigma_m,
-        sigma_e=sigma_e,
-        pair_count=2 * d,
+        pair_count=d,
+        m_rows=_factor_rows(sigma_m),
+        e_rows=_factor_rows(sigma_e),
+        ridge_term=0.0,
     )
+
+
+def _factor_rows(sigma):
+    vals, vecs = np.linalg.eigh(sigma)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))).T
 
 
 SCORE_RTOL = 1e-12
@@ -285,7 +294,7 @@ class TestSpanSolve:
         pairs = [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
         tracemalloc.start()
         try:
-            model = fit(pairs, r=r)
+            model = solve_subspace(accumulate_stats(pairs), r)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -176,6 +176,26 @@ class TestExtract:
                      "--config", str(cfg), "--spaces", "RGB,HSV"]) == 0
         assert load_descriptors(out2)[0].dim == 640
 
+    def test_misspelt_config_key_is_usage_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("kk = 3\n")
+        out = tmp_path / "typo.sgmd"
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        assert "kk" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_shared_across_subcommands(self, corpus, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("spaces = RGB\nk = 3\nr = 7\nseed = 9\n")
+        desc = tmp_path / "shared.sgmd"
+        out = tmp_path / "shared.cclm"
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(desc),
+                     "--config", str(cfg)]) == 0
+        assert main(["train", str(desc), str(corpus / "manifest.csv"), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert load_models(out)["SGM"].rank == 7
+
 
 class TestTrain:
     def test_model_contents(self, model):
@@ -202,6 +222,22 @@ class TestTrain:
         assert code == 0
         assert "clamped" in capsys.readouterr().err
         assert load_models(out)["SGM"].rank == 640
+
+    def test_negative_split_index_is_usage_error(self, corpus, descriptors, tmp_path, capsys):
+        code = main([
+            "train", str(descriptors), str(corpus / "manifest.csv"),
+            "--out", str(tmp_path / "neg.cclm"), "--split-index", "-1",
+        ])
+        assert code == 1
+        assert "split index" in capsys.readouterr().err
+
+    def test_zero_r_is_usage_error(self, corpus, descriptors, tmp_path, capsys):
+        code = main([
+            "train", str(descriptors), str(corpus / "manifest.csv"),
+            "--out", str(tmp_path / "r0.cclm"), "--r", "0",
+        ])
+        assert code == 1
+        assert "r must be >= 1" in capsys.readouterr().err
 
 
 class TestEval:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reid_sgm.errors import ProtocolViolation, TooFewIdentities
 from reid_sgm.evalkit import (
@@ -53,6 +55,37 @@ def argsort_single_shot(scores, probe_ids, gallery_ids):
         order = np.argsort(-scores[i], kind="stable")
         hits[int(np.nonzero(order == lookup[pid])[0][0])] += 1
     return hits.cumsum() / len(probe_ids)
+
+
+def argsort_multi_shot(scores, probe_ids, gallery_ids):
+    """Oracle for ``cmc_multi_shot``: per probe, the best image of each
+    identity, then one stable argsort over identities."""
+    identities = list(dict.fromkeys(gallery_ids))
+    columns = {pid: [] for pid in identities}
+    for j, pid in enumerate(gallery_ids):
+        columns[pid].append(j)
+    hits = np.zeros(len(identities), dtype=np.int64)
+    for i, pid in enumerate(probe_ids):
+        best = np.array([scores[i, cols].max() for cols in columns.values()])
+        order = np.argsort(-best, kind="stable")
+        hits[int(np.nonzero(order == identities.index(pid))[0][0])] += 1
+    return hits.cumsum() / len(probe_ids)
+
+
+@st.composite
+def multi_shot_cases(draw):
+    """Tie-heavy quantized scores with +-inf, shuffled galleries of 1-4
+    images per identity and repeated probe ids."""
+    n_ids = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 4), min_size=n_ids, max_size=n_ids))
+    gallery_ids = [f"p{i}" for i, c in enumerate(counts) for _ in range(c)]
+    gallery_ids = draw(st.permutations(gallery_ids))
+    probe_ids = draw(st.lists(st.sampled_from(sorted(set(gallery_ids))), min_size=1, max_size=8))
+    cell = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([np.inf, -np.inf]))
+    flat = draw(st.lists(cell, min_size=len(probe_ids) * len(gallery_ids),
+                         max_size=len(probe_ids) * len(gallery_ids)))
+    scores = np.array(flat).reshape(len(probe_ids), len(gallery_ids))
+    return scores, probe_ids, list(gallery_ids)
 
 
 class TestSplits:
@@ -186,6 +219,22 @@ class TestCmcMultiShot:
             )
             ref = brute_force_single_shot(best, ids, ids)
             assert np.array_equal(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multi_shot_cases())
+    def test_matches_argsort_oracle(self, case):
+        scores, probe_ids, gallery_ids = case
+        got = cmc_multi_shot(scores, probe_ids, gallery_ids)
+        assert np.array_equal(got, argsort_multi_shot(scores, probe_ids, gallery_ids))
+
+    def test_nan_score_rejected(self):
+        scores = np.array([[0.0, np.nan, 1.0]])
+        with pytest.raises(ProtocolViolation):
+            cmc_multi_shot(scores, ["a"], ["a", "b", "b"])
+
+    def test_probe_without_match_rejected(self):
+        with pytest.raises(ProtocolViolation):
+            cmc_multi_shot(np.zeros((1, 2)), ["zz"], ["a", "a"])
 
     def test_multiple_probe_images(self, rng):
         probe_ids = ["a", "a", "b"]
