@@ -333,7 +333,11 @@ def save_models(path, models: dict[str, CclModel]) -> None:
 
 
 def load_models(path) -> dict[str, CclModel]:
-    """Read back a model file written by ``save_models``."""
+    """Read back a model file written by ``save_models``.
+
+    A kind tag that is not UTF-8, a repeated kind, a non-finite value or
+    bytes after the last record are rejected as ``CorruptFile``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MODEL_MAGIC:
@@ -352,13 +356,20 @@ def load_models(path) -> dict[str, CclModel]:
         if len(data) < offset + need:
             raise CorruptFile(f"{path}: truncated payload")
         arr = np.frombuffer(data[offset : offset + need], dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise CorruptFile(f"{path}: model {kind!r} holds non-finite values")
         offset += need
         return arr.copy()
 
     for _ in range(count):
         if len(data) < offset + 24:
             raise CorruptFile(f"{path}: truncated model record")
-        kind = data[offset : offset + 16].rstrip(b" ").decode("utf-8")
+        try:
+            kind = data[offset : offset + 16].rstrip(b" ").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptFile(f"{path}: kind tag at byte {offset} is not UTF-8") from None
+        if kind in models:
+            raise CorruptFile(f"{path}: repeats model kind {kind!r}")
         dim, rank = struct.unpack("<II", data[offset + 16 : offset + 24])
         offset += 24
         if not 1 <= rank <= dim:
@@ -372,4 +383,6 @@ def load_models(path) -> dict[str, CclModel]:
             inv_sigma_e=take(rank * rank, (rank, rank)),
             inv_sigma=take(rank * rank, (rank, rank)),
         )
+    if offset != len(data):
+        raise CorruptFile(f"{path}: {len(data) - offset} trailing bytes after the last model")
     return models

@@ -11,6 +11,7 @@ sets can be persisted to a compact binary file or exported as CSV.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import (
     ArtifactMismatch,
     CorruptFile,
+    DimensionMismatch,
     EmptyStripe,
     SourceMismatch,
     StackTooSmall,
@@ -168,14 +170,7 @@ def build_maps(
     if grid is None:
         grid = convert(image, space)
     if model is None:
-        fit_pixels = grid
-        if mask is not None:
-            # Conversion is per-pixel, so masking the converted grid equals
-            # converting the masked selection.
-            keep = mask.values.reshape(-1) == 1
-            if keep.any():
-                fit_pixels = PixelSet(space=space, points=grid.points[keep])
-        model = fit_model(fit_pixels, palette, epsilon0)
+        model = fit_model(_masked_pixels(grid, mask), palette, epsilon0)
     if out is None:
         out = np.empty((2, image.height * image.width, PALETTE_SIZE))
     weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
@@ -223,6 +218,24 @@ def stripe_descriptor(stack: np.ndarray, stripe: tuple[int, int]) -> np.ndarray:
     return values / total
 
 
+def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
+    """The masked pixels of a converted grid; all of it when the mask selects none.
+
+    Conversion is per-pixel, so masking the converted grid equals
+    converting the masked selection.
+    """
+    if mask is None:
+        return grid
+    keep = mask.values.reshape(-1) == 1
+    if keep.shape[0] != grid.points.shape[0]:
+        raise DimensionMismatch(
+            f"mask covers {keep.shape[0]} pixels but the image has {grid.points.shape[0]}"
+        )
+    if not keep.any():
+        return grid
+    return PixelSet(space=grid.space, points=grid.points[keep])
+
+
 def _views(mask: ForegroundMask | None, config: ExtractionConfig):
     views = [(VIEW_WHOLE, None)]
     if mask is not None and config.use_mask:
@@ -230,20 +243,55 @@ def _views(mask: ForegroundMask | None, config: ExtractionConfig):
     return views
 
 
-def _stripe_pixel_selector(mask, bounds, width):
-    """Per-stripe flat pixel indices; masked stripes fall back to all rows."""
-    selectors = []
-    for start, stop in bounds:
-        rows = np.arange(start, stop)
-        if mask is None:
-            sel = np.ones((stop - start) * width, dtype=bool)
-        else:
-            sel = (mask.values[rows, :] == 1).reshape(-1)
-            if not sel.any():
-                sel = np.ones((stop - start) * width, dtype=bool)
-        base = start * width
-        selectors.append(base + np.flatnonzero(sel))
-    return selectors
+@functools.lru_cache(maxsize=64)
+def _layout(kind: str, spaces: tuple, stripes: int, foreground: bool) -> tuple[LayoutRecord, ...]:
+    """Segments of one feature kind in (view, space, stripe) order.
+
+    Cached: every image of a run shares the same immutable tuple.
+    """
+    views = (VIEW_WHOLE, VIEW_FOREGROUND) if foreground else (VIEW_WHOLE,)
+    names = (None,) if kind == "SILTP" else tuple(space.value for space in spaces)
+    length = {"SGM": PALETTE_SIZE, "CH": 3 * CH_BINS, "SILTP": SILTP_CODES}[kind]
+    return tuple(
+        LayoutRecord(kind=kind, space=name, view=view, stripe=idx, length=length)
+        for view in views
+        for name in names
+        for idx in range(stripes)
+    )
+
+
+def _stripe_labels(height: int, width: int, stripes: int) -> np.ndarray:
+    """Stripe index of every pixel, in row-major order."""
+    rows = [stop - start for start, stop in stripe_bounds(height, stripes)]
+    return np.repeat(np.arange(stripes), np.array(rows) * width)
+
+
+def _view_selection(mask: ForegroundMask | None, labels: np.ndarray, stripes: int):
+    """Pixels a view histograms: every pixel without a mask, else the masked
+    ones, with a stripe that holds no masked pixel falling back to all of its
+    pixels.  ``None`` stands for every pixel."""
+    if mask is None:
+        return None
+    keep = mask.values.reshape(-1) == 1
+    empty = np.bincount(labels[keep], minlength=stripes) == 0
+    return keep | empty[labels]
+
+
+def _stripe_histograms(codes: np.ndarray, keep, stripes: int, bins: int) -> np.ndarray:
+    """Sum-normalized per-stripe histograms from one ``bincount``.
+
+    ``codes`` holds each pixel's bin already offset by ``stripe * bins``
+    (any trailing axis is flattened into the count).  The counts are
+    integers, so their float64 row sums are exact.
+    """
+    selected = codes if keep is None else codes[keep]
+    hist = np.bincount(selected.reshape(-1), minlength=stripes * bins).astype(np.float64)
+    hist = hist.reshape(stripes, bins)
+    return hist / hist.sum(axis=1, keepdims=True)
+
+
+def _convert_all(image: RasterImage, config: ExtractionConfig) -> dict:
+    return {space: convert(image, space) for space in config.spaces}
 
 
 def extract_sgm(
@@ -253,24 +301,30 @@ def extract_sgm(
     palette: ColorNamePalette | None = None,
     source_id: str = "",
     shared_models: dict | None = None,
+    grids: dict | None = None,
 ) -> ImageRepresentation:
     """Full soft-Gaussian-map representation of one image.
 
     Concatenation order is (view, space, stripe, color name) with the
     view outermost; whole-image first, then the foreground view when a
     mask is in play.  With the default configuration this yields
-    16 x stripes x spaces x views components.
+    16 x stripes x spaces x views components.  ``grids`` maps each
+    space to the image already converted to it; it is built when None.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
-    grids = {space: convert(image, space) for space in config.spaces}
+    if grids is None:
+        grids = _convert_all(image, config)
+    views = _views(mask, config)
+    identity = identity_model(config.epsilon0) if config.euclidean else None
     work = np.empty((2, image.height * image.width, PALETTE_SIZE))
     segments = []
-    layout = []
-    for view, view_mask in _views(mask, config):
+    # The identity model ignores the mask, so under it every view maps
+    # exactly like the whole image: map that once and repeat it.
+    for view, view_mask in views[:1] if config.euclidean else views:
         for space in config.spaces:
-            if config.euclidean:
-                model = identity_model(config.epsilon0)
+            if identity is not None:
+                model = identity
             elif shared_models is not None:
                 model = shared_models[(space, view)]
             else:
@@ -281,14 +335,13 @@ def extract_sgm(
                 grid=grids[space], out=work,
             )
             pooled = max_pool(stack)
-            for idx, bounds in enumerate(stripe_bounds(pooled.shape[1], config.stripes)):
+            for bounds in stripe_bounds(pooled.shape[1], config.stripes):
                 segments.append(stripe_descriptor(pooled, bounds))
-                layout.append(
-                    LayoutRecord(kind="SGM", space=space.value, view=view,
-                                 stripe=idx, length=16)
-                )
+    if config.euclidean:
+        segments *= len(views)
     vector = np.concatenate(segments).astype(np.float32)
-    return ImageRepresentation(vector=vector, layout=tuple(layout), source_id=source_id)
+    layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
+    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 
 
 def fit_shared_models(
@@ -304,10 +357,11 @@ def fit_shared_models(
     palette = palette or default_palette()
     pools: dict = {}
     for image, mask in items:
-        for view, view_mask in _views(mask, config):
-            for space in config.spaces:
-                pts = convert(image, space, view_mask).points
-                pools.setdefault((space, view), []).append(pts)
+        views = _views(mask, config)
+        for space in config.spaces:
+            grid = convert(image, space)
+            for view, view_mask in views:
+                pools.setdefault((space, view), []).append(_masked_pixels(grid, view_mask).points)
     models = {}
     for (space, view), chunks in pools.items():
         points = np.concatenate(chunks, axis=0)
@@ -322,34 +376,35 @@ def extract_color_histogram(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     source_id: str = "",
+    grids: dict | None = None,
 ) -> ImageRepresentation:
     """Per-stripe marginal color histograms, 16 bins per channel.
 
     Histograms are taken over un-pooled pixels in the same (view,
     space, stripe) order as the map pipeline; each stripe's 48-vector is
     sum-normalized.  Foreground stripes with no masked pixel fall back
-    to all of the stripe's pixels.
+    to all of the stripe's pixels.  ``grids`` is as in ``extract_sgm``.
     """
-    bounds = stripe_bounds(image.height, config.stripes)
-    segments = []
-    layout = []
-    points = {space: convert(image, space).points for space in config.spaces}
-    for view, view_mask in _views(mask, config):
-        selectors = _stripe_pixel_selector(view_mask, bounds, image.width)
-        for space in config.spaces:
-            for idx, select in enumerate(selectors):
-                vals = points[space][select]
-                bins = np.minimum((vals * CH_BINS).astype(np.int64), CH_BINS - 1)
-                hist = np.concatenate(
-                    [np.bincount(bins[:, c], minlength=CH_BINS) for c in range(3)]
-                ).astype(np.float64)
-                segments.append(hist / hist.sum())
-                layout.append(
-                    LayoutRecord(kind="CH", space=space.value, view=view,
-                                 stripe=idx, length=3 * CH_BINS)
-                )
-    vector = np.concatenate(segments).astype(np.float32)
-    return ImageRepresentation(vector=vector, layout=tuple(layout), source_id=source_id)
+    stripes = config.stripes
+    labels = _stripe_labels(image.height, image.width, stripes)
+    views = _views(mask, config)
+    selections = [_view_selection(view_mask, labels, stripes) for _, view_mask in views]
+    if grids is None:
+        grids = _convert_all(image, config)
+    # Bin of each (pixel, channel), offset by stripe * 48 + channel * 16.
+    offsets = labels[:, None] * (3 * CH_BINS) + np.arange(0, 3 * CH_BINS, CH_BINS)
+    codes = {
+        space: np.minimum((grids[space].points * CH_BINS).astype(np.int64), CH_BINS - 1) + offsets
+        for space in config.spaces
+    }
+    segments = [
+        _stripe_histograms(codes[space], keep, stripes, 3 * CH_BINS)
+        for keep in selections
+        for space in config.spaces
+    ]
+    vector = np.concatenate(segments, axis=None).astype(np.float32)
+    layout = _layout("CH", config.spaces, config.stripes, len(views) > 1)
+    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 
 
 def siltp_codes(gray: np.ndarray, tau: float = SILTP_TAU) -> np.ndarray:
@@ -387,21 +442,17 @@ def extract_siltp(
 ) -> ImageRepresentation:
     """Per-stripe ternary-pattern texture histograms on the gray image."""
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
-    codes = siltp_codes(gray).reshape(-1)
-    bounds = stripe_bounds(image.height, config.stripes)
-    segments = []
-    layout = []
-    for view, view_mask in _views(mask, config):
-        selectors = _stripe_pixel_selector(view_mask, bounds, image.width)
-        for idx, select in enumerate(selectors):
-            hist = np.bincount(codes[select], minlength=SILTP_CODES).astype(np.float64)
-            segments.append(hist / hist.sum())
-            layout.append(
-                LayoutRecord(kind="SILTP", space=None, view=view,
-                             stripe=idx, length=SILTP_CODES)
-            )
-    vector = np.concatenate(segments).astype(np.float32)
-    return ImageRepresentation(vector=vector, layout=tuple(layout), source_id=source_id)
+    stripes = config.stripes
+    labels = _stripe_labels(image.height, image.width, stripes)
+    codes = siltp_codes(gray).reshape(-1) + labels * SILTP_CODES
+    views = _views(mask, config)
+    segments = [
+        _stripe_histograms(codes, _view_selection(view_mask, labels, stripes), stripes, SILTP_CODES)
+        for _, view_mask in views
+    ]
+    vector = np.concatenate(segments, axis=None).astype(np.float32)
+    layout = _layout("SILTP", config.spaces, config.stripes, len(views) > 1)
+    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 
 
 def fuse(reps: list[ImageRepresentation]) -> ImageRepresentation:
@@ -426,15 +477,21 @@ def extract_features(
     shared_models: dict | None = None,
 ) -> ImageRepresentation:
     """Extract and fuse every feature kind requested by the config."""
+    # SGM and CH read the same converted grids: convert each space once.
+    grids = None
+    if "SGM" in config.features or "CH" in config.features:
+        grids = _convert_all(image, config)
     parts = []
     for kind in config.features:
         if kind == "SGM":
             parts.append(
-                extract_sgm(image, mask, config, palette=palette,
-                            source_id=source_id, shared_models=shared_models)
+                extract_sgm(image, mask, config, palette=palette, source_id=source_id,
+                            shared_models=shared_models, grids=grids)
             )
         elif kind == "CH":
-            parts.append(extract_color_histogram(image, mask, config, source_id=source_id))
+            parts.append(
+                extract_color_histogram(image, mask, config, source_id=source_id, grids=grids)
+            )
         else:
             parts.append(extract_siltp(image, mask, config, source_id=source_id))
     return parts[0] if len(parts) == 1 else fuse(parts)
@@ -455,7 +512,7 @@ def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
                          stripe=int(r["stripe"]), length=int(r["length"]))
             for r in records
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"malformed layout footer: {exc}") from None
 
 

@@ -9,6 +9,7 @@ Gaussian likelihoods over its k most similar color names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,6 +27,9 @@ DEFAULT_EPSILON0 = 1e-4
 EIGENVALUE_SNAP = 1e-12
 
 _GAUSS_CONST = (2.0 * np.pi) ** -1.5
+
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,18 @@ def _jacobi_refine(a: np.ndarray, vecs: np.ndarray, sweeps: int = 8):
     v = vecs
     for _ in range(sweeps):
         m = v.T @ a @ v
-        off = max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2]))
-        scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[2, 2]), 1e-300)
+        (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
+        off = max(abs(m01), abs(m02), abs(m12))
+        scale = max(abs(m00), abs(m11), abs(m22), 1e-300)
         if off <= 1e-15 * scale:
-            break
+            return m.diagonal().copy(), v  # m is already v.T @ a @ v
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = m[p, q]
             if apq == 0.0:
                 continue
             theta = 0.5 * np.arctan2(2.0 * apq, m[p, p] - m[q, q])
             c, s = np.cos(theta), np.sin(theta)
-            rot = np.eye(3)
+            rot = _EYE3.copy()
             rot[p, p] = c
             rot[q, q] = c
             rot[p, q] = -s
@@ -107,33 +112,42 @@ def _jacobi_refine(a: np.ndarray, vecs: np.ndarray, sweeps: int = 8):
             v = v @ rot
             m = rot.T @ m @ rot
     m = v.T @ a @ v
-    return np.array([m[0, 0], m[1, 1], m[2, 2]]), v
+    return m.diagonal().copy(), v
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    """``np.cross`` of two 3-sequences of floats, with its rounding and no FMA."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 3-vector: its BLAS dot product, then the sqrt."""
+    return math.sqrt(v.dot(v))
 
 
 def _null_vector(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
     """Best unit vector with m @ v ~ 0, orthogonal to already-found ones."""
-    cands = [
-        np.cross(m[0], m[1]),
-        np.cross(m[0], m[2]),
-        np.cross(m[1], m[2]),
-    ]
-    norms = [np.linalg.norm(c) for c in cands]
-    best = int(np.argmax(norms))
+    r0, r1, r2 = m.tolist()
+    cands = np.array([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)])
+    norms = [_norm(c) for c in cands]
+    best = max(range(3), key=norms.__getitem__)  # the first maximum, as np.argmax
     if norms[best] > 1e-14:
         v = cands[best] / norms[best]
         for u in avoid:
             v -= (v @ u) * u
-        n = np.linalg.norm(v)
+        n = _norm(v)
         if n > 1e-8:
             return v / n
     # (Near-)repeated eigenvalue, or the candidate collapsed under
     # orthogonalization: any completion of the found set works, since the
     # remaining eigenspace absorbs every orthogonal direction.
-    for axis in np.eye(3):
+    for axis in _EYE3:
         w = axis.copy()
         for u in avoid:
             w -= (w @ u) * u
-        n = np.linalg.norm(w)
+        n = _norm(w)
         if n > 1e-8:
             return w / n
     return np.array([1.0, 0.0, 0.0])  # pragma: no cover - unreachable for len(avoid) < 3
@@ -144,6 +158,10 @@ def eig3_symmetric(a: np.ndarray):
 
     Closed-form trigonometric eigenvalues, eigenvectors from cross
     products of the shifted rows, then Jacobi refinement sweeps.
+    Elementwise scalar steps run on Python floats; every reduction that
+    numpy hands to BLAS, LAPACK or SIMD code (dot products, ``det``,
+    ``trace``, matrix products, ``arccos``/``cos``/``sin``) stays a numpy
+    call, so the result keeps numpy's rounding bit for bit.
 
     Returns
     -------
@@ -156,43 +174,42 @@ def eig3_symmetric(a: np.ndarray):
     if scale == 0.0:
         return np.zeros(3), np.eye(3)
     b = a / scale
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b.tolist()
 
-    p1 = b[0, 1] ** 2 + b[0, 2] ** 2 + b[1, 2] ** 2
+    p1 = b01**2 + b02**2 + b12**2
     if p1 == 0.0:
         vals = np.diag(b).copy()
         order = np.argsort(vals, kind="stable")
         return vals[order] * scale, np.eye(3)[:, order]
 
-    q = np.trace(b) / 3.0
-    p2 = (b[0, 0] - q) ** 2 + (b[1, 1] - q) ** 2 + (b[2, 2] - q) ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    m = (b - q * np.eye(3)) / p
-    r = np.clip(np.linalg.det(m) / 2.0, -1.0, 1.0)
+    q = float(np.trace(b)) / 3.0
+    p2 = (b00 - q) ** 2 + (b11 - q) ** 2 + (b22 - q) ** 2 + 2.0 * p1
+    p = math.sqrt(p2 / 6.0)
+    m = (b - q * _EYE3) / p
+    r = min(max(float(np.linalg.det(m)) / 2.0, -1.0), 1.0)
     phi = np.arccos(r) / 3.0
-    hi = q + 2.0 * p * np.cos(phi)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    hi = float(q + 2.0 * p * np.cos(phi))
+    lo = float(q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))
     mid = 3.0 * q - hi - lo
-    vals = np.array([lo, mid, hi])
+    vals = (lo, mid, hi)
 
     # Recover the best-separated eigenvector first; the last comes free.
-    gaps = np.array(
-        [
-            min(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])),
-            min(abs(vals[1] - vals[0]), abs(vals[1] - vals[2])),
-            min(abs(vals[2] - vals[0]), abs(vals[2] - vals[1])),
-        ]
+    gaps = (
+        min(abs(lo - mid), abs(lo - hi)),
+        min(abs(mid - lo), abs(mid - hi)),
+        min(abs(hi - lo), abs(hi - mid)),
     )
-    order = list(np.argsort(-gaps, kind="stable"))
+    order = sorted(range(3), key=lambda i: -gaps[i])  # stable, as np.argsort
     vecs = [None, None, None]
     found: list[np.ndarray] = []
     for idx in order[:2]:
-        v = _null_vector(b - vals[idx] * np.eye(3), found)
+        v = _null_vector(b - vals[idx] * _EYE3, found)
         vecs[idx] = v
         found.append(v)
     last = order[2]
-    w = np.cross(found[0], found[1])
-    n = np.linalg.norm(w)
-    vecs[last] = w / n if n > 0 else _null_vector(b - vals[last] * np.eye(3), found)
+    w = np.array(_cross(found[0].tolist(), found[1].tolist()))
+    n = _norm(w)
+    vecs[last] = w / n if n > 0 else _null_vector(b - vals[last] * _EYE3, found)
 
     v = np.column_stack(vecs)
     vals, v = _jacobi_refine(b, v)
@@ -267,7 +284,9 @@ def estimate_sigma(points: np.ndarray, names: np.ndarray) -> np.ndarray:
     names = np.asarray(names, dtype=np.float64)
     n = points.shape[0]
     k = names.shape[0]
-    sum_z = points.sum(axis=0)
+    # Adds the rows one after another, the order sum(axis=0) uses on an
+    # (n, 3) array, without its per-row reduction overhead.
+    sum_z = np.einsum("ij->j", points)
     sum_c = names.sum(axis=0)
     outer_z = points.T @ points
     outer_c = names.T @ names

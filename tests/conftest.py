@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from reid_sgm.imaging import ForegroundMask, RasterImage
+from reid_sgm.descriptor import CH_BINS, SILTP_CODES, LayoutRecord, siltp_codes, stripe_bounds
+from reid_sgm.imaging import ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import default_palette
 
 
@@ -68,6 +69,189 @@ def reduceat_max_pool(stack):
     cols = np.arange(0, stack.shape[2], 3)
     pooled = np.maximum.reduceat(stack, rows, axis=1)
     return np.maximum.reduceat(pooled, cols, axis=2)
+
+
+def sum_estimate_sigma(points, names):
+    """Oracle for ``sgm.estimate_sigma``: the pixel sum taken by ``sum(axis=0)``."""
+    points = np.asarray(points, dtype=np.float64)
+    names = np.asarray(names, dtype=np.float64)
+    n = points.shape[0]
+    k = names.shape[0]
+    sum_z = points.sum(axis=0)
+    sum_c = names.sum(axis=0)
+    sigma = (
+        k * (points.T @ points) + n * (names.T @ names)
+        - np.outer(sum_z, sum_c) - np.outer(sum_c, sum_z)
+    ) / (k * n)
+    return 0.5 * (sigma + sigma.T)
+
+
+def _oracle_jacobi_refine(a, vecs, sweeps=8):
+    """Oracle copy of ``sgm._jacobi_refine`` as it was before the scalar rewrite."""
+    v = vecs
+    for _ in range(sweeps):
+        m = v.T @ a @ v
+        off = max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2]))
+        scale = max(abs(m[0, 0]), abs(m[1, 1]), abs(m[2, 2]), 1e-300)
+        if off <= 1e-15 * scale:
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = m[p, q]
+            if apq == 0.0:
+                continue
+            theta = 0.5 * np.arctan2(2.0 * apq, m[p, p] - m[q, q])
+            c, s = np.cos(theta), np.sin(theta)
+            rot = np.eye(3)
+            rot[p, p] = c
+            rot[q, q] = c
+            rot[p, q] = -s
+            rot[q, p] = s
+            v = v @ rot
+            m = rot.T @ m @ rot
+    m = v.T @ a @ v
+    return np.array([m[0, 0], m[1, 1], m[2, 2]]), v
+
+
+def _oracle_null_vector(m, avoid):
+    """Oracle copy of ``sgm._null_vector``: ``np.cross`` and ``np.linalg.norm``."""
+    cands = [
+        np.cross(m[0], m[1]),
+        np.cross(m[0], m[2]),
+        np.cross(m[1], m[2]),
+    ]
+    norms = [np.linalg.norm(c) for c in cands]
+    best = int(np.argmax(norms))
+    if norms[best] > 1e-14:
+        v = cands[best] / norms[best]
+        for u in avoid:
+            v -= (v @ u) * u
+        n = np.linalg.norm(v)
+        if n > 1e-8:
+            return v / n
+    for axis in np.eye(3):
+        w = axis.copy()
+        for u in avoid:
+            w -= (w @ u) * u
+        n = np.linalg.norm(w)
+        if n > 1e-8:
+            return w / n
+    return np.array([1.0, 0.0, 0.0])
+
+
+def oracle_eig3_symmetric(a):
+    """Oracle for ``sgm.eig3_symmetric``: the numpy-array version it replaces."""
+    a = np.asarray(a, dtype=np.float64)
+    a = 0.5 * (a + a.T)
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return np.zeros(3), np.eye(3)
+    b = a / scale
+
+    p1 = b[0, 1] ** 2 + b[0, 2] ** 2 + b[1, 2] ** 2
+    if p1 == 0.0:
+        vals = np.diag(b).copy()
+        order = np.argsort(vals, kind="stable")
+        return vals[order] * scale, np.eye(3)[:, order]
+
+    q = np.trace(b) / 3.0
+    p2 = (b[0, 0] - q) ** 2 + (b[1, 1] - q) ** 2 + (b[2, 2] - q) ** 2 + 2.0 * p1
+    p = np.sqrt(p2 / 6.0)
+    m = (b - q * np.eye(3)) / p
+    r = np.clip(np.linalg.det(m) / 2.0, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    hi = q + 2.0 * p * np.cos(phi)
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    mid = 3.0 * q - hi - lo
+    vals = np.array([lo, mid, hi])
+
+    gaps = np.array(
+        [
+            min(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])),
+            min(abs(vals[1] - vals[0]), abs(vals[1] - vals[2])),
+            min(abs(vals[2] - vals[0]), abs(vals[2] - vals[1])),
+        ]
+    )
+    order = list(np.argsort(-gaps, kind="stable"))
+    vecs = [None, None, None]
+    found = []
+    for idx in order[:2]:
+        v = _oracle_null_vector(b - vals[idx] * np.eye(3), found)
+        vecs[idx] = v
+        found.append(v)
+    last = order[2]
+    w = np.cross(found[0], found[1])
+    n = np.linalg.norm(w)
+    vecs[last] = w / n if n > 0 else _oracle_null_vector(b - vals[last] * np.eye(3), found)
+
+    v = np.column_stack(vecs)
+    vals, v = _oracle_jacobi_refine(b, v)
+    order = np.argsort(vals, kind="stable")
+    return vals[order] * scale, v[:, order]
+
+
+def oracle_views(mask, config):
+    views = [("whole", None)]
+    if mask is not None and config.use_mask:
+        views.append(("foreground", mask))
+    return views
+
+
+def _oracle_stripe_pixel_selector(mask, bounds, width):
+    """Per-stripe flat pixel indices; masked stripes fall back to all rows."""
+    selectors = []
+    for start, stop in bounds:
+        rows = np.arange(start, stop)
+        if mask is None:
+            sel = np.ones((stop - start) * width, dtype=bool)
+        else:
+            sel = (mask.values[rows, :] == 1).reshape(-1)
+            if not sel.any():
+                sel = np.ones((stop - start) * width, dtype=bool)
+        base = start * width
+        selectors.append(base + np.flatnonzero(sel))
+    return selectors
+
+
+def per_stripe_color_histogram(image, mask, config):
+    """Oracle for ``extract_color_histogram``: three ``bincount`` calls per stripe.
+
+    Returns the float32 vector and the layout records.
+    """
+    bounds = stripe_bounds(image.height, config.stripes)
+    segments = []
+    layout = []
+    points = {space: convert(image, space).points for space in config.spaces}
+    for view, view_mask in oracle_views(mask, config):
+        selectors = _oracle_stripe_pixel_selector(view_mask, bounds, image.width)
+        for space in config.spaces:
+            for idx, select in enumerate(selectors):
+                vals = points[space][select]
+                bins = np.minimum((vals * CH_BINS).astype(np.int64), CH_BINS - 1)
+                hist = np.concatenate(
+                    [np.bincount(bins[:, c], minlength=CH_BINS) for c in range(3)]
+                ).astype(np.float64)
+                segments.append(hist / hist.sum())
+                layout.append(LayoutRecord("CH", space.value, view, idx, 3 * CH_BINS))
+    return np.concatenate(segments).astype(np.float32), tuple(layout)
+
+
+def per_stripe_siltp(image, mask, config):
+    """Oracle for ``extract_siltp``: one ``bincount`` per stripe.
+
+    Returns the float32 vector and the layout records.
+    """
+    gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
+    codes = siltp_codes(gray).reshape(-1)
+    bounds = stripe_bounds(image.height, config.stripes)
+    segments = []
+    layout = []
+    for view, view_mask in oracle_views(mask, config):
+        selectors = _oracle_stripe_pixel_selector(view_mask, bounds, image.width)
+        for idx, select in enumerate(selectors):
+            hist = np.bincount(codes[select], minlength=SILTP_CODES).astype(np.float64)
+            segments.append(hist / hist.sum())
+            layout.append(LayoutRecord("SILTP", None, view, idx, SILTP_CODES))
+    return np.concatenate(segments).astype(np.float32), tuple(layout)
 
 
 def assert_bitwise_equal(actual, expected):

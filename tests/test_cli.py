@@ -366,7 +366,15 @@ class TestMalformedDescriptors:
 
     @pytest.mark.parametrize(
         "footer, message",
-        [(b"[]", "not a JSON object"), (b'{"layout": [], "source_ids": 5}', "must be lists")],
+        [
+            (b"[]", "not a JSON object"),
+            (b'{"layout": [], "source_ids": 5}', "must be lists"),
+            (
+                b'{"layout": [{"kind": "SGM", "space": null, "view": "whole", "stripe": "x",'
+                b' "length": 640}], "source_ids": []}',
+                "malformed layout footer",
+            ),
+        ],
     )
     def test_inspect_malformed_footer(self, descriptors, tmp_path, capsys, footer, message):
         data = descriptors.read_bytes()
@@ -386,6 +394,56 @@ class TestMalformedDescriptors:
         assert code == 2
         assert "repeats a source id" in capsys.readouterr().err
 
+
+class TestMalformedModels:
+    """Each ``.cclm`` defect ends in exit 2 from the reader (``CorruptFile``)."""
+
+    @staticmethod
+    def record(model):
+        """Header count and the bytes of the file's single model record."""
+        data = model.read_bytes()
+        assert struct.unpack("<H", data[6:8]) == (1,)
+        return data[:8], data[8:]
+
+    @staticmethod
+    def run_eval(corpus, descriptors, path, capsys):
+        code = main([
+            "eval", str(descriptors), str(path), str(corpus / "manifest.csv"), "--splits", "1",
+        ])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    def test_non_utf8_kind(self, corpus, descriptors, model, tmp_path, capsys):
+        header, rec = self.record(model)
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(header + b"\xff" + rec[1:])
+        assert main(["inspect", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "not UTF-8" in err
+
+    def test_trailing_bytes(self, corpus, descriptors, model, tmp_path, capsys):
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(model.read_bytes() + b"\x00")
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "1 trailing bytes" in err
+
+    def test_nan_weight(self, corpus, descriptors, model, tmp_path, capsys):
+        header, rec = self.record(model)
+        dim, _ = struct.unpack("<II", rec[16:24])
+        at = 24 + 2 * dim * 8  # first entry of W, after both means
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(header + rec[:at] + struct.pack("<d", np.nan) + rec[at + 8 :])
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "non-finite" in err
+
+    def test_repeated_kind(self, corpus, descriptors, model, tmp_path, capsys):
+        header, rec = self.record(model)
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(header[:6] + struct.pack("<H", 2) + rec + rec)
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "repeats model kind 'SGM'" in err
 
 class TestFeatureFusion:
     def test_three_kind_workflow(self, corpus, tmp_path, capsys):

@@ -34,7 +34,7 @@ from reid_sgm.descriptor import (
     stripe_bounds,
     stripe_descriptor,
 )
-from reid_sgm.imaging import ColorSpace, ForegroundMask, RasterImage, convert
+from reid_sgm.imaging import ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
 from reid_sgm.sgm import ColorNamePalette, fit_model, identity_model
 
 from conftest import (
@@ -42,6 +42,9 @@ from conftest import (
     assert_bitwise_equal,
     make_image,
     make_mask,
+    oracle_views,
+    per_stripe_color_histogram,
+    per_stripe_siltp,
     reduceat_max_pool,
     solid_image,
 )
@@ -458,11 +461,8 @@ def test_pooling_never_leaves_window_range(stack):
 def per_view_convert_sgm(image, mask, config, palette, shared_models=None):
     """Oracle for ``extract_sgm``: converts every (view, space) afresh,
     selects the top k by stable argsort and pools by ``reduceat``."""
-    views = [("whole", None)]
-    if mask is not None and config.use_mask:
-        views.append(("foreground", mask))
     segments = []
-    for view, view_mask in views:
+    for view, view_mask in oracle_views(mask, config):
         for space in config.spaces:
             if config.euclidean:
                 model = identity_model(config.epsilon0)
@@ -514,3 +514,131 @@ class TestExtractSgmOracle:
         rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
         expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
         assert_bitwise_equal(rep.vector, expected)
+
+
+def per_view_convert_shared_models(items, config, palette):
+    """Oracle for ``fit_shared_models``: converts every (view, space) afresh."""
+    pools = {}
+    for image, mask in items:
+        for view, view_mask in oracle_views(mask, config):
+            for space in config.spaces:
+                pools.setdefault((space, view), []).append(convert(image, space, view_mask).points)
+    return {
+        key: fit_model(PixelSet(space=key[0], points=np.concatenate(chunks)), palette,
+                       config.epsilon0)
+        for key, chunks in pools.items()
+    }
+
+
+def sgm_layout(mask, config):
+    return tuple(
+        LayoutRecord("SGM", space.value, view, idx, 16)
+        for view, _ in oracle_views(mask, config)
+        for space in config.spaces
+        for idx in range(config.stripes)
+    )
+
+
+def random_mask(rng, width, height, empty_rows=()):
+    values = (rng.random((height, width)) < 0.4).astype(np.uint8)
+    values[list(empty_rows)] = 0
+    return ForegroundMask(width=width, height=height, values=values)
+
+
+@st.composite
+def histogram_case(draw):
+    """An image, a mask (none, random, some stripes emptied, or empty) and a config
+    whose stripe count may leave remainder rows."""
+    stripes = draw(st.integers(1, 7))
+    height = draw(st.integers(stripes, 4 * stripes + 3))
+    width = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    image = make_image(width, height, seed=seed)
+    kind = draw(st.sampled_from(["none", "random", "emptied", "empty"]))
+    if kind == "none":
+        mask = None
+    elif kind == "empty":
+        mask = random_mask(rng, width, height, empty_rows=range(height))
+    else:
+        emptied = draw(st.sets(st.integers(0, height - 1))) if kind == "emptied" else ()
+        mask = random_mask(rng, width, height, empty_rows=sorted(emptied))
+    spaces = draw(st.lists(st.sampled_from(list(ColorSpace)), min_size=1, max_size=4,
+                           unique=True))
+    config = ExtractionConfig(stripes=stripes, spaces=tuple(spaces), use_mask=draw(st.booleans()))
+    return image, mask, config
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=histogram_case())
+def test_histograms_match_per_stripe_oracles(case):
+    image, mask, config = case
+    ch = extract_color_histogram(image, mask, config)
+    vector, layout = per_stripe_color_histogram(image, mask, config)
+    assert_bitwise_equal(ch.vector, vector)
+    assert ch.layout == layout
+    siltp = extract_siltp(image, mask, config)
+    vector, layout = per_stripe_siltp(image, mask, config)
+    assert_bitwise_equal(siltp.vector, vector)
+    assert siltp.layout == layout
+
+
+ALL_KINDS = ("SGM", "CH", "SILTP")
+
+
+class TestExtractFeaturesOracle:
+    """``extract_features`` with every kind equals the per-kind oracles bit for bit,
+    with and without a mask under one config, so the shared grids and the cached
+    layouts are both exercised."""
+
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            ("plain", ExtractionConfig(features=ALL_KINDS)),
+            ("stripes7", ExtractionConfig(features=ALL_KINDS, stripes=7, k=3)),
+            ("no_mask_view", ExtractionConfig(features=ALL_KINDS, use_mask=False)),
+            ("euclidean", ExtractionConfig(features=ALL_KINDS, euclidean=True)),
+            ("shared_models", ExtractionConfig(features=ALL_KINDS,
+                                               spaces=(ColorSpace.HSV, ColorSpace.RGB))),
+            ("reordered", ExtractionConfig(features=("SILTP", "CH", "SGM"))),
+        ],
+    )
+    def test_bitwise_equal(self, palette, case, config):
+        image = posterized_image(17, 40, seed=8)
+        values = make_mask(17, 40, border=3).values
+        values[:12] = 0  # the top stripes fall back to all of their pixels
+        mask = ForegroundMask(width=17, height=40, values=values)
+        for view_mask in (mask, None, mask):
+            shared = None
+            if case == "shared_models":
+                shared = fit_shared_models([(image, view_mask)], config, palette)
+            rep = extract_features(image, view_mask, config, palette=palette,
+                                   source_id="x", shared_models=shared)
+            parts = {
+                "SGM": (per_view_convert_sgm(image, view_mask, config, palette, shared),
+                        sgm_layout(view_mask, config)),
+                "CH": per_stripe_color_histogram(image, view_mask, config),
+                "SILTP": per_stripe_siltp(image, view_mask, config),
+            }
+            expected = np.concatenate([parts[kind][0] for kind in config.features])
+            assert_bitwise_equal(rep.vector, expected)
+            assert rep.layout == tuple(rec for kind in config.features for rec in parts[kind][1])
+
+
+class TestSharedModelsOracle:
+    @pytest.mark.parametrize("use_mask", [True, False])
+    def test_bitwise_equal(self, palette, use_mask):
+        config = ExtractionConfig(use_mask=use_mask)
+        empty = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
+        items = [
+            (make_image(17, 40, seed=1), make_mask(17, 40, border=3)),
+            (posterized_image(17, 40, seed=2), empty),
+            (make_image(17, 40, seed=3), make_mask(17, 40, border=5)),
+        ]
+        models = fit_shared_models(items, config, palette)
+        expected = per_view_convert_shared_models(items, config, palette)
+        assert models.keys() == expected.keys()
+        for key, model in models.items():
+            assert_bitwise_equal(model.rectified_inverse, expected[key].rectified_inverse)
+            assert_bitwise_equal(model.eigenvectors, expected[key].eigenvectors)
+            assert model.norm_const == expected[key].norm_const

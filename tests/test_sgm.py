@@ -25,7 +25,14 @@ from reid_sgm.sgm import (
     transform_space,
 )
 
-from conftest import argsort_soft_map, argsort_top_k, assert_bitwise_equal, expression_likelihoods
+from conftest import (
+    argsort_soft_map,
+    argsort_top_k,
+    assert_bitwise_equal,
+    expression_likelihoods,
+    oracle_eig3_symmetric,
+    sum_estimate_sigma,
+)
 
 _PALETTE = None
 
@@ -119,6 +126,63 @@ class TestEig3:
         assert np.allclose(vals, 1.0)
         vals, _ = eig3_symmetric(np.zeros((3, 3)))
         assert np.allclose(vals, 0.0)
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def symmetric_3x3(draw):
+    """Dense, diagonal, rank-1 (optionally shifted), repeated-eigenvalue or zero
+    symmetric matrices at scales from 1e-8 to 1e3."""
+    shape = draw(st.sampled_from(["dense", "diagonal", "rank1", "repeated", "zero"]))
+    scale = 10.0 ** draw(st.integers(-8, 3))
+    if shape == "zero":
+        return np.zeros((3, 3))
+    if shape == "dense":
+        upper = np.array(draw(st.lists(_UNIT, min_size=6, max_size=6)))
+        a = np.zeros((3, 3))
+        a[np.triu_indices(3)] = upper
+        a = a + np.triu(a, 1).T
+    elif shape == "diagonal":
+        a = np.diag(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5]) | _UNIT,
+                                  min_size=3, max_size=3)))
+    elif shape == "rank1":
+        v = np.array(draw(st.lists(_UNIT, min_size=3, max_size=3)))
+        a = np.outer(v, v)
+        if draw(st.booleans()):
+            a = a + 1e-13 * np.eye(3)
+    else:
+        q, _ = np.linalg.qr(np.array(draw(st.lists(_UNIT, min_size=9, max_size=9))).reshape(3, 3))
+        d = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0]), min_size=3, max_size=3))
+        a = q @ np.diag(d) @ q.T
+    return a * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=symmetric_3x3())
+def test_eig3_matches_numpy_array_oracle_bitwise(a):
+    vals, vecs = eig3_symmetric(a)
+    ref_vals, ref_vecs = oracle_eig3_symmetric(a)
+    assert_bitwise_equal(vals, ref_vals)
+    assert_bitwise_equal(vecs, ref_vecs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7000),
+    seed=st.integers(0, 2**16),
+    levels=st.sampled_from([0, 4, 256]),
+    step=st.sampled_from([1, 2]),
+)
+def test_estimate_sigma_matches_axis_sum_oracle_bitwise(palette, n, seed, levels, step):
+    rng = np.random.default_rng(seed)
+    points = rng.random((n * step, 3))
+    if levels:
+        points = np.round(points * (levels - 1)) / (levels - 1)
+    points = points[::step]  # step 2: a strided view, as a caller may pass
+    assert_bitwise_equal(estimate_sigma(points, palette.names),
+                         sum_estimate_sigma(points, palette.names))
 
 
 class TestFitModel:
