@@ -196,18 +196,25 @@ def cmd_extract(args) -> int:
             row.image, row.mask, config, palette=palette,
             source_id=row.entry.image_path, shared_models=shared_models,
         )
-        elapsed = time.perf_counter() - start
-        if args.verbose:
-            print(f"{row.entry.image_path}: dim={rep.dim} {elapsed * 1e3:.1f} ms")
-        return rep, elapsed
+        return rep, time.perf_counter() - start
+
+    def collect(results) -> list:
+        # Workers only time their image; lines are printed here, one
+        # thread in manifest order, so concurrent prints cannot interleave.
+        out = []
+        for row, (rep, elapsed) in zip(rows, results):
+            if args.verbose:
+                print(f"{row.entry.image_path}: dim={rep.dim} {elapsed * 1e3:.1f} ms")
+            out.append((rep, elapsed))
+        return out
 
     threads = opts.threads()
     try:
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, rows))
+                results = collect(pool.map(one, rows))
         else:
-            results = [one(row) for row in rows]
+            results = collect(map(one, rows))
         reps = [rep for rep, _ in results]
         times = np.array([t for _, t in results])
         descriptor.save_descriptors(out_path, reps)

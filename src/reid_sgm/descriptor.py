@@ -41,6 +41,11 @@ from .sgm import (
 
 POOL_SIZE = 3  # max pooling over 3x3 patches with stride 3
 
+# An image whose distinct RGB values number at most this share of its
+# pixels is mapped once per distinct color.  Above it, gathering the
+# colors and expanding their maps costs more than mapping every pixel.
+DISTINCT_COLOR_SHARE = 0.5
+
 FEATURE_KINDS = ("SGM", "CH", "SILTP")
 
 VIEW_WHOLE = "whole"
@@ -155,6 +160,7 @@ def build_maps(
     model: GaussianMapModel | None = None,
     grid: PixelSet | None = None,
     out: np.ndarray | None = None,
+    colors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Convert an image into its 16 soft Gaussian maps, shape (16, h, w).
 
@@ -163,9 +169,14 @@ def build_maps(
     every location of the full grid.  A pre-fitted ``model`` skips the
     fit, which serves both shared-corpus fits and the forced-identity
     covariance variant.  ``grid`` is the image already converted to
-    ``space``; it is converted here when None.  ``out`` is an optional
-    (2, h*w, 16) float64 work array; the returned stack is then a view
-    of it, valid until the next call that reuses it.
+    ``space``; it is converted here when None.  ``colors`` is an optional
+    (points, inverse) pair: the grid's distinct colors and each pixel's
+    index into them (see ``distinct_colors``); a map entry depends only
+    on the pixel's color, so only those points are mapped.  ``out`` is
+    an optional (2, h*w, 16) float64 work array.
+
+    The returned stack is a transposed view of the (h*w, 16) weights,
+    valid until the next call that reuses ``out``.
     """
     if grid is None:
         grid = convert(image, space)
@@ -173,32 +184,65 @@ def build_maps(
         model = fit_model(_masked_pixels(grid, mask), palette, epsilon0)
     if out is None:
         out = np.empty((2, image.height * image.width, PALETTE_SIZE))
-    weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
-    stack = out[1].reshape(PALETTE_SIZE, image.height, image.width)
-    np.copyto(stack, weights.reshape(image.height, image.width, PALETTE_SIZE).transpose(2, 0, 1))
-    return stack
+    if colors is None:
+        weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
+    else:
+        points, inverse = colors
+        # The indices are in range: "clip" skips the copy "raise" makes of ``out``.
+        weights = np.take(soft_map(model, points, palette, k), inverse, axis=0, out=out[0],
+                          mode="clip")
+    return weights.reshape(image.height, image.width, PALETTE_SIZE).transpose(2, 0, 1)
+
+
+def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
+    """One pixel index per distinct RGB value, and each pixel's distinct index.
+
+    None when mapping every pixel is cheaper: more than
+    ``DISTINCT_COLOR_SHARE`` of the pixels are distinct, or there is a
+    single color, whose one-row batch BLAS would multiply with its
+    matrix-vector kernel and round differently from the rows of a
+    matrix-matrix product.  Equal bytes convert to equal points, so any
+    pixel of a color stands for all of them.
+    """
+    flat = image.pixels.reshape(-1, 3)
+    key = np.zeros((flat.shape[0], 4), dtype=np.uint8)
+    key[:, :3] = flat
+    key = key.view(np.uint32)[:, 0]
+    order = np.argsort(key)
+    ranked = key[order]
+    first = np.empty(ranked.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    count = int(np.count_nonzero(first))
+    if not 1 < count <= DISTINCT_COLOR_SHARE * flat.shape[0]:
+        return None
+    inverse = np.empty(ranked.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def max_pool(stack: np.ndarray) -> np.ndarray:
     """Max-pool each plane over non-overlapping 3x3 patches (stride 3).
 
     Right/bottom remainder patches narrower than 3 pool over their
-    actual extent; output dims are ceil(h/3) x ceil(w/3).
+    actual extent; output dims are ceil(h/3) x ceil(w/3).  The stack is
+    pooled in its own memory order (a channel-last view stays channel
+    last), and the result is C-contiguous whatever the input's layout.
     """
     planes, height, width = stack.shape
     if height < POOL_SIZE or width < POOL_SIZE:
         raise StackTooSmall(f"stack is {width}x{height}; pooling needs at least 3x3")
-    rows = stack[:, ::POOL_SIZE, :].copy()
+    rows = stack[:, ::POOL_SIZE, :].copy(order="K")
     for offset in range(1, POOL_SIZE):
         part = stack[:, offset::POOL_SIZE, :]
         head = rows[:, : part.shape[1], :]
         np.maximum(head, part, out=head)
-    pooled = rows[:, :, ::POOL_SIZE].copy()
+    pooled = rows[:, :, ::POOL_SIZE].copy(order="K")
     for offset in range(1, POOL_SIZE):
         part = rows[:, :, offset::POOL_SIZE]
         head = pooled[:, :, : part.shape[2]]
         np.maximum(head, part, out=head)
-    return pooled
+    return np.ascontiguousarray(pooled)
 
 
 def stripe_descriptor(stack: np.ndarray, stripe: tuple[int, int]) -> np.ndarray:
@@ -218,22 +262,27 @@ def stripe_descriptor(stack: np.ndarray, stripe: tuple[int, int]) -> np.ndarray:
     return values / total
 
 
+def _mask_selection(mask: ForegroundMask | None, count: int) -> np.ndarray | None:
+    """Flat flags of the masked pixels; None for every pixel, which is also
+    what a mask that selects nothing falls back to."""
+    if mask is None:
+        return None
+    keep = mask.values.reshape(-1) == 1
+    if keep.shape[0] != count:
+        raise DimensionMismatch(
+            f"mask covers {keep.shape[0]} pixels but the image has {count}"
+        )
+    return keep if keep.any() else None
+
+
 def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
     """The masked pixels of a converted grid; all of it when the mask selects none.
 
     Conversion is per-pixel, so masking the converted grid equals
     converting the masked selection.
     """
-    if mask is None:
-        return grid
-    keep = mask.values.reshape(-1) == 1
-    if keep.shape[0] != grid.points.shape[0]:
-        raise DimensionMismatch(
-            f"mask covers {keep.shape[0]} pixels but the image has {grid.points.shape[0]}"
-        )
-    if not keep.any():
-        return grid
-    return PixelSet(space=grid.space, points=grid.points[keep])
+    keep = _mask_selection(mask, grid.points.shape[0])
+    return grid if keep is None else PixelSet(space=grid.space, points=grid.points[keep])
 
 
 def _views(mask: ForegroundMask | None, config: ExtractionConfig):
@@ -318,6 +367,12 @@ def extract_sgm(
     views = _views(mask, config)
     identity = identity_model(config.epsilon0) if config.euclidean else None
     work = np.empty((2, image.height * image.width, PALETTE_SIZE))
+    # Both views map the same distinct points of a space: gather them once.
+    distinct = distinct_colors(image)
+    colors = {
+        space: None if distinct is None else (grids[space].points[distinct[0]], distinct[1])
+        for space in config.spaces
+    }
     segments = []
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
@@ -332,7 +387,7 @@ def extract_sgm(
             stack = build_maps(
                 image, space, palette, config.k,
                 mask=view_mask, epsilon0=config.epsilon0, model=model,
-                grid=grids[space], out=work,
+                grid=grids[space], out=work, colors=colors[space],
             )
             pooled = max_pool(stack)
             for bounds in stripe_bounds(pooled.shape[1], config.stripes):
@@ -352,22 +407,33 @@ def fit_shared_models(
     """Fit one model per (space, view) on pixels pooled across a corpus.
 
     ``items`` iterates (image, mask-or-None) pairs.  The returned dict
-    plugs into ``extract_sgm`` via ``shared_models``.
+    plugs into ``extract_sgm`` via ``shared_models``.  Only each view's
+    masked 8-bit pixels are kept; each (space, view) pool is converted
+    into one array, fitted and released before the next, so at most one
+    pool of float64 points is alive at a time.  Conversion is per-pixel,
+    so the pool equals the concatenation of the per-image conversions.
     """
     palette = palette or default_palette()
-    pools: dict = {}
+    selections: dict = {}
     for image, mask in items:
-        views = _views(mask, config)
-        for space in config.spaces:
-            grid = convert(image, space)
-            for view, view_mask in views:
-                pools.setdefault((space, view), []).append(_masked_pixels(grid, view_mask).points)
+        flat = image.pixels.reshape(-1, 3)
+        for view, view_mask in _views(mask, config):
+            keep = _mask_selection(view_mask, flat.shape[0])
+            selections.setdefault(view, []).append(flat if keep is None else flat[keep])
     models = {}
-    for (space, view), chunks in pools.items():
-        points = np.concatenate(chunks, axis=0)
-        models[(space, view)] = fit_model(
-            PixelSet(space=space, points=points), palette, config.epsilon0
-        )
+    for view, chunks in selections.items():
+        points = np.empty((sum(chunk.shape[0] for chunk in chunks), 3))
+        for space in config.spaces:
+            start = 0
+            for chunk in chunks:
+                row = RasterImage(width=chunk.shape[0], height=1, pixels=chunk[None])
+                stop = start + chunk.shape[0]
+                points[start:stop] = convert(row, space).points
+                start = stop
+            models[(space, view)] = fit_model(
+                PixelSet(space=space, points=points), palette, config.epsilon0
+            )
+        del points  # free this view's pool before the next one is allocated
     return models
 
 

@@ -330,9 +330,12 @@ def pixel_likelihoods(
     a = model.rectified_inverse
     za = pts @ a
     # quad = z'Az + c'Ac - 2 z'Ac, then norm * exp(-quad / 2), in place.
-    like = np.add(
-        (za * pts).sum(axis=1)[:, None], ((names @ a) * names).sum(axis=1)[None, :], out=out
-    )
+    # z'Az adds its three column products left to right, the order in which
+    # (za * pts).sum(axis=1) adds a row of 3, without the (n, 3) temporary.
+    zaz = za[:, 0] * pts[:, 0]
+    zaz += za[:, 1] * pts[:, 1]
+    zaz += za[:, 2] * pts[:, 2]
+    like = np.add(zaz[:, None], ((names @ a) * names).sum(axis=1)[None, :], out=out)
     cross = np.matmul(za, names.T, out=work)
     cross *= 2.0
     like -= cross
@@ -387,10 +390,12 @@ def soft_map(
             keep[tied] = above | (at & (np.cumsum(at, axis=1) <= slots))
 
     like *= keep  # likelihoods are >= 0, so dropped names become +0.0
-    positive = sums > 0
-    np.divide(like, sums, out=like, where=positive)
-    if not positive.all():
-        flat = ~positive[:, 0]
+    # Rows whose kept likelihoods all underflowed divide by 1 instead of 0,
+    # then take uniform weight over the kept names.
+    flat = np.flatnonzero(sums[:, 0] <= 0)
+    sums[flat] = 1.0
+    like /= sums
+    if flat.size:
         like[flat] = keep[flat] * (1.0 / k)
     return like[0] if single else like
 

@@ -1,7 +1,9 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
 import json
+import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +143,25 @@ class TestExtract:
         reps = load_descriptors(out)
         assert len(reps) == 2
         assert reps[0].dim == 1280
+
+    def test_threaded_verbose_lines_are_whole_and_in_manifest_order(
+        self, corpus, tmp_path, capsys
+    ):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so prints would interleave
+        try:
+            code = main([
+                "extract", str(corpus / "manifest.csv"), "--out", str(tmp_path / "v.sgmd"),
+                "--spaces", "RGB,HSV", "--threads", "2", "--verbose",
+            ])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]  # the last line is the summary
+        paths = [e.image_path for e in load_manifest(corpus / "manifest.csv").entries]
+        assert len(lines) == len(paths)
+        for line, path in zip(lines, paths):
+            assert re.fullmatch(re.escape(path) + r": dim=640 [0-9]+\.[0-9] ms", line), line
 
     def test_threads_env_var_is_honored(self, corpus, descriptors, tmp_path, monkeypatch):
         monkeypatch.setenv("REID_SGM_THREADS", "3")

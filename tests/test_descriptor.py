@@ -1,5 +1,7 @@
 """Representation pipeline: maps, pooling, stripes, histograms, fusion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,14 @@ from reid_sgm.errors import (
     StackTooSmall,
     UnsupportedFormat,
 )
+from reid_sgm import descriptor
 from reid_sgm.descriptor import (
+    DISTINCT_COLOR_SHARE,
     ExtractionConfig,
     ImageRepresentation,
     LayoutRecord,
     build_maps,
+    distinct_colors,
     export_csv,
     extract_color_histogram,
     extract_features,
@@ -125,6 +130,15 @@ class TestMaxPool:
     def test_too_small(self):
         with pytest.raises(StackTooSmall):
             max_pool(np.zeros((16, 2, 9)))
+
+    @pytest.mark.parametrize("h, w", [(3, 3), (5, 7), (40, 17), (128, 48)])
+    def test_channel_last_view_matches_oracle_and_is_contiguous(self, rng, h, w):
+        # build_maps returns the (16, h, w) stack as a view of (h*w, 16) weights
+        weights = rng.random((h * w, 16))
+        stack = weights.reshape(h, w, 16).transpose(2, 0, 1)
+        pooled = max_pool(stack)
+        assert pooled.flags.c_contiguous
+        assert_bitwise_equal(pooled, reduceat_max_pool(np.ascontiguousarray(stack)))
 
 
 class TestStripeDescriptor:
@@ -515,6 +529,85 @@ class TestExtractSgmOracle:
         expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
         assert_bitwise_equal(rep.vector, expected)
 
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            ("solid", ExtractionConfig()),
+            ("below_rule", ExtractionConfig()),
+            ("at_rule", ExtractionConfig(k=3)),
+            ("above_rule", ExtractionConfig()),
+            ("tiny", ExtractionConfig(stripes=1)),
+            ("tiny_posterized", ExtractionConfig(stripes=1, k=16)),
+            ("euclidean_posterized", ExtractionConfig(euclidean=True, k=2)),
+            ("shared_posterized", ExtractionConfig()),
+        ],
+    )
+    def test_distinct_color_paths(self, palette, case, config):
+        half = int(DISTINCT_COLOR_SHARE * 17 * 40)
+        width, height = (3, 3) if case.startswith("tiny") else (17, 40)
+        image = {
+            "solid": lambda: solid_image(17, 40, (200, 40, 90)),
+            "below_rule": lambda: image_with_colors(17, 40, half - 1, seed=7),
+            "at_rule": lambda: image_with_colors(17, 40, half, seed=8),
+            "above_rule": lambda: image_with_colors(17, 40, half + 1, seed=9),
+            "tiny": lambda: make_image(3, 3, seed=4),
+            "tiny_posterized": lambda: image_with_colors(3, 3, 3, seed=4),
+        }.get(case, lambda: posterized_image(17, 40, seed=11))()
+        mask = make_mask(width, height, border=1 if case.startswith("tiny") else 3)
+        shared = None
+        if case == "shared_posterized":
+            shared = fit_shared_models([(image, mask), (make_image(17, 40, seed=6), mask)],
+                                       config, palette)
+        rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
+        expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
+        assert_bitwise_equal(rep.vector, expected)
+
+
+def image_with_colors(width, height, count, seed=0):
+    """An image holding exactly ``count`` distinct RGB values, scattered."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(1 << 24, size=count, replace=False)
+    colors = np.stack([keys >> 16, (keys >> 8) & 255, keys & 255], axis=1).astype(np.uint8)
+    index = np.concatenate([np.arange(count), rng.integers(0, count, width * height - count)])
+    pixels = colors[rng.permutation(index)].reshape(height, width, 3)
+    return RasterImage(width=width, height=height, pixels=pixels)
+
+
+class TestDistinctColors:
+    """Which images map once per distinct color, and the index they use."""
+
+    HALF = int(DISTINCT_COLOR_SHARE * 17 * 40)
+
+    @pytest.mark.parametrize("count", [2, 5, HALF - 1, HALF])
+    def test_representatives_and_inverse_rebuild_the_image(self, count):
+        image = image_with_colors(17, 40, count, seed=count)
+        first, inverse = distinct_colors(image)
+        flat = image.pixels.reshape(-1, 3)
+        assert first.size == count
+        assert len({tuple(c) for c in flat[first]}) == count
+        assert_bitwise_equal(flat[first][inverse], flat)
+
+    @pytest.mark.parametrize("count", [1, HALF + 1, 17 * 40])
+    def test_single_color_or_too_many_map_every_pixel(self, count):
+        assert distinct_colors(image_with_colors(17, 40, count)) is None
+
+    @pytest.mark.parametrize(
+        "count, mapped", [(1, 680), (2, 2), (HALF - 1, HALF - 1), (HALF, HALF),
+                          (HALF + 1, 680), (680, 680)]
+    )
+    def test_points_each_soft_map_call_sees(self, palette, monkeypatch, count, mapped):
+        seen = []
+        real = descriptor.soft_map
+
+        def counting(model, z, *args, **kwargs):
+            seen.append(len(z))
+            return real(model, z, *args, **kwargs)
+
+        monkeypatch.setattr(descriptor, "soft_map", counting)
+        image = image_with_colors(17, 40, count, seed=3)
+        extract_sgm(image, make_mask(17, 40, border=3), ExtractionConfig(), palette=palette)
+        assert seen == [mapped] * 8
+
 
 def per_view_convert_shared_models(items, config, palette):
     """Oracle for ``fit_shared_models``: converts every (view, space) afresh."""
@@ -642,3 +735,18 @@ class TestSharedModelsOracle:
             assert_bitwise_equal(model.rectified_inverse, expected[key].rectified_inverse)
             assert_bitwise_equal(model.eigenvectors, expected[key].eigenvectors)
             assert model.norm_const == expected[key].norm_const
+
+
+@pytest.mark.parametrize("use_mask", [True, False])
+def test_shared_fit_holds_one_float_pool_at_a_time(palette, use_mask):
+    # Every pixel of the corpus as float64 points is one pool; pooling all
+    # eight (space, view) pools before fitting peaked at 6-8 times that.
+    items = [(make_image(17, 40, seed=s), make_mask(17, 40, border=3)) for s in range(40)]
+    pool_bytes = len(items) * 17 * 40 * 3 * 8
+    tracemalloc.start()
+    try:
+        fit_shared_models(items, ExtractionConfig(use_mask=use_mask), palette)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pool_bytes

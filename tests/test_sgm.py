@@ -470,6 +470,45 @@ def test_soft_map_selection_matches_argsort_oracle(k, rows):
     assert_bitwise_equal(reused, expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 300),
+    k=st.integers(1, 16),
+    lattice=st.booleans(),
+)
+def test_soft_map_rows_do_not_depend_on_the_batch(seed, n, k, lattice):
+    """Any subset of two or more rows maps to the same rows of the full batch,
+    bit for bit: the (n, 3) @ (3, 3) and (n, 3) @ (3, 16) products round each
+    row alike whatever n is, which mapping only an image's distinct colors
+    relies on.  A one-row batch goes through BLAS's matrix-vector kernel,
+    which may round differently, so it is held to a tolerance."""
+    rng = np.random.default_rng(seed)
+    palette = shared_palette()
+    pts = rng.random((n, 3))
+    if lattice:  # ties at the top-k edge
+        pts = np.round(pts * 4) / 4
+    model = fit_model(pixel_set(rng.random((50, 3))), palette)
+    full = soft_map(model, pts, palette, k)
+    for size in (1, 2, 7, 8, 9, n - 1, n):
+        rows = rng.choice(n, size, replace=False)
+        subset = soft_map(model, pts[rows], palette, k)
+        if size == 1:
+            assert np.allclose(subset, full[rows], rtol=1e-12, atol=0.0)
+        else:
+            assert_bitwise_equal(subset, full[rows])
+
+
+def test_underflowed_rows_raise_no_floating_point_error(palette):
+    # every likelihood underflows: the zero sums must never reach a division
+    model = model_from_sigma(np.eye(3) * 1e-10, epsilon0=1e-4)
+    pts = np.full((5, 3), 0.43)
+    with np.errstate(divide="raise", invalid="raise"):
+        weights = soft_map(model, pts, palette, 3)
+    assert (np.count_nonzero(weights, axis=1) == 3).all()
+    assert np.array_equal(weights[weights > 0], np.full(15, 1.0 / 3))
+
+
 class TestTransformSpace:
     def test_identity(self):
         assert np.allclose(transform_space(identity_model()), np.eye(3))
