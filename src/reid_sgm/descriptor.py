@@ -210,7 +210,7 @@ def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
     key = key.view(np.uint32)[:, 0]
     order = np.argsort(key)
     ranked = key[order]
-    first = np.empty(ranked.shape[0], dtype=bool)
+    first = np.empty(ranked.shape[0], dtype=bool)  # first pixel of each color in key order
     first[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     count = int(np.count_nonzero(first))

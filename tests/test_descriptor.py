@@ -500,6 +500,16 @@ def posterized_image(width, height, seed=0):
     return RasterImage(width=width, height=height, pixels=pixels)
 
 
+def image_with_colors(width, height, count, seed=0):
+    """An image holding exactly ``count`` distinct RGB values, scattered."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(1 << 24, size=count, replace=False)
+    colors = np.stack([keys >> 16, (keys >> 8) & 255, keys & 255], axis=1).astype(np.uint8)
+    index = np.concatenate([np.arange(count), rng.integers(0, count, width * height - count)])
+    pixels = colors[rng.permutation(index)].reshape(height, width, 3)
+    return RasterImage(width=width, height=height, pixels=pixels)
+
+
 class TestExtractSgmOracle:
     """``extract_sgm`` equals the per-view-convert oracle bit for bit."""
 
@@ -537,23 +547,23 @@ class TestExtractSgmOracle:
             ("at_rule", ExtractionConfig(k=3)),
             ("above_rule", ExtractionConfig()),
             ("tiny", ExtractionConfig(stripes=1)),
-            ("tiny_posterized", ExtractionConfig(stripes=1, k=16)),
+            ("tiny_three_colors", ExtractionConfig(stripes=1, k=16)),
             ("euclidean_posterized", ExtractionConfig(euclidean=True, k=2)),
             ("shared_posterized", ExtractionConfig()),
         ],
     )
     def test_distinct_color_paths(self, palette, case, config):
         half = int(DISTINCT_COLOR_SHARE * 17 * 40)
-        width, height = (3, 3) if case.startswith("tiny") else (17, 40)
-        image = {
-            "solid": lambda: solid_image(17, 40, (200, 40, 90)),
-            "below_rule": lambda: image_with_colors(17, 40, half - 1, seed=7),
-            "at_rule": lambda: image_with_colors(17, 40, half, seed=8),
-            "above_rule": lambda: image_with_colors(17, 40, half + 1, seed=9),
-            "tiny": lambda: make_image(3, 3, seed=4),
-            "tiny_posterized": lambda: image_with_colors(3, 3, 3, seed=4),
-        }.get(case, lambda: posterized_image(17, 40, seed=11))()
-        mask = make_mask(width, height, border=1 if case.startswith("tiny") else 3)
+        images = {
+            "solid": solid_image(17, 40, (200, 40, 90)),
+            "below_rule": image_with_colors(17, 40, half - 1, seed=7),
+            "at_rule": image_with_colors(17, 40, half, seed=8),
+            "above_rule": image_with_colors(17, 40, half + 1, seed=9),
+            "tiny": make_image(3, 3, seed=4),
+            "tiny_three_colors": image_with_colors(3, 3, 3, seed=4),
+        }
+        image = images.get(case) or posterized_image(17, 40, seed=11)
+        mask = make_mask(image.width, image.height, border=1 if image.width == 3 else 3)
         shared = None
         if case == "shared_posterized":
             shared = fit_shared_models([(image, mask), (make_image(17, 40, seed=6), mask)],
@@ -561,16 +571,6 @@ class TestExtractSgmOracle:
         rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
         expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
         assert_bitwise_equal(rep.vector, expected)
-
-
-def image_with_colors(width, height, count, seed=0):
-    """An image holding exactly ``count`` distinct RGB values, scattered."""
-    rng = np.random.default_rng(seed)
-    keys = rng.choice(1 << 24, size=count, replace=False)
-    colors = np.stack([keys >> 16, (keys >> 8) & 255, keys & 255], axis=1).astype(np.uint8)
-    index = np.concatenate([np.arange(count), rng.integers(0, count, width * height - count)])
-    pixels = colors[rng.permutation(index)].reshape(height, width, 3)
-    return RasterImage(width=width, height=height, pixels=pixels)
 
 
 class TestDistinctColors:
