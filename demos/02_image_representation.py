@@ -24,7 +24,6 @@ from reid_sgm import (
     max_pool,
     stripe_descriptor,
 )
-from reid_sgm.descriptor import stripe_bounds
 from reid_sgm.evalkit import SynthSpec, synth_dataset
 
 palette = default_palette()
@@ -48,11 +47,10 @@ pooled = max_pool(stack)
 print("pooled stack:", pooled.shape)
 
 # Stage 3: sum-pool each horizontal stripe and renormalize.
-bounds = stripe_bounds(pooled.shape[1], 10)
-top = stripe_descriptor(pooled, bounds[0])
-legs = stripe_descriptor(pooled, bounds[7])
+stripes = stripe_descriptor(pooled, 10)
+print("stripe descriptors:", stripes.shape)
 name = lambda vec: palette.labels[int(vec.argmax())]
-print(f"stripe 0 dominated by {name(top)}, stripe 7 by {name(legs)}")
+print(f"stripe 0 dominated by {name(stripes[0])}, stripe 7 by {name(stripes[7])}")
 print()
 
 # Full extraction: (view, space, stripe, name) concatenation.

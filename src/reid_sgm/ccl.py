@@ -11,11 +11,11 @@ projected-space covariance inverses.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     CorruptFile,
@@ -121,8 +121,8 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
     """
     if len(pairs) < 2:
         raise TooFewPairs(f"need at least 2 pairs, got {len(pairs)}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
     dim = pairs[0].x.shape[0]
     for p in pairs:
         if p.x.shape != (dim,) or p.y.shape != (dim,):
@@ -187,6 +187,10 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     the projected-space covariance inverses are computed from the
     W-projected statistics.
     """
+    # Imported at its only use, so the CLI stages that never solve skip the
+    # 0.1 s of CPU that loading scipy.linalg takes.
+    from scipy.linalg import solve_triangular
+
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
     sigma_m, sigma_e, basis = _coupled_problem(stats, r)

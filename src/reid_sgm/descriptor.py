@@ -198,11 +198,9 @@ def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
     """One pixel index per distinct RGB value, and each pixel's distinct index.
 
     None when mapping every pixel is cheaper: more than
-    ``DISTINCT_COLOR_SHARE`` of the pixels are distinct, or there is a
-    single color, whose one-row batch BLAS would multiply with its
-    matrix-vector kernel and round differently from the rows of a
-    matrix-matrix product.  Equal bytes convert to equal points, so any
-    pixel of a color stands for all of them.
+    ``DISTINCT_COLOR_SHARE`` of the pixels are distinct.  Equal bytes
+    convert to equal points, so any pixel of a color stands for all of
+    them.
     """
     flat = image.pixels.reshape(-1, 3)
     key = np.zeros((flat.shape[0], 4), dtype=np.uint8)
@@ -214,7 +212,7 @@ def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
     first[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     count = int(np.count_nonzero(first))
-    if not 1 < count <= DISTINCT_COLOR_SHARE * flat.shape[0]:
+    if count > DISTINCT_COLOR_SHARE * flat.shape[0]:
         return None
     inverse = np.empty(ranked.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
@@ -245,21 +243,26 @@ def max_pool(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pooled)
 
 
-def stripe_descriptor(stack: np.ndarray, stripe: tuple[int, int]) -> np.ndarray:
-    """Sum-pool one stripe of a (pooled) stack and sum-normalize.
+def stripe_descriptor(stack: np.ndarray, stripes: int) -> np.ndarray:
+    """Sum-pool every stripe of a (pooled) stack and sum-normalize each.
 
-    ``stripe`` is a half-open (start, stop) row range.  A zero-sum
-    stripe degenerates to the uniform distribution.
+    Returns a (stripes, planes) array, one row per stripe of
+    ``stripe_bounds``: equal-height stripes with the remainder rows
+    joining the last.  A zero-sum stripe degenerates to the uniform
+    distribution.  Each stripe of a plane is a contiguous block of the
+    C-ordered stack, summed pairwise as a whole.
     """
-    start, stop = stripe
-    height = stack.shape[1]
-    if not (0 <= start < stop <= height):
-        raise EmptyStripe(f"rows [{start}, {stop}) are empty within height {height}")
-    values = stack[:, start:stop, :].sum(axis=(1, 2))
-    total = values.sum()
-    if total <= 0.0:
-        return np.full(stack.shape[0], 1.0 / stack.shape[0])
-    return values / total
+    planes, height, width = stack.shape
+    base = height // stripes
+    if base == 0:
+        raise EmptyStripe(f"{height} rows cannot form {stripes} stripes")
+    stack = np.ascontiguousarray(stack)
+    last = (stripes - 1) * base
+    values = np.empty((stripes, planes))
+    values[:-1] = stack[:, :last].reshape(planes, stripes - 1, base * width).sum(axis=2).T
+    values[-1] = stack[:, last:].reshape(planes, -1).sum(axis=1)
+    totals = values.sum(axis=1, keepdims=True)
+    return np.divide(values, totals, out=np.full_like(values, 1.0 / planes), where=totals > 0)
 
 
 def _mask_selection(mask: ForegroundMask | None, count: int) -> np.ndarray | None:
@@ -282,7 +285,9 @@ def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
     converting the masked selection.
     """
     keep = _mask_selection(mask, grid.points.shape[0])
-    return grid if keep is None else PixelSet(space=grid.space, points=grid.points[keep])
+    if keep is None:
+        return grid
+    return PixelSet(space=grid.space, points=grid.points.take(np.flatnonzero(keep), axis=0))
 
 
 def _views(mask: ForegroundMask | None, config: ExtractionConfig):
@@ -339,8 +344,26 @@ def _stripe_histograms(codes: np.ndarray, keep, stripes: int, bins: int) -> np.n
     return hist / hist.sum(axis=1, keepdims=True)
 
 
-def _convert_all(image: RasterImage, config: ExtractionConfig) -> dict:
-    return {space: convert(image, space) for space in config.spaces}
+def _convert_all(image: RasterImage, config: ExtractionConfig) -> tuple[dict, dict | None]:
+    """The image converted to each space, and each space's ``colors`` pair
+    for ``build_maps`` (None when every pixel is mapped).
+
+    An image that ``distinct_colors`` accepts converts only its distinct
+    colors, once per space, and its grid expands them to every pixel.
+    Conversion is per-pixel, so the grids equal converting every pixel.
+    """
+    distinct = distinct_colors(image)
+    if distinct is None:
+        return {space: convert(image, space) for space in config.spaces}, None
+    first, inverse = distinct
+    pixels = image.pixels.reshape(-1, 3)[first]
+    row = RasterImage(width=first.size, height=1, pixels=pixels[None])
+    grids, colors = {}, {}
+    for space in config.spaces:
+        points = convert(row, space).points
+        grids[space] = PixelSet(space=space, points=points.take(inverse, axis=0))
+        colors[space] = (points, inverse)
+    return grids, colors
 
 
 def extract_sgm(
@@ -351,6 +374,7 @@ def extract_sgm(
     source_id: str = "",
     shared_models: dict | None = None,
     grids: dict | None = None,
+    colors: dict | None = None,
 ) -> ImageRepresentation:
     """Full soft-Gaussian-map representation of one image.
 
@@ -358,21 +382,17 @@ def extract_sgm(
     view outermost; whole-image first, then the foreground view when a
     mask is in play.  With the default configuration this yields
     16 x stripes x spaces x views components.  ``grids`` maps each
-    space to the image already converted to it; it is built when None.
+    space to the image already converted to it and ``colors`` each space
+    to its ``build_maps`` pair, or is None to map every pixel; both are
+    built when ``grids`` is None.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
     if grids is None:
-        grids = _convert_all(image, config)
+        grids, colors = _convert_all(image, config)
     views = _views(mask, config)
     identity = identity_model(config.epsilon0) if config.euclidean else None
     work = np.empty((2, image.height * image.width, PALETTE_SIZE))
-    # Both views map the same distinct points of a space: gather them once.
-    distinct = distinct_colors(image)
-    colors = {
-        space: None if distinct is None else (grids[space].points[distinct[0]], distinct[1])
-        for space in config.spaces
-    }
     segments = []
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
@@ -387,14 +407,12 @@ def extract_sgm(
             stack = build_maps(
                 image, space, palette, config.k,
                 mask=view_mask, epsilon0=config.epsilon0, model=model,
-                grid=grids[space], out=work, colors=colors[space],
+                grid=grids[space], out=work, colors=None if colors is None else colors[space],
             )
-            pooled = max_pool(stack)
-            for bounds in stripe_bounds(pooled.shape[1], config.stripes):
-                segments.append(stripe_descriptor(pooled, bounds))
+            segments.append(stripe_descriptor(max_pool(stack), config.stripes))
     if config.euclidean:
         segments *= len(views)
-    vector = np.concatenate(segments).astype(np.float32)
+    vector = np.concatenate(segments, axis=None).astype(np.float32)
     layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
     return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 
@@ -456,7 +474,7 @@ def extract_color_histogram(
     views = _views(mask, config)
     selections = [_view_selection(view_mask, labels, stripes) for _, view_mask in views]
     if grids is None:
-        grids = _convert_all(image, config)
+        grids, _ = _convert_all(image, config)
     # Bin of each (pixel, channel), offset by stripe * 48 + channel * 16.
     offsets = labels[:, None] * (3 * CH_BINS) + np.arange(0, 3 * CH_BINS, CH_BINS)
     codes = {
@@ -544,15 +562,15 @@ def extract_features(
 ) -> ImageRepresentation:
     """Extract and fuse every feature kind requested by the config."""
     # SGM and CH read the same converted grids: convert each space once.
-    grids = None
+    grids = colors = None
     if "SGM" in config.features or "CH" in config.features:
-        grids = _convert_all(image, config)
+        grids, colors = _convert_all(image, config)
     parts = []
     for kind in config.features:
         if kind == "SGM":
             parts.append(
                 extract_sgm(image, mask, config, palette=palette, source_id=source_id,
-                            shared_models=shared_models, grids=grids)
+                            shared_models=shared_models, grids=grids, colors=colors)
             )
         elif kind == "CH":
             parts.append(

@@ -10,6 +10,7 @@ exercised end to end without any restricted dataset.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,6 +238,9 @@ def synth_dataset(
     """
     if spec.n_ids < 2:
         raise ValueError(f"need at least 2 identities, got {spec.n_ids}")
+    for name in ("mix_noise", "view_gain", "noise", "illum_jitter"):
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")
     palette = palette or default_palette()
     out_dir = Path(out_dir)
     rng = np.random.default_rng(spec.seed)

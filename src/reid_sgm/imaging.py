@@ -229,47 +229,40 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 
 def _to_normalized_rgb(rgb: np.ndarray) -> np.ndarray:
-    total = rgb.sum(axis=1, keepdims=True)
+    total = rgb[:, 0] + rgb[:, 1] + rgb[:, 2]
     out = np.full_like(rgb, 1.0 / 3.0)
-    ok = total[:, 0] > 0
-    out[ok] = rgb[ok] / total[ok]
-    return out
+    return np.divide(rgb, total[:, None], out=out, where=total[:, None] > 0)
 
 
 def _to_l1l2l3(rgb: np.ndarray) -> np.ndarray:
-    rg = (rgb[:, 0] - rgb[:, 1]) ** 2
-    rb = (rgb[:, 0] - rgb[:, 2]) ** 2
-    gb = (rgb[:, 1] - rgb[:, 2]) ** 2
-    denom = rg + rb + gb
-    out = np.full((rgb.shape[0], 3), 1.0 / 3.0)
-    ok = denom > 0
-    out[ok, 0] = rg[ok] / denom[ok]
-    out[ok, 1] = rb[ok] / denom[ok]
-    out[ok, 2] = gb[ok] / denom[ok]
-    return out
+    diff = rgb[:, [0, 0, 1]] - rgb[:, [1, 2, 2]]
+    diff *= diff  # (r - g)^2, (r - b)^2, (g - b)^2
+    denom = diff[:, 0] + diff[:, 1] + diff[:, 2]
+    out = np.divide(diff, denom[:, None], out=np.full_like(diff, 1.0 / 3.0),
+                    where=denom[:, None] > 0)
+    return np.ascontiguousarray(out)  # the column gathers leave it column-major
 
 
 def _to_hsv(rgb: np.ndarray) -> np.ndarray:
     r, g, b = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-    mx = rgb.max(axis=1)
-    mn = rgb.min(axis=1)
-    chroma = mx - mn
-
-    h = np.zeros_like(mx)
-    has_chroma = chroma > 0
-    cr = np.where(has_chroma, chroma, 1.0)
-    r_is_max = has_chroma & (mx == r)
-    g_is_max = has_chroma & ~r_is_max & (mx == g)
-    b_is_max = has_chroma & ~r_is_max & ~g_is_max
-    h[r_is_max] = np.mod((g[r_is_max] - b[r_is_max]) / cr[r_is_max], 6.0)
-    h[g_is_max] = (b[g_is_max] - r[g_is_max]) / cr[g_is_max] + 2.0
-    h[b_is_max] = (r[b_is_max] - g[b_is_max]) / cr[b_is_max] + 4.0
-    h /= 6.0
-
-    s = np.zeros_like(mx)
-    lit = mx > 0
-    s[lit] = chroma[lit] / mx[lit]
-    return np.column_stack([h, s, mx])
+    mx = np.maximum(np.maximum(r, g), b)
+    chroma = mx - np.minimum(np.minimum(r, g), b)
+    # The sector of the largest channel, ties going to r, then g.  An
+    # achromatic pixel takes r's sector with g - b = 0 over a unit chroma,
+    # so its hue comes out 0 with no separate case.
+    r_max = mx == r
+    g_max = mx == g
+    num = np.where(r_max, g - b, np.where(g_max, b - r, r - g))
+    offset = np.where(r_max, 0.0, np.where(g_max, 2.0, 4.0))
+    num /= np.where(chroma > 0, chroma, 1.0)
+    num += offset
+    hue = np.mod(num, 6.0, out=num)  # exact: it only lifts r's negative sector by 6
+    hue /= 6.0
+    out = np.empty_like(rgb)
+    out[:, 0] = hue
+    np.divide(chroma, np.where(mx > 0, mx, 1.0), out=out[:, 1])  # black: 0 / 1
+    out[:, 2] = mx
+    return out
 
 
 def convert(

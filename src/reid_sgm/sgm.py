@@ -244,8 +244,8 @@ def rectify_eigenvalues(eigenvalues: np.ndarray, epsilon0: float) -> np.ndarray:
 
 def model_from_sigma(sigma: np.ndarray, epsilon0: float = DEFAULT_EPSILON0) -> GaussianMapModel:
     """Build the rectified-covariance machinery from a raw 3x3 covariance."""
-    if epsilon0 <= 0.0:
-        raise ValueError(f"epsilon0 must be positive, got {epsilon0}")
+    if not 0.0 < epsilon0 < math.inf:
+        raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (3, 3):
         raise ValueError(f"covariance must be 3x3, got {sigma.shape}")
@@ -322,10 +322,19 @@ def pixel_likelihoods(
     exponent underflow flushes to zero.  ``out`` receives the result and
     ``work`` holds the cross term; both are (n, 16) float64 arrays,
     allocated when None, so a caller mapping many grids can reuse them.
+    A row gets the same bits alone as in any batch.
     """
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     pts = np.atleast_2d(z)
+    if pts.shape[0] == 1:
+        # BLAS multiplies one row with its matrix-vector kernel, which rounds
+        # differently from the rows of a matrix-matrix product: map a pair.
+        like = pixel_likelihoods(model, np.repeat(pts, 2, axis=0), palette)[:1]
+        if out is not None:
+            out[...] = like
+            like = out
+        return like[0] if single else like
     names = palette.names
     a = model.rectified_inverse
     za = pts @ a

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reid_sgm.descriptor import CH_BINS, SILTP_CODES, LayoutRecord, siltp_codes, stripe_bounds
+from reid_sgm.errors import EmptyStripe
 from reid_sgm.imaging import ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import default_palette
 
@@ -24,6 +25,53 @@ def solid_image(width, height, rgb):
     pixels = np.zeros((height, width, 3), dtype=np.uint8)
     pixels[:, :] = rgb
     return RasterImage(width=width, height=height, pixels=pixels)
+
+
+def branching_to_normalized_rgb(rgb):
+    """Oracle for ``imaging._to_normalized_rgb``: masked division."""
+    total = rgb.sum(axis=1, keepdims=True)
+    out = np.full_like(rgb, 1.0 / 3.0)
+    ok = total[:, 0] > 0
+    out[ok] = rgb[ok] / total[ok]
+    return out
+
+
+def branching_to_l1l2l3(rgb):
+    """Oracle for ``imaging._to_l1l2l3``: masked division per component."""
+    rg = (rgb[:, 0] - rgb[:, 1]) ** 2
+    rb = (rgb[:, 0] - rgb[:, 2]) ** 2
+    gb = (rgb[:, 1] - rgb[:, 2]) ** 2
+    denom = rg + rb + gb
+    out = np.full((rgb.shape[0], 3), 1.0 / 3.0)
+    ok = denom > 0
+    out[ok, 0] = rg[ok] / denom[ok]
+    out[ok, 1] = rb[ok] / denom[ok]
+    out[ok, 2] = gb[ok] / denom[ok]
+    return out
+
+
+def branching_to_hsv(rgb):
+    """Oracle for ``imaging._to_hsv``: one masked hue formula per sector."""
+    r, g, b = rgb[:, 0], rgb[:, 1], rgb[:, 2]
+    mx = rgb.max(axis=1)
+    mn = rgb.min(axis=1)
+    chroma = mx - mn
+
+    h = np.zeros_like(mx)
+    has_chroma = chroma > 0
+    cr = np.where(has_chroma, chroma, 1.0)
+    r_is_max = has_chroma & (mx == r)
+    g_is_max = has_chroma & ~r_is_max & (mx == g)
+    b_is_max = has_chroma & ~r_is_max & ~g_is_max
+    h[r_is_max] = np.mod((g[r_is_max] - b[r_is_max]) / cr[r_is_max], 6.0)
+    h[g_is_max] = (b[g_is_max] - r[g_is_max]) / cr[g_is_max] + 2.0
+    h[b_is_max] = (r[b_is_max] - g[b_is_max]) / cr[b_is_max] + 4.0
+    h /= 6.0
+
+    s = np.zeros_like(mx)
+    lit = mx > 0
+    s[lit] = chroma[lit] / mx[lit]
+    return np.column_stack([h, s, mx])
 
 
 def expression_likelihoods(model, z, palette):
@@ -69,6 +117,20 @@ def reduceat_max_pool(stack):
     cols = np.arange(0, stack.shape[2], 3)
     pooled = np.maximum.reduceat(stack, rows, axis=1)
     return np.maximum.reduceat(pooled, cols, axis=2)
+
+
+def per_stripe_descriptor(stack, stripe):
+    """Oracle for ``stripe_descriptor``: one stripe, a half-open (start, stop)
+    row range, summed over both axes and normalized."""
+    start, stop = stripe
+    height = stack.shape[1]
+    if not (0 <= start < stop <= height):
+        raise EmptyStripe(f"rows [{start}, {stop}) are empty within height {height}")
+    values = stack[:, start:stop, :].sum(axis=(1, 2))
+    total = values.sum()
+    if total <= 0.0:
+        return np.full(stack.shape[0], 1.0 / stack.shape[0])
+    return values / total
 
 
 def sum_estimate_sigma(points, names):

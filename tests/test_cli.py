@@ -1,9 +1,12 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
 import json
+import os
 import re
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,16 @@ class TestSynth:
         name = "images/id0_camA_0.ppm"
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
         assert (tmp_path / "cli" / name).read_bytes() != (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["noise", "view_gain", "mix_noise", "illum_jitter"])
+    def test_non_finite_spec_value_is_usage_error(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(f"n_ids = 2\n{key} = {value}\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and value in err
+        assert not (tmp_path / "out").exists()
 
     def test_misspelt_spec_key_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "s.cfg"
@@ -218,6 +231,16 @@ class TestExtract:
         assert load_models(out)["SGM"].rank == 7
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon0_is_usage_error(self, corpus, tmp_path, capsys, value):
+        out = tmp_path / "eps.sgmd"
+        code = main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
+                     "--epsilon0", value])
+        assert code == 1
+        assert f"epsilon0 must be positive and finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_model_contents(self, model):
         models = load_models(model)
@@ -251,6 +274,17 @@ class TestTrain:
         ])
         assert code == 1
         assert "split index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ridge_is_usage_error(self, corpus, descriptors, tmp_path, capsys, value):
+        out = tmp_path / "ridge.cclm"
+        code = main([
+            "train", str(descriptors), str(corpus / "manifest.csv"),
+            "--out", str(out), "--ridge", value,
+        ])
+        assert code == 1
+        assert f"ridge must be nonnegative and finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_r_is_usage_error(self, corpus, descriptors, tmp_path, capsys):
         code = main([
@@ -642,3 +676,14 @@ class TestExitCodes:
 
     def test_data_error_is_2(self, tmp_path):
         assert main(["inspect", str(tmp_path / "does_not_exist")]) == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # Only train's solver needs scipy; every other stage skips its import cost.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                    os.environ.get("PYTHONPATH")])))
+    code = "import sys, reid_sgm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

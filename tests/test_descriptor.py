@@ -49,6 +49,7 @@ from conftest import (
     make_mask,
     oracle_views,
     per_stripe_color_histogram,
+    per_stripe_descriptor,
     per_stripe_siltp,
     reduceat_max_pool,
     solid_image,
@@ -145,21 +146,22 @@ class TestStripeDescriptor:
     def test_one_hot_stack(self):
         stack = np.zeros((16, 6, 4))
         stack[3] = 1.0
-        vec = stripe_descriptor(stack, (0, 3))
-        assert vec[3] == 1.0 and vec.sum() == 1.0
+        rows = stripe_descriptor(stack, 2)
+        assert rows.shape == (2, 16)
+        assert (rows[:, 3] == 1.0).all() and (rows.sum(axis=1) == 1.0).all()
 
     def test_two_cells_sum_then_normalize(self, rng):
         a, b = rng.random(16), rng.random(16)
         stack = np.stack([a, b], axis=1)[:, :, None]  # (16, 2, 1)
-        vec = stripe_descriptor(stack, (0, 2))
+        (vec,) = stripe_descriptor(stack, 1)
         ref = (a + b) / (a + b).sum()
         assert np.allclose(vec, ref, rtol=1e-12)
 
     def test_scalar_chain_oracle(self, rng):
         # max -> sum -> normalize recomputed with plain python loops
-        stack = rng.random((16, 9, 6))
+        stack = rng.random((16, 12, 6))
         pooled = max_pool(stack)
-        vec = stripe_descriptor(pooled, (0, 2))
+        vec = stripe_descriptor(pooled, 2)[0]  # pooled rows 0 and 1
         totals = []
         for p in range(16):
             total = 0.0
@@ -171,13 +173,49 @@ class TestStripeDescriptor:
         ref = np.array(totals) / sum(totals)
         assert np.allclose(vec, ref, rtol=1e-12)
 
-    def test_zero_stripe_goes_uniform(self):
-        stack = np.zeros((16, 3, 3))
-        assert np.allclose(stripe_descriptor(stack, (0, 3)), 1.0 / 16.0)
+    def test_zero_stripe_goes_uniform(self, rng):
+        stack = rng.random((16, 3, 3))
+        stack[:, 1] = 0.0
+        rows = stripe_descriptor(stack, 3)
+        assert (rows[1] == 1.0 / 16.0).all()
+        assert_bitwise_equal(rows[0], per_stripe_descriptor(stack, (0, 1)))
 
     def test_empty_range(self):
+        # more stripes than rows leaves a stripe with no row
         with pytest.raises(EmptyStripe):
-            stripe_descriptor(np.zeros((16, 3, 3)), (3, 3))
+            stripe_descriptor(np.zeros((16, 3, 3)), 4)
+
+
+@st.composite
+def striped_stack(draw):
+    """A stack, possibly a non-contiguous view, with a stripe count from 1 to
+    its height; some stripes may be all zero and some heights leave remainder rows."""
+    planes = draw(st.sampled_from([1, 3, 16]))
+    height = draw(st.integers(1, 45))
+    width = draw(st.integers(1, 17))
+    stripes = draw(st.integers(1, height))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    stack = rng.random((planes, height, width)) * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    stack[:, draw(st.lists(st.integers(0, height - 1), max_size=height))] = 0.0
+    layout = draw(st.sampled_from(["c", "channel_last", "strided"]))
+    if layout == "channel_last":  # the layout of build_maps's stacks
+        stack = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+    elif layout == "strided":
+        wide = np.zeros((planes, height, 2 * width))
+        wide[:, :, ::2] = stack
+        stack = wide[:, :, ::2]
+    return stack, stripes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=striped_stack())
+def test_stripe_descriptor_matches_per_stripe_oracle(case):
+    stack, stripes = case
+    rows = stripe_descriptor(stack, stripes)
+    contiguous = np.ascontiguousarray(stack)
+    expected = np.stack([per_stripe_descriptor(contiguous, bounds)
+                         for bounds in stripe_bounds(stack.shape[1], stripes)])
+    assert_bitwise_equal(rows, expected)
 
 
 class TestStripeBounds:
@@ -488,7 +526,7 @@ def per_view_convert_sgm(image, mask, config, palette, shared_models=None):
             stack = weights.reshape(image.height, image.width, 16).transpose(2, 0, 1)
             pooled = reduceat_max_pool(np.ascontiguousarray(stack))
             for bounds in stripe_bounds(pooled.shape[1], config.stripes):
-                segments.append(stripe_descriptor(pooled, bounds))
+                segments.append(per_stripe_descriptor(pooled, bounds))
     return np.concatenate(segments).astype(np.float32)
 
 
@@ -578,7 +616,7 @@ class TestDistinctColors:
 
     HALF = int(DISTINCT_COLOR_SHARE * 17 * 40)
 
-    @pytest.mark.parametrize("count", [2, 5, HALF - 1, HALF])
+    @pytest.mark.parametrize("count", [1, 2, 5, HALF - 1, HALF])
     def test_representatives_and_inverse_rebuild_the_image(self, count):
         image = image_with_colors(17, 40, count, seed=count)
         first, inverse = distinct_colors(image)
@@ -587,26 +625,33 @@ class TestDistinctColors:
         assert len({tuple(c) for c in flat[first]}) == count
         assert_bitwise_equal(flat[first][inverse], flat)
 
-    @pytest.mark.parametrize("count", [1, HALF + 1, 17 * 40])
-    def test_single_color_or_too_many_map_every_pixel(self, count):
+    @pytest.mark.parametrize("count", [HALF + 1, 17 * 40])
+    def test_too_many_colors_map_every_pixel(self, count):
         assert distinct_colors(image_with_colors(17, 40, count)) is None
 
     @pytest.mark.parametrize(
-        "count, mapped", [(1, 680), (2, 2), (HALF - 1, HALF - 1), (HALF, HALF),
+        "count, mapped", [(1, 1), (2, 2), (HALF - 1, HALF - 1), (HALF, HALF),
                           (HALF + 1, 680), (680, 680)]
     )
     def test_points_each_soft_map_call_sees(self, palette, monkeypatch, count, mapped):
-        seen = []
-        real = descriptor.soft_map
+        # and each convert call, one per space: the distinct path converts only the colors
+        seen, converted = [], []
+        real_map, real_convert = descriptor.soft_map, descriptor.convert
 
         def counting(model, z, *args, **kwargs):
             seen.append(len(z))
-            return real(model, z, *args, **kwargs)
+            return real_map(model, z, *args, **kwargs)
+
+        def counting_convert(image, *args, **kwargs):
+            converted.append(image.width * image.height)
+            return real_convert(image, *args, **kwargs)
 
         monkeypatch.setattr(descriptor, "soft_map", counting)
+        monkeypatch.setattr(descriptor, "convert", counting_convert)
         image = image_with_colors(17, 40, count, seed=3)
         extract_sgm(image, make_mask(17, 40, border=3), ExtractionConfig(), palette=palette)
         assert seen == [mapped] * 8
+        assert converted == [mapped] * 4
 
 
 def per_view_convert_shared_models(items, config, palette):
@@ -716,6 +761,18 @@ class TestExtractFeaturesOracle:
             expected = np.concatenate([parts[kind][0] for kind in config.features])
             assert_bitwise_equal(rep.vector, expected)
             assert rep.layout == tuple(rec for kind in config.features for rec in parts[kind][1])
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_sgm_and_ch_on_both_color_paths(self, palette, distinct):
+        # the distinct path converts each color once and CH reads the expanded grid
+        image = posterized_image(17, 40, seed=9) if distinct else make_image(17, 40, seed=9)
+        assert (distinct_colors(image) is not None) == distinct
+        mask = make_mask(17, 40, border=3)
+        config = ExtractionConfig(features=("SGM", "CH"), k=4, stripes=6)
+        rep = extract_features(image, mask, config, palette=palette, source_id="x")
+        expected = np.concatenate([per_view_convert_sgm(image, mask, config, palette),
+                                   per_stripe_color_histogram(image, mask, config)[0]])
+        assert_bitwise_equal(rep.vector, expected)
 
 
 class TestSharedModelsOracle:

@@ -18,6 +18,7 @@ from reid_sgm.imaging import (
     ALL_SPACES,
     ColorSpace,
     ForegroundMask,
+    RasterImage,
     load_image,
     load_mask,
     write_pgm,
@@ -25,7 +26,14 @@ from reid_sgm.imaging import (
     convert,
 )
 
-from conftest import make_image, solid_image
+from conftest import (
+    assert_bitwise_equal,
+    branching_to_hsv,
+    branching_to_l1l2l3,
+    branching_to_normalized_rgb,
+    make_image,
+    solid_image,
+)
 
 
 def ppm_bytes(width, height, payload, maxval=255, magic=b"P6"):
@@ -238,3 +246,31 @@ def test_convert_single_pixel_in_unit_cube(rgb, space):
     pts = convert(img, space).points
     assert np.isfinite(pts).all()
     assert (pts >= 0.0).all() and (pts <= 1.0).all()
+
+
+def oracle_test_colors():
+    """An RGB lattice plus every gray (black and white included) and every
+    color with exactly two equal channels, where the converters branch."""
+    levels = np.arange(0, 256, 15)
+    lattice = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1).reshape(-1, 3)
+    grays = np.repeat(np.arange(256)[:, None], 3, axis=1)
+    a, b = (x.reshape(-1) for x in np.meshgrid(np.arange(256), np.arange(256), indexing="ij"))
+    a, b = a[a != b], b[a != b]
+    ties = np.concatenate([np.stack(t, axis=1) for t in ((a, a, b), (a, b, a), (b, a, a))])
+    return np.concatenate([lattice, grays, ties]).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "space, oracle",
+    [
+        (ColorSpace.NORMALIZED_RGB, branching_to_normalized_rgb),
+        (ColorSpace.L1L2L3, branching_to_l1l2l3),
+        (ColorSpace.HSV, branching_to_hsv),
+    ],
+)
+def test_converters_match_branching_oracles(space, oracle):
+    colors = oracle_test_colors()
+    image = RasterImage(width=colors.shape[0], height=1, pixels=colors[None])
+    points = convert(image, space).points
+    assert points.flags.c_contiguous
+    assert_bitwise_equal(points, oracle(colors.astype(np.float64) / 255.0))

@@ -358,14 +358,19 @@ class TestSoftMap:
         assert np.array_equal(weights.argmax(axis=1), dists.argmin(axis=1))
 
     def test_batch_matches_single(self, palette, rng):
-        # same selection, values equal up to BLAS kernel rounding
-        model = fit_model(pixel_set(rng.random((60, 3))), palette)
-        pts = rng.random((20, 3))
-        batch = soft_map(model, pts, palette, 5)
-        for i in range(20):
-            single = soft_map(model, pts[i], palette, 5)
-            assert np.array_equal(np.flatnonzero(batch[i]), np.flatnonzero(single))
-            assert np.allclose(batch[i], single, rtol=1e-12, atol=0.0)
+        # a pixel alone, as a vector or a one-row batch, gets its batch row's bits
+        for _ in range(20):
+            model = fit_model(pixel_set(rng.random((60, 3))), palette)
+            pts = rng.random((20, 3))
+            batch = soft_map(model, pts, palette, 5)
+            likes = pixel_likelihoods(model, pts, palette)
+            for i in range(20):
+                assert_bitwise_equal(soft_map(model, pts[i], palette, 5), batch[i])
+                assert_bitwise_equal(soft_map(model, pts[i : i + 1], palette, 5), batch[i : i + 1])
+                assert_bitwise_equal(pixel_likelihoods(model, pts[i], palette), likes[i])
+            out, work = np.full((1, 16), np.nan), np.full((1, 16), np.nan)
+            assert soft_map(model, pts[:1], palette, 5, out=out, work=work) is out
+            assert_bitwise_equal(out, batch[:1])
 
     @pytest.mark.parametrize("k", [0, 17])
     def test_invalid_k(self, palette, k):
@@ -412,10 +417,8 @@ class TestFastPathOracles:
             assert_bitwise_equal(pixel_likelihoods(model, pts, palette), expected)
             assert pixel_likelihoods(model, pts, palette, out=out, work=work) is out
             assert_bitwise_equal(out, expected)
-            assert_bitwise_equal(
-                pixel_likelihoods(model, pts[7], palette),
-                expression_likelihoods(model, pts[7], palette),
-            )
+            # one pixel gets the bits of its row in the batch
+            assert_bitwise_equal(pixel_likelihoods(model, pts[7], palette), expected[7])
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_soft_map_matches_oracle_on_pixels(self, palette, rng, k):
