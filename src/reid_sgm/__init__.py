@@ -20,6 +20,7 @@ from .ccl import (
     solve_subspace,
 )
 from .descriptor import (
+    DescriptorSet,
     ExtractionConfig,
     ImageRepresentation,
     LayoutRecord,

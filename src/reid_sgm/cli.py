@@ -34,6 +34,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 THREADS_ENV = "REID_SGM_THREADS"
+CAMERAS = ("A", "B")
+TRAIN_FRACTION = 0.5  # share of the identities a split trains on
 
 _NUMERIC_ERRORS = (NotPositiveDefinite, np.linalg.LinAlgError, FloatingPointError)
 # Checked after _NUMERIC_ERRORS, so NotPositiveDefinite still exits 3.
@@ -71,44 +73,47 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-class _Options:
-    """Layered option lookup: CLI value, then config file, then default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.config) - _option_dests(build_parser()))
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-
-    def get(self, key: str, default, cast):
-        cli = getattr(self.args, key, None)
-        if cli is not None:
-            return cli
-        if key in self.config:
-            raw = self.config[key]
-            return _parse_bool(raw) if cast is bool else cast(raw)
-        return default
-
-    def threads(self) -> int:
-        env = os.environ.get(THREADS_ENV)
-        fallback = int(env) if env else 1
-        n = self.get("threads", fallback, int)
-        if n < 1:
-            raise ValueError(f"thread count must be >= 1, got {n}")
-        return n
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def _option_dests(parser: argparse.ArgumentParser) -> set[str]:
-    """Dests of every option of a parser and of its subcommands."""
-    dests = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                dests |= _option_dests(sub)
-        elif action.option_strings and action.dest != "help":
-            dests.add(action.dest)
-    return dests
+def _options(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """The options a config file can set: every flag but --help and --config."""
+    return [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """A config value parsed as the flag's own value would be."""
+    value = _parse_bool(raw) if action.nargs == 0 else (action.type or str)(raw)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}, got {raw!r}")
+    return value
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line, then parse it again with the --config file's
+    values as the running subcommand's defaults, so the command line wins.
+    A key may belong to any subcommand: one file serves extract, train and eval.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    values = load_config(args.config)
+    commands = _commands(parser)
+    unknown = sorted(set(values) - {a.dest for p in commands.values() for a in _options(p)})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+    defaults = {}
+    for action in _options(commands[args.command]):
+        if action.dest in values:
+            try:
+                defaults[action.dest] = _config_value(action, values[action.dest])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {action.dest}: {exc}") from None
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _parse_spaces(raw: str):
@@ -127,24 +132,11 @@ def _parse_ranks(raw: str):
     return tuple(int(part) for part in raw.split(","))
 
 
-def _extraction_config(opts: _Options) -> descriptor.ExtractionConfig:
+def _extraction_config(args) -> descriptor.ExtractionConfig:
     return descriptor.ExtractionConfig(
-        k=opts.get("k", 5, int),
-        stripes=opts.get("stripes", 10, int),
-        spaces=opts.get("spaces", imaging.ALL_SPACES, _parse_spaces),
-        use_mask=opts.get("mask", True, bool),
-        epsilon0=opts.get("epsilon0", sgm.DEFAULT_EPSILON0, float),
-        features=opts.get("features", ("SGM",), _parse_features),
-        palette_path=opts.get("palette", None, str),
-        euclidean=opts.get("euclidean", False, bool),
-        global_fit=opts.get("global_fit", False, bool),
+        k=args.k, stripes=args.stripes, spaces=args.spaces, use_mask=args.mask,
+        epsilon0=args.epsilon0, features=args.features, euclidean=args.euclidean,
     )
-
-
-def _load_palette(config: descriptor.ExtractionConfig) -> sgm.ColorNamePalette:
-    if config.palette_path:
-        return sgm.load_palette(config.palette_path)
-    return sgm.default_palette()
 
 
 @dataclass
@@ -170,11 +162,14 @@ def _load_rows(manifest: evalkit.DatasetManifest, use_mask: bool):
 
 
 def cmd_extract(args) -> int:
-    opts = _Options(args)
-    config = _extraction_config(opts)
-    palette = _load_palette(config)
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
+    config = _extraction_config(args)
+    palette = sgm.load_palette(args.palette) if args.palette else sgm.default_palette()
     out_path = Path(args.out)
     manifest = evalkit.load_manifest(args.manifest, validate=False)
+    if not manifest.entries:
+        raise IoFailure(f"{args.manifest}: manifest lists no images")
 
     rows, failures = _load_rows(manifest, config.use_mask)
     if failures:
@@ -185,7 +180,7 @@ def cmd_extract(args) -> int:
         return EXIT_DATA
 
     shared_models = None
-    if config.global_fit:
+    if args.global_fit:
         shared_models = descriptor.fit_shared_models(
             ((row.image, row.mask) for row in rows), config, palette
         )
@@ -208,10 +203,9 @@ def cmd_extract(args) -> int:
             out.append((rep, elapsed))
         return out
 
-    threads = opts.threads()
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if args.threads > 1:
+            with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 results = collect(pool.map(one, rows))
         else:
             results = collect(map(one, rows))
@@ -232,13 +226,6 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _index_by_source(reps):
-    index = {}
-    for pos, rep in enumerate(reps):
-        index[rep.source_id] = pos
-    return index
-
-
 def _kinds_in_layout(layout):
     kinds = []
     for rec in layout:
@@ -254,40 +241,23 @@ def _block_span(layout, kind: str) -> tuple[int, int]:
     return descriptor.feature_span(layout, kind)
 
 
-def _matrix(reps) -> np.ndarray:
-    return np.vstack([rep.vector for rep in reps]).astype(np.float64)
-
-
-def _gather(manifest, index, camera, ids):
+def _gather(manifest, reps, camera, ids):
     entries = manifest.rows(camera=camera, ids=ids)
-    missing = [e.image_path for e in entries if e.image_path not in index]
-    if missing:
-        raise ArtifactMismatch(
-            f"descriptor file lacks {len(missing)} image(s), first: {missing[0]}"
-        )
-    return entries, [index[e.image_path] for e in entries]
+    return entries, reps.rows([e.image_path for e in entries])
 
 
 def cmd_train(args) -> int:
-    opts = _Options(args)
-    ranks = opts.get("r", ccl.DEFAULT_SUBSPACE_DIM, int)
-    ridge = opts.get("ridge", ccl.DEFAULT_RIDGE, float)
-    per_feature = opts.get("per_feature", True, bool)
-    fraction = opts.get("fraction", 0.5, float)
-    seed = opts.get("seed", 0, int)
-    split_index = opts.get("split_index", 0, int)
-    if split_index < 0:
-        raise ValueError(f"split index must be >= 0, got {split_index}")
-    if ranks < 1:
-        raise ValueError(f"subspace dimension r must be >= 1, got {ranks}")
+    if args.split_index < 0:
+        raise ValueError(f"split index must be >= 0, got {args.split_index}")
+    if args.r < 1:
+        raise ValueError(f"subspace dimension r must be >= 1, got {args.r}")
 
     reps = descriptor.load_descriptors(args.descriptors)
     manifest = evalkit.load_manifest(args.manifest)
-    split = evalkit.make_splits(manifest, fraction, split_index + 1, seed)[split_index]
-    index = _index_by_source(reps)
-    entries_a, rows_a = _gather(manifest, index, "A", split.train_ids)
-    entries_b, rows_b = _gather(manifest, index, "B", split.train_ids)
-    matrix = _matrix(reps)
+    splits = evalkit.make_splits(manifest, args.fraction, args.split_index + 1, args.seed)
+    split = splits[args.split_index]
+    entries_a, rows_a = _gather(manifest, reps, "A", split.train_ids)
+    entries_b, rows_b = _gather(manifest, reps, "B", split.train_ids)
 
     by_person_a: dict[str, list[int]] = {}
     for entry, row in zip(entries_a, rows_a):
@@ -302,21 +272,21 @@ def cmd_train(args) -> int:
         for rb in by_person_b.get(pid, [])
     ]
 
-    layout = reps[0].layout
-    kinds = _kinds_in_layout(layout) if per_feature else ["ALL"]
+    layout = reps.layout
+    kinds = _kinds_in_layout(layout) if args.per_feature else ["ALL"]
     models: dict[str, ccl.CclModel] = {}
     for kind in kinds:
         offset, length = _block_span(layout, kind)
-        block = matrix[:, offset : offset + length]
+        block = reps.matrix[:, offset : offset + length]
         pairs = [ccl.PairedSample(x=block[ra], y=block[rb], person_id=pid)
                  for ra, rb, pid in pair_rows]
-        r_eff = min(ranks, length)
-        if r_eff < ranks:
+        r_eff = min(args.r, length)
+        if r_eff < args.r:
             print(
-                f"warning: {kind}: requested r={ranks} clamped to feature dim {length}",
+                f"warning: {kind}: requested r={args.r} clamped to feature dim {length}",
                 file=sys.stderr,
             )
-        stats = ccl.accumulate_stats(pairs, ridge=ridge)
+        stats = ccl.accumulate_stats(pairs, ridge=args.ridge)
         models[kind] = ccl.solve_subspace(stats, r_eff)
         head = ", ".join("%.4g" % v for v in models[kind].eigenvalues[:5])
         print(f"{kind}: d={length} r={r_eff} pairs={len(pairs)} "
@@ -336,12 +306,12 @@ def _check_artifacts(models, layout):
             )
 
 
-def _fused_scores(models, layout, matrix, probe_rows, gallery_rows, probe_view):
+def _fused_scores(models, reps, probe_rows, gallery_rows, probe_view):
     gallery_view = "B" if probe_view == "A" else "A"
     total = None
     for kind, model in models.items():
-        offset, length = _block_span(layout, kind)
-        block = matrix[:, offset : offset + length]
+        offset, length = _block_span(reps.layout, kind)
+        block = reps.matrix[:, offset : offset + length]
         probes = ccl.project(model, block[probe_rows], probe_view)
         gallery = ccl.project(model, block[gallery_rows], gallery_view)
         scores = ccl.score_matrix(model, gallery, probes)
@@ -350,41 +320,25 @@ def _fused_scores(models, layout, matrix, probe_rows, gallery_rows, probe_view):
 
 
 def cmd_eval(args) -> int:
-    opts = _Options(args)
-    fraction = opts.get("fraction", 0.5, float)
-    seed = opts.get("seed", 0, int)
-    n_splits = opts.get("splits", 10, int)
-    protocol = opts.get("protocol", "single", str)
-    ranks = opts.get("ranks", (1, 5, 10, 20), _parse_ranks)
-    probe_camera = opts.get("probe_camera", "A", str)
-    if protocol not in ("single", "multi"):
-        raise ValueError(f"protocol must be 'single' or 'multi', got {protocol!r}")
-    if probe_camera not in ("A", "B"):
-        raise ValueError(f"probe camera must be 'A' or 'B', got {probe_camera!r}")
-
     reps = descriptor.load_descriptors(args.descriptors)
     models = ccl.load_models(args.model)
     manifest = evalkit.load_manifest(args.manifest)
-    layout = reps[0].layout
-    _check_artifacts(models, layout)
-    index = _index_by_source(reps)
-    matrix = _matrix(reps)
-    gallery_camera = "B" if probe_camera == "A" else "A"
-    probe_view = "A" if probe_camera == "A" else "B"
+    _check_artifacts(models, reps.layout)
+    gallery_camera = "B" if args.probe_camera == "A" else "A"
 
     curves = []
-    for split in evalkit.make_splits(manifest, fraction, n_splits, seed):
-        probe_entries, probe_rows = _gather(manifest, index, probe_camera, split.test_ids)
-        gallery_entries, gallery_rows = _gather(manifest, index, gallery_camera, split.test_ids)
-        scores = _fused_scores(models, layout, matrix, probe_rows, gallery_rows, probe_view)
+    for split in evalkit.make_splits(manifest, args.fraction, args.splits, args.seed):
+        probe_entries, probe_rows = _gather(manifest, reps, args.probe_camera, split.test_ids)
+        gallery_entries, gallery_rows = _gather(manifest, reps, gallery_camera, split.test_ids)
+        scores = _fused_scores(models, reps, probe_rows, gallery_rows, args.probe_camera)
         probe_ids = [e.person_id for e in probe_entries]
         gallery_ids = [e.person_id for e in gallery_entries]
-        if protocol == "single":
+        if args.protocol == "single":
             curves.append(evalkit.cmc_single_shot(scores, probe_ids, gallery_ids))
         else:
             curves.append(evalkit.cmc_multi_shot(scores, probe_ids, gallery_ids))
 
-    table = evalkit.report(curves, ranks)
+    table = evalkit.report(curves, args.ranks)
     if args.out:
         Path(args.out).write_text(table.to_csv())
         print(table.to_text(), end="")
@@ -397,17 +351,9 @@ def cmd_eval(args) -> int:
 def cmd_score(args) -> int:
     reps = descriptor.load_descriptors(args.descriptors)
     models = ccl.load_models(args.model)
-    layout = reps[0].layout
-    _check_artifacts(models, layout)
-    index = _index_by_source(reps)
-    for source in (args.probe, args.gallery):
-        if source not in index:
-            raise ArtifactMismatch(f"descriptor file has no row for {source!r}")
-    matrix = _matrix(reps)
-    probe_view = args.probe_camera or "A"
-    scores = _fused_scores(
-        models, layout, matrix, [index[args.probe]], [index[args.gallery]], probe_view
-    )
+    _check_artifacts(models, reps.layout)
+    probe, gallery = reps.rows([args.probe, args.gallery])
+    scores = _fused_scores(models, reps, [probe], [gallery], args.probe_camera)
     print("%.9g" % scores[0, 0])
     return EXIT_OK
 
@@ -428,11 +374,9 @@ def _load_synth_spec(path) -> evalkit.SynthSpec:
 
 
 def cmd_synth(args) -> int:
-    opts = _Options(args)
     spec = _load_synth_spec(args.spec) if args.spec else evalkit.SynthSpec()
-    seed_override = opts.get("seed", None, int)
-    if seed_override is not None:
-        spec = replace(spec, seed=seed_override)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
 
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -448,16 +392,15 @@ def cmd_inspect(args) -> int:
     head = path.read_bytes()[:8]
     if head.startswith(descriptor.DESCRIPTOR_MAGIC):
         reps = descriptor.load_descriptors(path)
-        layout = reps[0].layout
-        kinds = _kinds_in_layout(layout)
-        print(f"descriptor file: {len(reps)} rows, dim {reps[0].dim}")
-        for kind in kinds:
-            offset, length = descriptor.feature_span(layout, kind)
+        count, dim = reps.matrix.shape
+        print(f"descriptor file: {count} rows, dim {dim}")
+        for kind in _kinds_in_layout(reps.layout):
+            offset, length = descriptor.feature_span(reps.layout, kind)
             print(f"  {kind}: offset {offset}, length {length}")
-        for rep in reps[:5]:
-            print(f"  row: {rep.source_id}")
-        if len(reps) > 5:
-            print(f"  ... {len(reps) - 5} more")
+        for source_id in reps.source_ids[:5]:
+            print(f"  row: {source_id}")
+        if count > 5:
+            print(f"  ... {count - 5} more")
     elif head.startswith(ccl.MODEL_MAGIC):
         models = ccl.load_models(path)
         print(f"model file: {len(models)} model(s)")
@@ -489,85 +432,108 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file; flags override it")
-    common.add_argument("--seed", type=int, help="seed for any randomized step")
-    common.add_argument("--threads", type=int, help=f"worker bound (default ${THREADS_ENV} or 1)")
-    common.add_argument("--verbose", action="store_true", help="chatty progress output")
+def _add_common(p: argparse.ArgumentParser, seed: int | None = 0) -> None:
+    """Flags of every subcommand, as its own actions: config defaults never cross over."""
+    p.add_argument("--config", help="flat key=value config file; flags override it")
+    p.add_argument("--seed", type=int, default=seed, help="seed for any randomized step")
+    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV) or 1,
+                   help=f"worker bound; ${THREADS_ENV} sets the default")
+    p.add_argument("--verbose", action="store_true", help="chatty progress output")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    extraction = descriptor.ExtractionConfig()
+    switch = argparse.BooleanOptionalAction
     parser = _Parser(prog="reid-sgm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extract", parents=[common], help="extract descriptors for a manifest")
+    p = sub.add_parser("extract", help="extract descriptors for a manifest")
+    _add_common(p)
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output descriptor file")
     p.add_argument("--csv", help="also export the rows as CSV")
-    p.add_argument("--features", type=_parse_features, help="comma list of SGM,CH,SILTP")
-    p.add_argument("--k", type=int, help="color names kept per pixel (default 5)")
-    p.add_argument("--stripes", type=int, help="horizontal stripes (default 10)")
-    p.add_argument("--spaces", type=_parse_spaces, help="comma list of RGB,rgb,l1l2l3,HSV")
-    p.add_argument("--mask", action=argparse.BooleanOptionalAction,
-                   help="use manifest masks for a foreground view (default on)")
-    p.add_argument("--epsilon0", type=float, help="eigenvalue rectification floor (default 1e-4)")
+    p.add_argument("--features", type=_parse_features, default=",".join(extraction.features),
+                   help="comma list of SGM,CH,SILTP")
+    p.add_argument("--k", type=int, default=extraction.k, help="color names kept per pixel")
+    p.add_argument("--stripes", type=int, default=extraction.stripes, help="horizontal stripes")
+    p.add_argument("--spaces", type=_parse_spaces,
+                   default=",".join(space.value for space in extraction.spaces),
+                   help="comma list of RGB,rgb,l1l2l3,HSV")
+    p.add_argument("--mask", action=switch, default=extraction.use_mask,
+                   help="use manifest masks for a foreground view")
+    p.add_argument("--epsilon0", type=float, default=extraction.epsilon0,
+                   help="eigenvalue rectification floor")
     p.add_argument("--palette", help="palette file (default: shipped 16 color names)")
-    p.add_argument("--euclidean", action=argparse.BooleanOptionalAction,
+    p.add_argument("--euclidean", action=switch, default=extraction.euclidean,
                    help="force the identity covariance instead of fitting")
-    p.add_argument("--global-fit", dest="global_fit", action=argparse.BooleanOptionalAction,
+    p.add_argument("--global-fit", action=switch, default=False,
                    help="fit one model per space/view on pixels pooled across the corpus")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", parents=[common], help="train projection models on one split")
+    p = sub.add_parser("train", help="train projection models on one split")
+    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--r", type=int, help="subspace dimension per feature (default 100)")
-    p.add_argument("--ridge", type=float, help="covariance ridge factor (default 1e-3)")
-    p.add_argument("--fraction", type=float, help="train fraction of identities (default 0.5)")
-    p.add_argument("--split-index", dest="split_index", type=int,
-                   help="which deterministic split to train on (default 0)")
-    p.add_argument("--per-feature", dest="per_feature", action=argparse.BooleanOptionalAction,
-                   help="train one model per feature kind (default on)")
+    p.add_argument("--r", type=int, default=ccl.DEFAULT_SUBSPACE_DIM,
+                   help="subspace dimension per feature")
+    p.add_argument("--ridge", type=float, default=ccl.DEFAULT_RIDGE,
+                   help="covariance ridge factor")
+    p.add_argument("--fraction", type=float, default=TRAIN_FRACTION,
+                   help="train fraction of identities")
+    p.add_argument("--split-index", type=int, default=0,
+                   help="which deterministic split to train on")
+    p.add_argument("--per-feature", action=switch, default=True,
+                   help="train one model per feature kind")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="CMC table over random splits")
+    p = sub.add_parser("eval", help="CMC table over random splits")
+    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("model")
     p.add_argument("manifest")
-    p.add_argument("--splits", type=int, help="number of random splits (default 10)")
-    p.add_argument("--fraction", type=float, help="train fraction of identities (default 0.5)")
-    p.add_argument("--protocol", choices=("single", "multi"), help="shot protocol (default single)")
-    p.add_argument("--ranks", type=_parse_ranks, help="ranks to report (default 1,5,10,20)")
-    p.add_argument("--probe-camera", dest="probe_camera", choices=("A", "B"),
-                   help="which camera probes (default A)")
+    p.add_argument("--splits", type=int, default=10, help="number of random splits")
+    p.add_argument("--fraction", type=float, default=TRAIN_FRACTION,
+                   help="train fraction of identities")
+    p.add_argument("--protocol", choices=("single", "multi"), default="single",
+                   help="shot protocol")
+    p.add_argument("--ranks", type=_parse_ranks, default="1,5,10,20", help="ranks to report")
+    p.add_argument("--probe-camera", choices=CAMERAS, default=CAMERAS[0],
+                   help="which camera probes")
     p.add_argument("--out", help="write the CSV report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("score", parents=[common], help="similarity of two descriptor rows")
+    p = sub.add_parser("score", help="similarity of two descriptor rows")
+    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("model")
     p.add_argument("--probe", required=True, help="source id of the probe row")
     p.add_argument("--gallery", required=True, help="source id of the gallery row")
-    p.add_argument("--probe-camera", dest="probe_camera", choices=("A", "B"))
+    p.add_argument("--probe-camera", choices=CAMERAS, default=CAMERAS[0],
+                   help="which camera the probe row comes from")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic two-camera corpus")
+    p = sub.add_parser("synth", help="generate a synthetic two-camera corpus")
+    _add_common(p, seed=None)  # None keeps the spec's seed
     p.add_argument("--spec", help="key=value spec file (n_ids, noise, view_gain, ...)")
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--force", action="store_true", help="write into a non-empty directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("inspect", parents=[common], help="describe a toolkit artifact")
+    p = sub.add_parser("inspect", help="describe a toolkit artifact")
+    _add_common(p)
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
 
+    for action in (a for p in _commands(parser).values() for a in _options(p)):
+        if action.default is not None:
+            action.help += " (default %(default)s)"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

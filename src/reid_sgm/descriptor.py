@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,7 @@ class ExtractionConfig:
     use_mask: bool = True
     epsilon0: float = DEFAULT_EPSILON0
     features: tuple[str, ...] = ("SGM",)
-    palette_path: str | None = None
-    euclidean: bool = False   # force the identity covariance (no discrepancy fit)
-    global_fit: bool = False  # fit shared models on pixels pooled across a corpus
+    euclidean: bool = False  # force the identity covariance (no discrepancy fit)
 
     def __post_init__(self):
         if not 1 <= self.k <= 16:
@@ -120,6 +119,34 @@ class ImageRepresentation:
     @property
     def dim(self) -> int:
         return int(self.vector.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class DescriptorSet(Sequence):
+    """A descriptor file's (count, dim) float32 matrix, the layout all rows
+    share and each row's source id.  An integer index yields the row as an
+    ``ImageRepresentation`` whose vector views the matrix."""
+
+    matrix: np.ndarray
+    layout: tuple[LayoutRecord, ...]
+    source_ids: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.source_ids)
+
+    def __getitem__(self, i: int) -> ImageRepresentation:
+        return ImageRepresentation(vector=self.matrix[i], layout=self.layout,
+                                   source_id=self.source_ids[i])
+
+    def rows(self, ids) -> list[int]:
+        """Row index of each source id; ``ArtifactMismatch`` if one has no row."""
+        index = dict(zip(self.source_ids, range(len(self))))
+        missing = [sid for sid in ids if sid not in index]
+        if missing:
+            raise ArtifactMismatch(
+                f"descriptor file lacks {len(missing)} image(s), first: {missing[0]}"
+            )
+        return [index[sid] for sid in ids]
 
 
 def feature_span(layout, kind: str) -> tuple[int, int]:
@@ -600,8 +627,8 @@ def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
         raise CorruptFile(f"malformed layout footer: {exc}") from None
 
 
-def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
-    """Write representations to the binary descriptor format.
+def save_descriptors(path, reps: Sequence[ImageRepresentation]) -> None:
+    """Write a sequence of representations to the binary descriptor format.
 
     Layout: magic ``SGMD``, version u16, count u32, dim u32 (all
     little-endian), count*dim float32 values row-major, then a JSON text
@@ -611,9 +638,8 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
     if not reps:
         raise ValueError("nothing to save")
     layout = reps[0].layout
-    for rep in reps[1:]:
-        if rep.layout != layout:
-            raise ArtifactMismatch("descriptor rows disagree on layout")
+    if any(rep.layout != layout for rep in reps):
+        raise ArtifactMismatch("descriptor rows disagree on layout")
     if len({rep.source_id for rep in reps}) != len(reps):
         raise ArtifactMismatch("descriptor rows repeat a source id, which the reader rejects")
     dim = reps[0].dim
@@ -628,12 +654,12 @@ def save_descriptors(path, reps: list[ImageRepresentation]) -> None:
         fh.write(footer)
 
 
-def load_descriptors(path) -> list[ImageRepresentation]:
+def load_descriptors(path) -> DescriptorSet:
     """Read back a descriptor file written by ``save_descriptors``.
 
     A file with no rows, a footer that is not an object of lists, a
     repeated source id or a non-finite value is rejected as
-    ``CorruptFile``; the values are returned unchanged.
+    ``CorruptFile``; the values are returned unchanged, read-only.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -675,13 +701,10 @@ def load_descriptors(path) -> list[ImageRepresentation]:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise CorruptFile(f"{path}: row {bad} ({source_ids[bad]!r}) holds non-finite values")
-    return [
-        ImageRepresentation(vector=matrix[i].copy(), layout=layout, source_id=source_ids[i])
-        for i in range(count)
-    ]
+    return DescriptorSet(matrix=matrix, layout=layout, source_ids=tuple(source_ids))
 
 
-def export_csv(path, reps: list[ImageRepresentation]) -> None:
+def export_csv(path, reps: Sequence[ImageRepresentation]) -> None:
     """Write one CSV row per image; the header names every component."""
     if not reps:
         raise ValueError("nothing to export")

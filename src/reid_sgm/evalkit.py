@@ -238,6 +238,9 @@ def synth_dataset(
     """
     if spec.n_ids < 2:
         raise ValueError(f"need at least 2 identities, got {spec.n_ids}")
+    for name in ("images_per_view", "width", "height", "regions"):
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
     for name in ("mix_noise", "view_gain", "noise", "illum_jitter"):
         if not math.isfinite(getattr(spec, name)):
             raise ValueError(f"{name} must be finite, got {getattr(spec, name)}")

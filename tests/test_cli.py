@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reid_sgm.cli import main
-from reid_sgm.descriptor import load_descriptors
+from reid_sgm import ccl
+from reid_sgm.cli import _commands, _extraction_config, _options, build_parser, main, parse_args
+from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
 from reid_sgm.evalkit import SynthSpec, load_manifest, synth_dataset
 
@@ -97,6 +98,15 @@ class TestSynth:
         assert key in err and value in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("key", ["images_per_view", "width", "height", "regions"])
+    def test_spec_size_below_one_is_usage_error(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(f"n_ids = 2\n{key} = {value}\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_misspelt_spec_key_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "s.cfg"
         spec.write_text("n_ids = 2\nilum_jitter = 0.4\n")
@@ -141,6 +151,14 @@ class TestExtract:
         assert main(["extract", str(manifest), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "missing_file.ppm" in err
+        assert not out.exists()
+
+    def test_empty_manifest_exits_2_and_names_it(self, tmp_path, capsys):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("person_id,camera,image_path,mask_path\n")
+        out = tmp_path / "d.sgmd"
+        assert main(["extract", str(manifest), "--out", str(out)]) == 2
+        assert f"{manifest}: manifest lists no images" in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_image_manifest_full_dim(self, corpus, tmp_path):
@@ -640,6 +658,114 @@ class TestScoreCommand:
             "--probe", "nope.ppm", "--gallery", "also-nope.ppm",
         ])
         assert code == 2
+
+
+class TestConfigFile:
+    """Every option a ``--config`` file sets takes effect as its flag would."""
+
+    # A non-default value for every option that is not a switch.
+    RAW = {
+        "seed": "7", "threads": "3", "out": "cfg.out", "csv": "cfg.csv",
+        "features": "CH,SILTP", "k": "3", "stripes": "4", "spaces": "RGB,HSV",
+        "epsilon0": "0.5", "palette": "cfg.txt", "r": "7", "ridge": "0.25",
+        "fraction": "0.3", "split_index": "2", "splits": "4", "protocol": "multi",
+        "ranks": "2,3", "probe_camera": "B", "probe": "cfg.ppm", "gallery": "cfg2.ppm",
+        "spec": "cfg.spec",
+    }
+
+    def test_every_option_reaches_the_parsed_arguments(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REID_SGM_THREADS", raising=False)
+        commands = _commands(build_parser())
+        actions = {a.dest: a for p in commands.values() for a in _options(p)}
+        # A switch is set to the opposite of its default.
+        values = {dest: ("no" if a.default else "yes") if a.nargs == 0 else self.RAW[dest]
+                  for dest, a in actions.items()}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {raw}\n" for key, raw in values.items()))
+        for name, sub in commands.items():
+            argv = [name] + ["pos"] * sum(not a.option_strings for a in sub._actions)
+            for action in _options(sub):
+                if action.required:
+                    argv += [action.option_strings[0], "cli-value"]
+            plain = parse_args(argv)
+            args = parse_args(argv + ["--config", str(cfg)])
+            for action in _options(sub):
+                dest, raw = action.dest, values[action.dest]
+                got = getattr(args, dest)
+                if action.required:  # always on the command line, which wins
+                    assert got == "cli-value", (name, dest)
+                    continue
+                if action.nargs == 0:
+                    want = not action.default
+                else:
+                    want = action.type(raw) if action.type else raw
+                assert got == want != getattr(plain, dest), (name, dest)
+
+    def test_defaults_come_from_the_library(self):
+        args = parse_args(["extract", "m.csv", "--out", "d.sgmd"])
+        assert _extraction_config(args) == ExtractionConfig()
+        assert args.palette is None and not args.global_fit
+        args = parse_args(["train", "d.sgmd", "m.csv", "--out", "m.cclm"])
+        assert args.r == ccl.DEFAULT_SUBSPACE_DIM
+        assert args.ridge == ccl.DEFAULT_RIDGE
+
+    def test_extract_csv_and_verbose(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"csv = {tmp_path / 'x.csv'}\nverbose = true\nspaces = RGB\n")
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(tmp_path / "x.sgmd"),
+                     "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 25 and all(": dim=320 " in line for line in lines[:-1])
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 25
+
+    def test_eval_out(self, corpus, descriptors, model, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"out = {report}\nsplits = 1\n")
+        assert main(["eval", str(descriptors), str(model), str(corpus / "manifest.csv"),
+                     "--config", str(cfg)]) == 0
+        assert f"report -> {report}" in capsys.readouterr().out
+        assert report.read_text().splitlines()[0] == "1,5,10,20"
+
+    def test_score_probe_camera(self, corpus, descriptors, model, tmp_path, capsys):
+        manifest = load_manifest(corpus / "manifest.csv")
+        a = manifest.rows(camera="A", ids=["id00"])[0].image_path
+        b = manifest.rows(camera="B", ids=["id00"])[0].image_path
+        argv = ["score", str(descriptors), str(model), "--probe", b, "--gallery", a]
+        outputs = []
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("probe_camera = B\n")
+        for extra in ([], ["--probe-camera", "B"], ["--config", str(cfg)]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] != outputs[0]
+
+    @pytest.mark.parametrize("line, key", [
+        ("protocol = triple", "protocol"),
+        ("probe_camera = C", "probe_camera"),
+        ("splits = two", "splits"),
+        ("verbose = maybe", "verbose"),
+    ])
+    def test_bad_value_is_usage_error(self, corpus, descriptors, model, tmp_path, capsys,
+                                      line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["eval", str(descriptors), str(model), str(corpus / "manifest.csv"),
+                     "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"{cfg}: {key}: " in captured.err and captured.out == ""
+
+    def test_bad_threads_env_is_usage_error(self, corpus, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REID_SGM_THREADS", "many")
+        with pytest.raises(SystemExit) as info:
+            main(["extract", str(corpus / "manifest.csv"), "--out", str(tmp_path / "t.sgmd")])
+        assert info.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("REID_SGM_THREADS", "0")
+        assert main(["extract", str(corpus / "manifest.csv"),
+                     "--out", str(tmp_path / "t.sgmd")]) == 1
+        assert "thread count must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "t.sgmd").exists()
 
 
 class TestInspect:
