@@ -306,15 +306,20 @@ def _check_artifacts(models, layout):
             )
 
 
-def _fused_scores(models, reps, probe_rows, gallery_rows, probe_view):
-    gallery_view = "B" if probe_view == "A" else "A"
-    total = None
+def _projected(models, reps, rows, view):
+    """Each model's projection of descriptor ``rows`` under ``view``'s mean."""
+    projected = {}
     for kind, model in models.items():
         offset, length = _block_span(reps.layout, kind)
-        block = reps.matrix[:, offset : offset + length]
-        probes = ccl.project(model, block[probe_rows], probe_view)
-        gallery = ccl.project(model, block[gallery_rows], gallery_view)
-        scores = ccl.score_matrix(model, gallery, probes)
+        projected[kind] = ccl.project(model, reps.matrix[rows, offset : offset + length], view)
+    return projected
+
+
+def _fused_scores(models, probes, gallery):
+    """Probe-by-gallery scores summed over the models, from projected rows."""
+    total = None
+    for kind, model in models.items():
+        scores = ccl.score_matrix(model, gallery[kind], probes[kind])
         total = scores if total is None else total + scores
     return total
 
@@ -325,14 +330,25 @@ def cmd_eval(args) -> int:
     manifest = evalkit.load_manifest(args.manifest)
     _check_artifacts(models, reps.layout)
     gallery_camera = "B" if args.probe_camera == "A" else "A"
+    splits = evalkit.make_splits(manifest, args.fraction, args.splits, args.seed)
+
+    # Each tested row is projected once per model under its camera's mean; a
+    # GEMM of 2+ rows rounds a row alike in any batch, so splits keep the bits.
+    tested = {pid for split in splits for pid in split.test_ids}
+    views = {camera: _gather(manifest, reps, camera, tested) for camera in CAMERAS}
+    projected = {cam: _projected(models, reps, rows, cam) for cam, (_, rows) in views.items()}
+
+    def gathered(camera, ids):
+        entries = views[camera][0]
+        at = [i for i, e in enumerate(entries) if e.person_id in ids]
+        return [entries[i].person_id for i in at], {k: p[at] for k, p in projected[camera].items()}
 
     curves = []
-    for split in evalkit.make_splits(manifest, args.fraction, args.splits, args.seed):
-        probe_entries, probe_rows = _gather(manifest, reps, args.probe_camera, split.test_ids)
-        gallery_entries, gallery_rows = _gather(manifest, reps, gallery_camera, split.test_ids)
-        scores = _fused_scores(models, reps, probe_rows, gallery_rows, args.probe_camera)
-        probe_ids = [e.person_id for e in probe_entries]
-        gallery_ids = [e.person_id for e in gallery_entries]
+    for split in splits:
+        ids = set(split.test_ids)
+        probe_ids, probes = gathered(args.probe_camera, ids)
+        gallery_ids, gallery = gathered(gallery_camera, ids)
+        scores = _fused_scores(models, probes, gallery)
         if args.protocol == "single":
             curves.append(evalkit.cmc_single_shot(scores, probe_ids, gallery_ids))
         else:
@@ -353,7 +369,9 @@ def cmd_score(args) -> int:
     models = ccl.load_models(args.model)
     _check_artifacts(models, reps.layout)
     probe, gallery = reps.rows([args.probe, args.gallery])
-    scores = _fused_scores(models, reps, [probe], [gallery], args.probe_camera)
+    gallery_camera = "B" if args.probe_camera == "A" else "A"
+    scores = _fused_scores(models, _projected(models, reps, [probe], args.probe_camera),
+                           _projected(models, reps, [gallery], gallery_camera))
     print("%.9g" % scores[0, 0])
     return EXIT_OK
 

@@ -215,9 +215,11 @@ def build_maps(
         weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
     else:
         points, inverse = colors
-        # The indices are in range: "clip" skips the copy "raise" makes of ``out``.
-        weights = np.take(soft_map(model, points, palette, k), inverse, axis=0, out=out[0],
-                          mode="clip")
+        # The distinct maps fill the head of out[1], which take reads while it
+        # writes out[0]; the indices are in range, and "clip" skips a copy.
+        head = slice(len(points))
+        weights = soft_map(model, points, palette, k, out=out[1][head], work=out[0][head])
+        weights = np.take(weights, inverse, axis=0, out=out[0], mode="clip")
     return weights.reshape(image.height, image.width, PALETTE_SIZE).transpose(2, 0, 1)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,6 +65,19 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
     """Read a manifest CSV; relative paths resolve against its directory."""
     path = Path(path)
     root = path.parent
+    # Each directory resolves once: a path whose last component is not a
+    # symlink, "." or ".." resolves to its resolved directory plus that name.
+    resolved: dict[str, str] = {}
+
+    def resolve(rel: str) -> str:
+        full = str(root / rel)
+        head, name = os.path.split(full)
+        if name in ("", ".", "..") or os.path.islink(full):
+            return str(Path(full).resolve())
+        if head not in resolved:
+            resolved[head] = str(Path(head).resolve())
+        return os.path.join(resolved[head], name)
+
     entries = []
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
@@ -84,8 +98,8 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
                 ManifestEntry(
                     person_id=row["person_id"].strip(),
                     camera=camera,
-                    image_path=str((root / row["image_path"]).resolve()),
-                    mask_path=str((root / mask).resolve()) if mask else None,
+                    image_path=resolve(row["image_path"]),
+                    mask_path=resolve(mask) if mask else None,
                 )
             )
     manifest = DatasetManifest(entries=tuple(entries))

@@ -336,20 +336,23 @@ def pixel_likelihoods(
             like = out
         return like[0] if single else like
     names = palette.names
-    a = model.rectified_inverse
-    za = pts @ a
-    # quad = z'Az + c'Ac - 2 z'Ac, then norm * exp(-quad / 2), in place.
-    # z'Az adds its three column products left to right, the order in which
-    # (za * pts).sum(axis=1) adds a row of 3, without the (n, 3) temporary.
-    zaz = za[:, 0] * pts[:, 0]
+    # -(z'Az + c'Ac - 2 z'Ac) / 2 is formed as (-z'Az/2) + (-c'Ac/2) + z'Ac from
+    # the inverse scaled by -1/2 and the names by -2: power-of-two scaling
+    # commutes with rounding unless an operand is subnormal (8-bit pixels make
+    # none), so the bits stay, and minimum(., 0) is the clamp max(quad, 0).  The
+    # outer sum [-z'Az/2, 1] @ [1; -c'Ac/2] is exact, as a product by 1 is, and
+    # cheaper than a 16-wide broadcast; a C-ordered palette operand is faster, same bits.
+    half = model.rectified_inverse * -0.5
+    za = pts @ half
+    # z'Az adds left to right, the order in which (za * pts).sum(axis=1) adds 3.
+    terms = np.ones((pts.shape[0], 2))
+    zaz = np.multiply(za[:, 0], pts[:, 0], out=terms[:, 0])
     zaz += za[:, 1] * pts[:, 1]
     zaz += za[:, 2] * pts[:, 2]
-    like = np.add(zaz[:, None], ((names @ a) * names).sum(axis=1)[None, :], out=out)
-    cross = np.matmul(za, names.T, out=work)
-    cross *= 2.0
-    like -= cross
-    np.maximum(like, 0.0, out=like)
-    like *= -0.5
+    name_terms = np.vstack([np.ones(PALETTE_SIZE), ((names @ half) * names).sum(axis=1)])
+    like = np.matmul(terms, name_terms, out=out)
+    like += np.matmul(za, np.ascontiguousarray(names.T) * -2.0, out=work)
+    np.minimum(like, 0.0, out=like)
     np.exp(like, out=like)
     like *= model.norm_const
     return like[0] if single else like
@@ -384,8 +387,15 @@ def soft_map(
     desc = np.negative(like, out=work)
     desc.sort(axis=1)
     # The kept values in descending order: the sequence the stable argsort
-    # this replaces summed, so the weights stay the same bit for bit.
-    sums = -desc[:, :k].sum(axis=1, keepdims=True)
+    # this replaces summed, so the weights stay the same bit for bit.  A row
+    # sum adds up to 7 values left to right, as these cheaper column adds do,
+    # and pairs them from 8 on.
+    if k < 8:
+        sums = -desc[:, :1]
+        for j in range(1, k):
+            sums -= desc[:, j : j + 1]
+    else:
+        sums = -desc[:, :k].sum(axis=1, keepdims=True)
     kth = -desc[:, k - 1 : k]
     keep = like >= kth
     if k < PALETTE_SIZE:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from reid_sgm.descriptor import CH_BINS, SILTP_CODES, LayoutRecord, siltp_codes, stripe_bounds
+from reid_sgm import ccl, evalkit
+from reid_sgm.descriptor import (
+    CH_BINS,
+    SILTP_CODES,
+    LayoutRecord,
+    feature_span,
+    siltp_codes,
+    stripe_bounds,
+)
 from reid_sgm.errors import EmptyStripe
 from reid_sgm.imaging import ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import default_palette
@@ -314,6 +322,30 @@ def per_stripe_siltp(image, mask, config):
             segments.append(hist / hist.sum())
             layout.append(LayoutRecord("SILTP", None, view, idx, SILTP_CODES))
     return np.concatenate(segments).astype(np.float32), tuple(layout)
+
+
+def per_split_eval_csv(reps, models, manifest, splits, probe_camera, protocol, ranks):
+    """Oracle for ``eval``: each split gathers and projects its own test rows
+    per model, then scores them.  Returns the CSV report."""
+    gallery_camera = "B" if probe_camera == "A" else "A"
+    curves = []
+    for split in splits:
+        probe_entries = manifest.rows(camera=probe_camera, ids=split.test_ids)
+        gallery_entries = manifest.rows(camera=gallery_camera, ids=split.test_ids)
+        probe_rows = reps.rows([e.image_path for e in probe_entries])
+        gallery_rows = reps.rows([e.image_path for e in gallery_entries])
+        total = None
+        for kind, model in models.items():
+            offset, length = feature_span(reps.layout, kind)
+            block = reps.matrix[:, offset : offset + length]
+            probes = ccl.project(model, block[probe_rows], probe_camera)
+            gallery = ccl.project(model, block[gallery_rows], gallery_camera)
+            scores = ccl.score_matrix(model, gallery, probes)
+            total = scores if total is None else total + scores
+        cmc = evalkit.cmc_single_shot if protocol == "single" else evalkit.cmc_multi_shot
+        curves.append(cmc(total, [e.person_id for e in probe_entries],
+                          [e.person_id for e in gallery_entries]))
+    return evalkit.report(curves, ranks).to_csv()
 
 
 def assert_bitwise_equal(actual, expected):

@@ -15,7 +15,9 @@ from reid_sgm import ccl
 from reid_sgm.cli import _commands, _extraction_config, _options, build_parser, main, parse_args
 from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
-from reid_sgm.evalkit import SynthSpec, load_manifest, synth_dataset
+from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
+
+from conftest import per_split_eval_csv
 
 
 @pytest.fixture(scope="module")
@@ -616,6 +618,31 @@ class TestMultiShot:
         lines = capsys.readouterr().out.strip().splitlines()
         rates = [float(v) for v in lines[1].split(",")]
         assert 0.0 <= rates[0] <= rates[1] <= 1.0
+
+    def test_eval_matches_per_split_projection_oracle(self, tmp_path, capsys):
+        # eval projects each tested row once per model and gathers per split;
+        # the report must equal projecting every split's rows on their own
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_ids = 12\nimages_per_view = 2\nview_gain = 0.3\nnoise = 20\nseed = 65\n")
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus)]) == 0
+        manifest_path = corpus / "manifest.csv"
+        desc, mdl, out = tmp_path / "d.sgmd", tmp_path / "m.cclm", tmp_path / "r.csv"
+        assert main(["extract", str(manifest_path), "--out", str(desc), "--spaces", "RGB,HSV",
+                     "--features", "SGM,CH"]) == 0
+        assert main(["train", str(desc), str(manifest_path), "--out", str(mdl), "--r", "12",
+                     "--seed", "3"]) == 0
+        assert main(["eval", str(desc), str(mdl), str(manifest_path), "--splits", "3",
+                     "--seed", "4", "--probe-camera", "B", "--protocol", "multi",
+                     "--ranks", "1,2,3,6", "--out", str(out)]) == 0
+        manifest = load_manifest(manifest_path)
+        models = load_models(mdl)
+        assert list(models) == ["SGM", "CH"]
+        expected = per_split_eval_csv(
+            load_descriptors(desc), models, manifest, make_splits(manifest, 0.5, 3, 4),
+            "B", "multi", (1, 2, 3, 6),
+        )
+        assert out.read_text() == expected
 
     def test_single_protocol_rejects_duplicates(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"

@@ -295,6 +295,34 @@ class TestSynthDataset:
         ]
         assert all(Path(e.image_path).exists() for e in loaded.entries)
 
+    def test_manifest_paths_match_per_row_resolve(self, tmp_path):
+        # the loader resolves each directory once; each row must read as if
+        # it had been resolved on its own
+        spec = SynthSpec(n_ids=2, seed=2)
+        synth_dataset(spec, tmp_path / "c")
+        images = tmp_path / "c" / "images"
+        (tmp_path / "linked").symlink_to(images, target_is_directory=True)
+        (images / "alias.ppm").symlink_to(images / "id0_camA_0.ppm")
+        (images / "dangling.ppm").symlink_to(tmp_path / "nowhere.ppm")
+        rows = [
+            ("id0", "A", "images/alias.ppm", "images/id0_camA_0_mask.pgm"),
+            ("id0", "B", "images/../images/id0_camB_0.ppm", ""),
+            ("id1", "A", "../linked/id1_camA_0.ppm", "../linked/./missing_mask.pgm"),
+            ("id1", "B", "images/missing.ppm", "images/dangling.ppm"),
+            ("id2", "A", "images/..", "."),
+            ("id2", "B", str(images / "id1_camB_0.ppm"), "images/sub/../../images/x.pgm"),
+        ]
+        text = "person_id,camera,image_path,mask_path\n"
+        text += "".join(",".join(row) + "\n" for row in rows)
+        (tmp_path / "c" / "odd.csv").write_text(text)
+        loaded = load_manifest(tmp_path / "c" / "odd.csv", validate=False)
+        root = tmp_path / "c"
+        for entry, (_, _, image, mask) in zip(loaded.entries, rows, strict=True):
+            assert entry.image_path == str((root / image).resolve())
+            assert entry.mask_path == (str((root / mask).resolve()) if mask else None)
+        assert loaded.entries[0].image_path.endswith("id0_camA_0.ppm")
+        assert loaded.entries[3].mask_path == str((tmp_path / "nowhere.ppm").resolve())
+
     def test_multi_shot_counts(self, tmp_path):
         spec = SynthSpec(n_ids=2, images_per_view=3, seed=0)
         manifest = synth_dataset(spec, tmp_path / "c")

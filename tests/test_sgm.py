@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from reid_sgm import sgm
 from reid_sgm.errors import EmptyPixelSet
-from reid_sgm.imaging import ColorSpace, PixelSet
+from reid_sgm.imaging import ColorSpace, PixelSet, RasterImage, convert
 from reid_sgm.sgm import (
     ColorNamePalette,
     eig3_symmetric,
@@ -419,6 +419,26 @@ class TestFastPathOracles:
             assert_bitwise_equal(out, expected)
             # one pixel gets the bits of its row in the batch
             assert_bitwise_equal(pixel_likelihoods(model, pts[7], palette), expected[7])
+        # What extraction feeds the chain: 8-bit colors converted to each
+        # working space, with black, white and the palette's nearest 8-bit
+        # colors, plus the palette points themselves, where the quadratic
+        # form can round below zero and the clamp acts.
+        levels = np.arange(0, 256, 15, dtype=np.uint8)
+        lattice = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1).reshape(-1, 3)
+        named = np.rint(palette.names * 255).astype(np.uint8)
+        rgb = np.vstack([lattice, [[0, 0, 0], [255, 255, 255]], named])
+        row = RasterImage(width=rgb.shape[0], height=1, pixels=rgb[None])
+        for space in ColorSpace:
+            pts = np.vstack([convert(row, space).points, palette.names])
+            models = (
+                fit_model(PixelSet(space=space, points=pts[:-16]), palette),
+                fit_model(PixelSet(space=space, points=pts[-32:-16]), palette),
+                identity_model(),
+                model_from_sigma(np.eye(3) * 1e-10, epsilon0=1e-4),
+            )
+            for model in models:
+                assert_bitwise_equal(pixel_likelihoods(model, pts, palette),
+                                     expression_likelihoods(model, pts, palette))
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_soft_map_matches_oracle_on_pixels(self, palette, rng, k):
