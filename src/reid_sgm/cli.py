@@ -1,10 +1,11 @@
 """Command-line front end tying the pipeline together.
 
-Subcommands: extract, train, eval, score, synth, inspect.  Common
-flags (--config, --seed, --threads, --verbose) are accepted by every
-subcommand; a flat key=value config file can pre-set any flag, with the
-command line taking precedence.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 internal numeric failure.
+Subcommands: extract, train, eval, score, synth, inspect.  Each takes
+--config, a flat key=value file that pre-sets any flag, with the command
+line taking precedence.  --seed belongs to train, eval and synth;
+--threads (default $REID_SGM_THREADS, else 1) and --verbose to extract.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal numeric
+failure.
 """
 
 from __future__ import annotations
@@ -226,14 +227,6 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _kinds_in_layout(layout):
-    kinds = []
-    for rec in layout:
-        if rec.kind not in kinds:
-            kinds.append(rec.kind)
-    return kinds
-
-
 def _block_span(layout, kind: str) -> tuple[int, int]:
     """(offset, length) of a model's block; the kind "ALL" spans the whole layout."""
     if kind == "ALL":
@@ -256,24 +249,19 @@ def cmd_train(args) -> int:
     manifest = evalkit.load_manifest(args.manifest)
     splits = evalkit.make_splits(manifest, args.fraction, args.split_index + 1, args.seed)
     split = splits[args.split_index]
-    entries_a, rows_a = _gather(manifest, reps, "A", split.train_ids)
-    entries_b, rows_b = _gather(manifest, reps, "B", split.train_ids)
-
-    by_person_a: dict[str, list[int]] = {}
-    for entry, row in zip(entries_a, rows_a):
-        by_person_a.setdefault(entry.person_id, []).append(row)
-    by_person_b: dict[str, list[int]] = {}
-    for entry, row in zip(entries_b, rows_b):
-        by_person_b.setdefault(entry.person_id, []).append(row)
+    by_person: dict[str, dict[str, list[int]]] = {camera: {} for camera in CAMERAS}
+    for camera, groups in by_person.items():
+        for entry, row in zip(*_gather(manifest, reps, camera, split.train_ids)):
+            groups.setdefault(entry.person_id, []).append(row)
     pair_rows = [
         (ra, rb, pid)
         for pid in split.train_ids
-        for ra in by_person_a.get(pid, [])
-        for rb in by_person_b.get(pid, [])
+        for ra in by_person["A"].get(pid, [])
+        for rb in by_person["B"].get(pid, [])
     ]
 
     layout = reps.layout
-    kinds = _kinds_in_layout(layout) if args.per_feature else ["ALL"]
+    kinds = dict.fromkeys(rec.kind for rec in layout) if args.per_feature else ["ALL"]
     models: dict[str, ccl.CclModel] = {}
     for kind in kinds:
         offset, length = _block_span(layout, kind)
@@ -412,7 +400,7 @@ def cmd_inspect(args) -> int:
         reps = descriptor.load_descriptors(path)
         count, dim = reps.matrix.shape
         print(f"descriptor file: {count} rows, dim {dim}")
-        for kind in _kinds_in_layout(reps.layout):
+        for kind in dict.fromkeys(rec.kind for rec in reps.layout):
             offset, length = descriptor.feature_span(reps.layout, kind)
             print(f"  {kind}: offset {offset}, length {length}")
         for source_id in reps.source_ids[:5]:
@@ -425,13 +413,11 @@ def cmd_inspect(args) -> int:
         for kind, model in models.items():
             head_vals = ", ".join("%.4g" % v for v in model.eigenvalues[:5])
             print(f"  {kind}: d={model.dim} r={model.rank} eigenvalues [{head_vals}, ...]")
-    elif head.startswith(b"P6") or head.startswith(b"P5"):
-        kind = "image (P6)" if head.startswith(b"P6") else "mask (P5)"
-        if head.startswith(b"P6"):
-            img = imaging.load_image(path)
-            print(f"{kind}: {img.width}x{img.height}")
-        else:
-            print(kind)
+    elif head.startswith(b"P6"):
+        img = imaging.load_image(path)
+        print(f"image (P6): {img.width}x{img.height}")
+    elif head.startswith(b"P5"):
+        print("mask (P5)")
     else:
         try:
             manifest = evalkit.load_manifest(path, validate=False)
@@ -450,15 +436,6 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, seed: int | None = 0) -> None:
-    """Flags of every subcommand, as its own actions: config defaults never cross over."""
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=seed, help="seed for any randomized step")
-    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV) or 1,
-                   help=f"worker bound; ${THREADS_ENV} sets the default")
-    p.add_argument("--verbose", action="store_true", help="chatty progress output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     extraction = descriptor.ExtractionConfig()
     switch = argparse.BooleanOptionalAction
@@ -466,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("extract", help="extract descriptors for a manifest")
-    _add_common(p)
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output descriptor file")
     p.add_argument("--csv", help="also export the rows as CSV")
@@ -486,10 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the identity covariance instead of fitting")
     p.add_argument("--global-fit", action=switch, default=False,
                    help="fit one model per space/view on pixels pooled across the corpus")
+    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV) or 1,
+                   help=f"images extracted in parallel; ${THREADS_ENV} sets the default")
+    p.add_argument("--verbose", action="store_true", help="print a line per image")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train projection models on one split")
-    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output model file")
@@ -501,18 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train fraction of identities")
     p.add_argument("--split-index", type=int, default=0,
                    help="which deterministic split to train on")
+    p.add_argument("--seed", type=int, default=0, help="seed of the identity splits")
     p.add_argument("--per-feature", action=switch, default=True,
                    help="train one model per feature kind")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="CMC table over random splits")
-    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("model")
     p.add_argument("manifest")
     p.add_argument("--splits", type=int, default=10, help="number of random splits")
     p.add_argument("--fraction", type=float, default=TRAIN_FRACTION,
                    help="train fraction of identities")
+    p.add_argument("--seed", type=int, default=0, help="seed of the identity splits")
     p.add_argument("--protocol", choices=("single", "multi"), default="single",
                    help="shot protocol")
     p.add_argument("--ranks", type=_parse_ranks, default="1,5,10,20", help="ranks to report")
@@ -522,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("score", help="similarity of two descriptor rows")
-    _add_common(p)
     p.add_argument("descriptors")
     p.add_argument("model")
     p.add_argument("--probe", required=True, help="source id of the probe row")
@@ -532,20 +510,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("synth", help="generate a synthetic two-camera corpus")
-    _add_common(p, seed=None)  # None keeps the spec's seed
     p.add_argument("--spec", help="key=value spec file (n_ids, noise, view_gain, ...)")
+    p.add_argument("--seed", type=int, help="corpus seed (default: the spec's)")
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--force", action="store_true", help="write into a non-empty directory")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("inspect", help="describe a toolkit artifact")
-    _add_common(p)
     p.add_argument("path")
     p.set_defaults(func=cmd_inspect)
 
-    for action in (a for p in _commands(parser).values() for a in _options(p)):
-        if action.default is not None:
-            action.help += " (default %(default)s)"
+    for p in _commands(parser).values():
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for action in _options(p):
+            if action.default is not None:
+                action.help += " (default %(default)s)"
     return parser
 
 

@@ -620,13 +620,17 @@ def _layout_to_json(layout) -> list:
 
 def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
     try:
-        return tuple(
+        layout = tuple(
             LayoutRecord(kind=r["kind"], space=r["space"], view=r["view"],
                          stripe=int(r["stripe"]), length=int(r["length"]))
             for r in records
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"malformed layout footer: {exc}") from None
+    for rec in layout:
+        if rec.length < 1:
+            raise CorruptFile(f"malformed layout footer: {rec.kind} record has length {rec.length}")
+    return layout
 
 
 def save_descriptors(path, reps: Sequence[ImageRepresentation]) -> None:

@@ -90,6 +90,9 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
                 f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}"
             )
         for row in reader:
+            missing = [key for key in MANIFEST_HEADER[:3] if not (row[key] or "").strip()]
+            if missing:
+                raise IoFailure(f"{path}:{reader.line_num}: row lacks {', '.join(missing)}")
             camera = row["camera"].strip()
             if camera not in ("A", "B"):
                 raise IoFailure(f"{path}: camera must be A or B, got {camera!r}")
@@ -126,7 +129,6 @@ def save_manifest(path, manifest: DatasetManifest, relative_to=None) -> None:
 class SplitSpec:
     """One person-level train/test partition."""
 
-    seed: int
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
@@ -150,7 +152,7 @@ def make_splits(
         perm = rng.permutation(n)
         train = tuple(sorted(ids[i] for i in perm[:n_train]))
         test = tuple(sorted(ids[i] for i in perm[n_train:]))
-        splits.append(SplitSpec(seed=seed, train_ids=train, test_ids=test))
+        splits.append(SplitSpec(train_ids=train, test_ids=test))
     return splits
 
 
@@ -339,7 +341,6 @@ class CmcReport:
 
     ranks: tuple[int, ...]
     rates: tuple[float, ...]
-    n_curves: int = 1
 
     def to_csv(self) -> str:
         head = ",".join(str(r) for r in self.ranks)
@@ -367,4 +368,4 @@ def report(curves, ranks=(1, 5, 10, 20)) -> CmcReport:
     rates = tuple(
         float(np.mean([rate_at(curve, rank) for curve in curves])) for rank in ranks
     )
-    return CmcReport(ranks=tuple(int(r) for r in ranks), rates=rates, n_curves=len(curves))
+    return CmcReport(ranks=tuple(int(r) for r in ranks), rates=rates)

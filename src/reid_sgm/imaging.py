@@ -21,7 +21,6 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     DimensionOverflow,
-    EmptyPixelSet,
     UnsupportedFormat,
 )
 
@@ -269,13 +268,11 @@ def convert(
     image: RasterImage,
     space: ColorSpace,
     mask: ForegroundMask | None = None,
-    fallback: bool = True,
 ) -> PixelSet:
     """Convert an image's pixels to ``space``, optionally mask-selected.
 
     With a mask, only foreground pixels are kept; if the mask selects
-    none, the whole image is used when ``fallback`` is true, otherwise
-    ``EmptyPixelSet`` is raised.  Every output component lies in [0, 1];
+    none, the whole image is used.  Every output component lies in [0, 1];
     the achromatic singularities (zero-sum normalized rgb, equal-channel
     l1l2l3) resolve to the uniform point (1/3, 1/3, 1/3), and HSV maps
     black to (0, 0, 0).
@@ -289,8 +286,6 @@ def convert(
         keep = mask.values.reshape(-1) == 1
         if keep.any():
             flat = flat[keep]
-        elif not fallback:
-            raise EmptyPixelSet("mask selects zero pixels")
     rgb = flat.astype(np.float64) / 255.0
 
     if space is ColorSpace.RGB:

@@ -1,5 +1,6 @@
 """Command-line interface: workflows, determinism, exit codes."""
 
+import ast
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reid_sgm import ccl
+from reid_sgm import ccl, cli
 from reid_sgm.cli import _commands, _extraction_config, _options, build_parser, main, parse_args
 from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
@@ -449,6 +450,12 @@ class TestMalformedDescriptors:
                 b' "length": 640}], "source_ids": []}',
                 "malformed layout footer",
             ),
+            (
+                b'{"layout": [{"kind": "SGM", "space": "RGB", "view": "whole", "stripe": 0,'
+                b' "length": 650}, {"kind": "CH", "space": "RGB", "view": "whole", "stripe": 0,'
+                b' "length": -10}], "source_ids": []}',
+                "CH record has length -10",
+            ),
         ],
     )
     def test_inspect_malformed_footer(self, descriptors, tmp_path, capsys, footer, message):
@@ -777,8 +784,11 @@ class TestConfigFile:
                                       line, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        assert main(["eval", str(descriptors), str(model), str(corpus / "manifest.csv"),
-                     "--config", str(cfg)]) == 1
+        if key == "verbose":  # only extract takes --verbose
+            argv = ["extract", str(corpus / "manifest.csv"), "--out", str(tmp_path / "v.sgmd")]
+        else:
+            argv = ["eval", str(descriptors), str(model), str(corpus / "manifest.csv")]
+        assert main(argv + ["--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert f"{cfg}: {key}: " in captured.err and captured.out == ""
 
@@ -793,6 +803,36 @@ class TestConfigFile:
                      "--out", str(tmp_path / "t.sgmd")]) == 1
         assert "thread count must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "t.sgmd").exists()
+
+    def test_bad_threads_env_leaves_train_alone(self, corpus, descriptors, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv("REID_SGM_THREADS", "many")
+        out = tmp_path / "m.cclm"
+        assert main(["train", str(descriptors), str(corpus / "manifest.csv"),
+                     "--out", str(out), "--r", "5"]) == 0
+        assert out.exists()
+
+    def test_one_file_sets_seed_threads_and_verbose(self, corpus, tmp_path, capsys):
+        """The file's keys take effect in the subcommands that have them, as flags would."""
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("seed = 5\nthreads = 2\nverbose = true\nspaces = RGB\nr = 6\n"
+                       "splits = 2\n")
+        manifest = str(corpus / "manifest.csv")
+        runs = {}
+        for tag, extract, train, evaluate in [
+            ("file", ["--config", str(cfg)], ["--config", str(cfg)], ["--config", str(cfg)]),
+            ("flags", ["--threads", "2", "--verbose", "--spaces", "RGB"],
+             ["--seed", "5", "--r", "6"], ["--seed", "5", "--splits", "2"]),
+        ]:
+            desc, mdl = tmp_path / f"{tag}.sgmd", tmp_path / f"{tag}.cclm"
+            assert main(["extract", manifest, "--out", str(desc), *extract]) == 0
+            assert main(["train", str(desc), manifest, "--out", str(mdl), *train]) == 0
+            assert main(["eval", str(desc), str(mdl), manifest, *evaluate]) == 0
+            out = capsys.readouterr().out.replace(str(tmp_path / tag), "OUT")
+            out = re.sub(r"[0-9.]+ ms", "ms", out)
+            runs[tag] = (desc.read_bytes(), mdl.read_bytes(), out)
+        assert runs["file"] == runs["flags"]
+        assert runs["file"][2].count(": dim=320 ms") == 24  # one verbose line per image
 
 
 class TestInspect:
@@ -829,6 +869,70 @@ class TestExitCodes:
 
     def test_data_error_is_2(self, tmp_path):
         assert main(["inspect", str(tmp_path / "does_not_exist")]) == 2
+
+    @pytest.mark.parametrize("row, missing", [
+        ("p0", "camera, image_path"),
+        ("p0,A", "image_path"),
+        (",A,a.ppm", "person_id"),
+    ])
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_incomplete_manifest_row_is_2(self, descriptors, tmp_path, capsys, command, row,
+                                          missing):
+        manifest = tmp_path / "short.csv"
+        manifest.write_text(f"person_id,camera,image_path,mask_path\np0,B,b.ppm,\n{row}\n")
+        inputs = [str(descriptors)] if command == "train" else []
+        assert main([command, *inputs, str(manifest), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: row lacks {missing}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("extract", "--seed")] + [
+        (command, flag) for command in ("train", "eval", "synth")
+        for flag in ("--threads", "--verbose")
+    ] + [
+        (command, flag) for command in ("score", "inspect")
+        for flag in ("--seed", "--threads", "--verbose")
+    ])
+    def test_flag_of_another_subcommand_is_1(self, capsys, command, flag):
+        sub = _commands(build_parser())[command]
+        argv = [command] + ["pos"] * sum(not a.option_strings for a in sub._actions)
+        for action in _options(sub):
+            if action.required:
+                argv += [action.option_strings[0], "x"]
+        given = [flag] if flag == "--verbose" else [flag, "3"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + given)
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
+
+
+def test_every_subcommand_reads_each_of_its_arguments():
+    """A flag that no code of its subcommand reads would be accepted and ignored.
+
+    A subcommand reads ``args.<dest>`` in its function or in a ``cli`` function
+    it passes ``args`` to; ``parse_args`` reads ``config``.
+    """
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, param="args"):
+        found = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == param:
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in defs and node.func.id != name:
+                params = [a.arg for a in defs[node.func.id].args.args]
+                for arg, callee_param in zip(node.args, params):
+                    if isinstance(arg, ast.Name) and arg.id == param:
+                        found |= reads(node.func.id, callee_param)
+        return found
+
+    assert "config" in reads("parse_args")
+    for command, sub in _commands(build_parser()).items():
+        dests = {a.dest for a in sub._actions if a.dest not in ("help", "config")}
+        unread = dests - reads(sub.get_default("func").__name__)
+        assert not unread, (command, sorted(unread))
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -11,7 +11,6 @@ from reid_sgm.errors import (
     CorruptFile,
     DimensionMismatch,
     DimensionOverflow,
-    EmptyPixelSet,
     UnsupportedFormat,
 )
 from reid_sgm.imaging import (
@@ -216,12 +215,6 @@ class TestConvert:
         empty = ForegroundMask(width=4, height=4, values=np.zeros((4, 4), dtype=np.uint8))
         pts = convert(img, ColorSpace.RGB, empty).points
         assert pts.shape == (16, 3)
-
-    def test_empty_mask_without_fallback(self):
-        img = make_image(4, 4, seed=1)
-        empty = ForegroundMask(width=4, height=4, values=np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(EmptyPixelSet):
-            convert(img, ColorSpace.RGB, empty, fallback=False)
 
     def test_mask_selects_subset(self):
         img = make_image(4, 2, seed=4)
