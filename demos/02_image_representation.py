@@ -38,7 +38,7 @@ print(f"image {image.width}x{image.height}, "
       f"{mask.foreground_count()} foreground pixels")
 
 # Stage 1: sixteen soft Gaussian maps per color space.
-stack = build_maps(image, ColorSpace.RGB, palette, k=5, mask=mask)
+stack = build_maps(image, [(ColorSpace.RGB, mask, None)], palette, k=5)[0]
 print("map stack:", stack.shape, "- per-pixel weight sums:",
       np.round(stack.sum(axis=0).min(), 9), "to", np.round(stack.sum(axis=0).max(), 9))
 

@@ -417,11 +417,12 @@ def cmd_inspect(args) -> int:
         img = imaging.load_image(path)
         print(f"image (P6): {img.width}x{img.height}")
     elif head.startswith(b"P5"):
-        print("mask (P5)")
+        mask = imaging._load_pgm(path.read_bytes())
+        print(f"mask (P5): {mask.width}x{mask.height}")
     else:
         try:
             manifest = evalkit.load_manifest(path, validate=False)
-        except (ReidSgmError, UnicodeDecodeError):
+        except UnsupportedFormat:  # no manifest header: maybe a palette
             try:
                 palette = sgm.load_palette(path)
             except (ValueError, UnicodeDecodeError):

@@ -47,6 +47,12 @@ POOL_SIZE = 3  # max pooling over 3x3 patches with stride 3
 # colors and expanding their maps costs more than mapping every pixel.
 DISTINCT_COLOR_SHARE = 0.5
 
+# ``extract_sgm`` maps floor(BLOCK_ROWS / m) whole maps per pass, and at
+# least one, where m is the rows mapped per map (pixels or distinct colors).
+# Stacking saves the per-map call overhead of small images; beyond about 16k
+# rows a pass's (rows, 16) arrays fall out of cache and cost more per row.
+BLOCK_ROWS = 8192
+
 FEATURE_KINDS = ("SGM", "CH", "SILTP")
 
 VIEW_WHOLE = "whole"
@@ -179,48 +185,56 @@ def stripe_bounds(height: int, stripes: int) -> list[tuple[int, int]]:
 
 def build_maps(
     image: RasterImage,
-    space: ColorSpace,
+    maps: Sequence[tuple[ColorSpace, ForegroundMask | None, GaussianMapModel | None]],
     palette: ColorNamePalette,
     k: int,
-    mask: ForegroundMask | None = None,
     epsilon0: float = DEFAULT_EPSILON0,
-    model: GaussianMapModel | None = None,
-    grid: PixelSet | None = None,
+    grids: dict | None = None,
+    colors: dict | None = None,
     out: np.ndarray | None = None,
-    colors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Convert an image into its 16 soft Gaussian maps, shape (16, h, w).
+    """Convert an image into g sets of 16 soft Gaussian maps, shape (g, 16, h, w).
 
-    The discrepancy model is fitted on the masked pixel set when a mask
-    is given (whole image when it selects nothing) and then evaluated at
-    every location of the full grid.  A pre-fitted ``model`` skips the
-    fit, which serves both shared-corpus fits and the forced-identity
-    covariance variant.  ``grid`` is the image already converted to
-    ``space``; it is converted here when None.  ``colors`` is an optional
-    (points, inverse) pair: the grid's distinct colors and each pixel's
-    index into them (see ``distinct_colors``); a map entry depends only
-    on the pixel's color, so only those points are mapped.  ``out`` is
-    an optional (2, h*w, 16) float64 work array.
+    ``maps`` lists g (space, mask, model) triples.  A None model is fitted
+    on the masked pixels of its space (the whole image when the mask is
+    None or selects nothing); a pre-fitted model skips the fit, which
+    serves both shared-corpus fits and the forced-identity covariance.
+    Every model is evaluated at every location of the full grid, all g
+    in one ``soft_map`` call over their stacked points.  ``grids`` maps
+    each space to the image already converted to it and is built here
+    when None.  ``colors`` optionally maps each space to a (points,
+    inverse) pair: the grid's distinct colors and each pixel's index into
+    them (see ``distinct_colors``); a map entry depends only on the
+    pixel's color, so only those points are mapped.  ``out`` is an
+    optional flat float64 work array of at least g * (h*w + m) * 16
+    entries, m being the rows mapped per map; only its head is used.
 
-    The returned stack is a transposed view of the (h*w, 16) weights,
+    The returned stack is a transposed view of the (g, h*w, 16) weights,
     valid until the next call that reuses ``out``.
     """
-    if grid is None:
-        grid = convert(image, space)
-    if model is None:
-        model = fit_model(_masked_pixels(grid, mask), palette, epsilon0)
+    if grids is None:
+        grids = {space: convert(image, space) for space in {space for space, _, _ in maps}}
+    models = [
+        fit_model(_masked_pixels(grids[space], mask), palette, epsilon0) if model is None else model
+        for space, mask, model in maps
+    ]
+    points = [grids[space].points if colors is None else colors[space][0] for space, _, _ in maps]
+    count, pixels, rows = len(maps), image.height * image.width, len(points[0])
     if out is None:
-        out = np.empty((2, image.height * image.width, PALETTE_SIZE))
-    if colors is None:
-        weights = soft_map(model, grid.points, palette, k, out=out[0], work=out[1])
-    else:
-        points, inverse = colors
-        # The distinct maps fill the head of out[1], which take reads while it
-        # writes out[0]; the indices are in range, and "clip" skips a copy.
-        head = slice(len(points))
-        weights = soft_map(model, points, palette, k, out=out[1][head], work=out[0][head])
-        weights = np.take(weights, inverse, axis=0, out=out[0], mode="clip")
-    return weights.reshape(image.height, image.width, PALETTE_SIZE).transpose(2, 0, 1)
+        out = np.empty(count * (pixels + rows) * PALETTE_SIZE)
+    # Heads of one flat array, so a short pass still gets contiguous buffers.
+    # The maps fill ``mapped``; distinct colors are gathered back into ``full``.
+    cut = count * pixels * PALETTE_SIZE
+    full = out[:cut].reshape(-1, PALETTE_SIZE)
+    mapped = out[cut : cut + count * rows * PALETTE_SIZE].reshape(-1, PALETTE_SIZE)
+    stacked = points[0] if count == 1 else np.concatenate(points)
+    weights = soft_map(models, stacked, palette, k, out=mapped, work=full[: count * rows])
+    if colors is not None:
+        # take reads ``mapped`` while it writes ``full``; the indices are in
+        # range, and "clip" skips a copy.
+        weights = np.take(weights.reshape(count, rows, PALETTE_SIZE), colors[maps[0][0]][1],
+                          axis=1, out=full.reshape(count, pixels, PALETTE_SIZE), mode="clip")
+    return weights.reshape(count, image.height, image.width, PALETTE_SIZE).transpose(0, 3, 1, 2)
 
 
 def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
@@ -251,23 +265,24 @@ def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
 def max_pool(stack: np.ndarray) -> np.ndarray:
     """Max-pool each plane over non-overlapping 3x3 patches (stride 3).
 
-    Right/bottom remainder patches narrower than 3 pool over their
-    actual extent; output dims are ceil(h/3) x ceil(w/3).  The stack is
-    pooled in its own memory order (a channel-last view stays channel
-    last), and the result is C-contiguous whatever the input's layout.
+    Pools the last two axes of a (..., h, w) stack, such as (16, h, w) or
+    a (g, 16, h, w) pass.  Right/bottom remainder patches narrower than 3
+    pool over their actual extent; output dims are ceil(h/3) x ceil(w/3).
+    The stack is pooled in its own memory order (a channel-last view stays
+    channel last), and the result is C-contiguous whatever the input's layout.
     """
-    planes, height, width = stack.shape
+    height, width = stack.shape[-2:]
     if height < POOL_SIZE or width < POOL_SIZE:
         raise StackTooSmall(f"stack is {width}x{height}; pooling needs at least 3x3")
-    rows = stack[:, ::POOL_SIZE, :].copy(order="K")
+    rows = stack[..., ::POOL_SIZE, :].copy(order="K")
     for offset in range(1, POOL_SIZE):
-        part = stack[:, offset::POOL_SIZE, :]
-        head = rows[:, : part.shape[1], :]
+        part = stack[..., offset::POOL_SIZE, :]
+        head = rows[..., : part.shape[-2], :]
         np.maximum(head, part, out=head)
-    pooled = rows[:, :, ::POOL_SIZE].copy(order="K")
+    pooled = rows[..., ::POOL_SIZE].copy(order="K")
     for offset in range(1, POOL_SIZE):
-        part = rows[:, :, offset::POOL_SIZE]
-        head = pooled[:, :, : part.shape[2]]
+        part = rows[..., offset::POOL_SIZE]
+        head = pooled[..., : part.shape[-1]]
         np.maximum(head, part, out=head)
     return np.ascontiguousarray(pooled)
 
@@ -275,22 +290,24 @@ def max_pool(stack: np.ndarray) -> np.ndarray:
 def stripe_descriptor(stack: np.ndarray, stripes: int) -> np.ndarray:
     """Sum-pool every stripe of a (pooled) stack and sum-normalize each.
 
-    Returns a (stripes, planes) array, one row per stripe of
-    ``stripe_bounds``: equal-height stripes with the remainder rows
-    joining the last.  A zero-sum stripe degenerates to the uniform
+    Returns a (stripes, planes) array for a (planes, h, w) stack, one row
+    per stripe of ``stripe_bounds``: equal-height stripes with the
+    remainder rows joining the last; a (g, planes, h, w) stack gives
+    (g, stripes, planes).  A zero-sum stripe degenerates to the uniform
     distribution.  Each stripe of a plane is a contiguous block of the
     C-ordered stack, summed pairwise as a whole.
     """
-    planes, height, width = stack.shape
+    *lead, planes, height, width = stack.shape
     base = height // stripes
     if base == 0:
         raise EmptyStripe(f"{height} rows cannot form {stripes} stripes")
     stack = np.ascontiguousarray(stack)
     last = (stripes - 1) * base
-    values = np.empty((stripes, planes))
-    values[:-1] = stack[:, :last].reshape(planes, stripes - 1, base * width).sum(axis=2).T
-    values[-1] = stack[:, last:].reshape(planes, -1).sum(axis=1)
-    totals = values.sum(axis=1, keepdims=True)
+    values = np.empty((*lead, stripes, planes))
+    blocks = stack[..., :last, :].reshape(*lead, planes, stripes - 1, base * width)
+    values[..., :-1, :] = blocks.sum(axis=-1).swapaxes(-1, -2)
+    values[..., -1, :] = stack[..., last:, :].reshape(*lead, planes, -1).sum(axis=-1)
+    totals = values.sum(axis=-1, keepdims=True)
     return np.divide(values, totals, out=np.full_like(values, 1.0 / planes), where=totals > 0)
 
 
@@ -413,7 +430,10 @@ def extract_sgm(
     16 x stripes x spaces x views components.  ``grids`` maps each
     space to the image already converted to it and ``colors`` each space
     to its ``build_maps`` pair, or is None to map every pixel; both are
-    built when ``grids`` is None.
+    built when ``grids`` is None.  The (view, space) maps go through
+    ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in passes of
+    whole maps (see ``BLOCK_ROWS``), all in one work array allocated per
+    call.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
@@ -421,10 +441,9 @@ def extract_sgm(
         grids, colors = _convert_all(image, config)
     views = _views(mask, config)
     identity = identity_model(config.epsilon0) if config.euclidean else None
-    work = np.empty((2, image.height * image.width, PALETTE_SIZE))
-    segments = []
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
+    maps = []
     for view, view_mask in views[:1] if config.euclidean else views:
         for space in config.spaces:
             if identity is not None:
@@ -433,15 +452,23 @@ def extract_sgm(
                 model = shared_models[(space, view)]
             else:
                 model = None
-            stack = build_maps(
-                image, space, palette, config.k,
-                mask=view_mask, epsilon0=config.epsilon0, model=model,
-                grid=grids[space], out=work, colors=None if colors is None else colors[space],
-            )
-            segments.append(stripe_descriptor(max_pool(stack), config.stripes))
-    if config.euclidean:
-        segments *= len(views)
-    vector = np.concatenate(segments, axis=None).astype(np.float32)
+            maps.append((space, view_mask, model))
+    pixels = image.height * image.width
+    rows = pixels if colors is None else len(colors[config.spaces[0]][0])
+    per_pass = min(len(maps), max(1, BLOCK_ROWS // rows))
+    # Sized by the pixels alone, and each pass pooled and striped before the
+    # next: then every image of a size asks for the same memory, which the
+    # allocator reuses instead of mapping fresh pages (up to 3400 page faults
+    # per 256x96 image otherwise).
+    work = np.empty(2 * per_pass * pixels * PALETTE_SIZE)
+    values = np.concatenate([
+        stripe_descriptor(max_pool(build_maps(image, maps[start : start + per_pass], palette,
+                                              config.k, config.epsilon0, grids, colors, out=work)),
+                          config.stripes)
+        for start in range(0, len(maps), per_pass)
+    ])
+    repeats = len(views) if config.euclidean else 1
+    vector = np.concatenate([values] * repeats, axis=None).astype(np.float32)
     layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
     return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 

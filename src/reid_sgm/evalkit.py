@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ccl
-from .errors import IoFailure, ProtocolViolation, TooFewIdentities
+from .errors import IoFailure, ProtocolViolation, TooFewIdentities, UnsupportedFormat
 from .imaging import write_pgm, write_ppm
 from .sgm import ColorNamePalette, default_palette
 
@@ -84,9 +84,9 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
         try:
             header = reader.fieldnames
         except csv.Error as exc:
-            raise IoFailure(f"{path}: not a manifest CSV: {exc}") from None
+            raise UnsupportedFormat(f"{path}: not a manifest CSV: {exc}") from None
         if header is None or tuple(header[:4]) != MANIFEST_HEADER:
-            raise IoFailure(
+            raise UnsupportedFormat(
                 f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}"
             )
         for row in reader:

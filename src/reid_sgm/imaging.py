@@ -149,6 +149,17 @@ def _load_ppm(data: bytes) -> RasterImage:
     return RasterImage(width=width, height=height, pixels=pixels)
 
 
+def _load_pgm(data: bytes) -> ForegroundMask:
+    tokens, offset = _read_pnm_header(data, 4)
+    width, height, _ = _parse_dims(tokens[1:])
+    need = width * height
+    payload = data[offset : offset + need]
+    if len(payload) < need:
+        raise CorruptFile(f"payload holds {len(payload)} bytes, expected {need}")
+    gray = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    return ForegroundMask(width=width, height=height, values=(gray > 127).astype(np.uint8))
+
+
 def _load_png(path: Path) -> RasterImage:
     try:
         from PIL import Image
@@ -195,18 +206,12 @@ def load_mask(path, image: RasterImage) -> ForegroundMask:
     data = path.read_bytes()
     if not data.startswith(b"P5"):
         raise UnsupportedFormat(f"{path}: not a P5 PGM file")
-    tokens, offset = _read_pnm_header(data, 4)
-    width, height, _ = _parse_dims(tokens[1:])
-    if (width, height) != (image.width, image.height):
+    mask = _load_pgm(data)
+    if (mask.width, mask.height) != (image.width, image.height):
         raise DimensionMismatch(
-            f"mask is {width}x{height} but image is {image.width}x{image.height}"
+            f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
         )
-    need = width * height
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise CorruptFile(f"payload holds {len(payload)} bytes, expected {need}")
-    gray = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return ForegroundMask(width=width, height=height, values=(gray > 127).astype(np.uint8))
+    return mask
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:

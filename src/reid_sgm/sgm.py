@@ -10,6 +10,7 @@ Gaussian likelihoods over its k most similar color names.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -309,7 +310,7 @@ def fit_model(
 
 
 def pixel_likelihoods(
-    model: GaussianMapModel,
+    model: GaussianMapModel | Sequence[GaussianMapModel],
     z: np.ndarray,
     palette: ColorNamePalette,
     out: np.ndarray | None = None,
@@ -319,18 +320,25 @@ def pixel_likelihoods(
 
     ``z`` may be a single 3-vector or an (n, 3) batch; the result is a
     16-vector or an (n, 16) array.  Entries are finite and nonnegative;
-    exponent underflow flushes to zero.  ``out`` receives the result and
-    ``work`` holds the cross term; both are (n, 16) float64 arrays,
-    allocated when None, so a caller mapping many grids can reuse them.
-    A row gets the same bits alone as in any batch.
+    exponent underflow flushes to zero.  ``model`` may also be a sequence
+    of B models: ``z`` then holds B*m rows, and model i maps rows i*m to
+    (i+1)*m.  ``out`` receives the result and ``work`` holds the cross
+    term; both are (n, 16) float64 arrays, allocated when None, so a
+    caller mapping many grids can reuse them.  A row gets the same bits
+    alone as in any batch, and under B models as under its model alone.
     """
+    models = (model,) if isinstance(model, GaussianMapModel) else tuple(model)
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     pts = np.atleast_2d(z)
-    if pts.shape[0] == 1:
+    maps = len(models)
+    rows = pts.shape[0] // maps
+    if rows * maps != pts.shape[0]:
+        raise ValueError(f"{pts.shape[0]} points do not split evenly over {maps} models")
+    if rows == 1:
         # BLAS multiplies one row with its matrix-vector kernel, which rounds
         # differently from the rows of a matrix-matrix product: map a pair.
-        like = pixel_likelihoods(model, np.repeat(pts, 2, axis=0), palette)[:1]
+        like = pixel_likelihoods(models, np.repeat(pts, 2, axis=0), palette)[::2]
         if out is not None:
             out[...] = like
             like = out
@@ -342,24 +350,29 @@ def pixel_likelihoods(
     # none), so the bits stay, and minimum(., 0) is the clamp max(quad, 0).  The
     # outer sum [-z'Az/2, 1] @ [1; -c'Ac/2] is exact, as a product by 1 is, and
     # cheaper than a 16-wide broadcast; a C-ordered palette operand is faster, same bits.
-    half = model.rectified_inverse * -0.5
+    # A stacked matmul makes one GEMM per model, each as its model alone would.
+    half = np.stack([m.rectified_inverse for m in models]) * -0.5
+    pts = pts.reshape(maps, rows, 3)
     za = pts @ half
     # z'Az adds left to right, the order in which (za * pts).sum(axis=1) adds 3.
-    terms = np.ones((pts.shape[0], 2))
-    zaz = np.multiply(za[:, 0], pts[:, 0], out=terms[:, 0])
-    zaz += za[:, 1] * pts[:, 1]
-    zaz += za[:, 2] * pts[:, 2]
-    name_terms = np.vstack([np.ones(PALETTE_SIZE), ((names @ half) * names).sum(axis=1)])
-    like = np.matmul(terms, name_terms, out=out)
-    like += np.matmul(za, np.ascontiguousarray(names.T) * -2.0, out=work)
+    terms = np.ones((maps, rows, 2))
+    zaz = np.multiply(za[..., 0], pts[..., 0], out=terms[..., 0])
+    zaz += za[..., 1] * pts[..., 1]
+    zaz += za[..., 2] * pts[..., 2]
+    name_terms = np.stack([np.ones((maps, PALETTE_SIZE)), ((names @ half) * names).sum(axis=2)], 1)
+    out = np.empty((maps * rows, PALETTE_SIZE)) if out is None else out
+    # Splitting the leading axis gives views of out and work, whatever their strides.
+    like = np.matmul(terms, name_terms, out=out.reshape(maps, rows, PALETTE_SIZE))
+    cross = None if work is None else work.reshape(maps, rows, PALETTE_SIZE)
+    like += np.matmul(za, np.ascontiguousarray(names.T) * -2.0, out=cross)
     np.minimum(like, 0.0, out=like)
     np.exp(like, out=like)
-    like *= model.norm_const
-    return like[0] if single else like
+    like *= np.array([m.norm_const for m in models])[:, None, None]
+    return out
 
 
 def soft_map(
-    model: GaussianMapModel,
+    model: GaussianMapModel | Sequence[GaussianMapModel],
     z: np.ndarray,
     palette: ColorNamePalette,
     k: int,
@@ -372,7 +385,9 @@ def soft_map(
     index), zeroes the rest and sum-normalizes.  If everything kept
     underflowed to zero, the kept entries share uniform weight 1/k.
     Accepts a single pixel or an (n, 3) batch like ``pixel_likelihoods``,
-    and the same ``out``/``work`` buffers.
+    a sequence of B models over B*m stacked rows, and the same
+    ``out``/``work`` buffers; every step after the likelihoods works row
+    by row, so each map keeps the bits it gets alone.
 
     Each row is sorted once: every value above the k-th largest is kept,
     and values equal to it fill the remaining slots lowest index first.

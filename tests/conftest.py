@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reid_sgm import ccl, evalkit
+from reid_sgm import ccl, descriptor, evalkit
 from reid_sgm.descriptor import (
     CH_BINS,
     SILTP_CODES,
@@ -14,7 +14,7 @@ from reid_sgm.descriptor import (
 )
 from reid_sgm.errors import EmptyStripe
 from reid_sgm.imaging import ForegroundMask, RasterImage, convert
-from reid_sgm.sgm import default_palette
+from reid_sgm.sgm import default_palette, fit_model, identity_model, soft_map
 
 
 def make_image(width, height, seed=0):
@@ -139,6 +139,38 @@ def per_stripe_descriptor(stack, stripe):
     if total <= 0.0:
         return np.full(stack.shape[0], 1.0 / stack.shape[0])
     return values / total
+
+
+def per_map_extract_sgm(image, mask, config, palette, shared_models=None):
+    """Oracle for ``extract_sgm``'s passes: the per-map chain they replace.
+
+    Each (view, space) map is fitted, mapped by its own single-model
+    ``soft_map`` call (its distinct colors gathered back by their own
+    ``take``), max-pooled and striped on its own.
+    """
+    grids, colors = descriptor._convert_all(image, config)
+    views = oracle_views(mask, config)
+    segments = []
+    for view, view_mask in views[:1] if config.euclidean else views:
+        for space in config.spaces:
+            if config.euclidean:
+                model = identity_model(config.epsilon0)
+            elif shared_models is not None:
+                model = shared_models[(space, view)]
+            else:
+                model = fit_model(descriptor._masked_pixels(grids[space], view_mask), palette,
+                                  config.epsilon0)
+            if colors is None:
+                weights = soft_map(model, grids[space].points, palette, config.k)
+            else:
+                points, inverse = colors[space]
+                weights = soft_map(model, points, palette, config.k).take(inverse, axis=0)
+            stack = weights.reshape(image.height, image.width, 16).transpose(2, 0, 1)
+            segments.append(descriptor.stripe_descriptor(descriptor.max_pool(stack),
+                                                         config.stripes))
+    if config.euclidean:
+        segments *= len(views)
+    return np.concatenate(segments, axis=None).astype(np.float32)
 
 
 def sum_estimate_sigma(points, names):

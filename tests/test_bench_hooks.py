@@ -10,7 +10,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 from reid_sgm import descriptor
+from reid_sgm.descriptor import ExtractionConfig, distinct_colors, extract_features
+from reid_sgm.imaging import RasterImage
+
+from conftest import make_image, make_mask
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -45,3 +51,33 @@ def test_traced_hooks_exist():
 
 def test_timed_hook_exists():
     assert callable(descriptor.extract_features)
+
+
+@pytest.mark.parametrize("levels", [256, 4])
+def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
+    """``sgm.fit_calls`` counts ``fit_model`` calls and ``sgm.pixels_mapped``
+    sums ``len(args[1])`` over ``soft_map`` calls, both wrapped at their names
+    in ``descriptor`` as ``traced_cli.py`` wraps them: a masked image is 8
+    fits and 8 maps of m rows, m its pixels or (posterized) its distinct colors."""
+    fits, rows = [], []
+    real_fit, real_map = descriptor.fit_model, descriptor.soft_map
+
+    def fit_model(*args, **kwargs):
+        fits.append(1)
+        return real_fit(*args, **kwargs)
+
+    def soft_map(*args, **kwargs):
+        rows.append(len(args[1]))
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(descriptor, "fit_model", fit_model)
+    monkeypatch.setattr(descriptor, "soft_map", soft_map)
+    step = 256 // levels
+    image = RasterImage(width=18, height=48, pixels=make_image(18, 48, seed=3).pixels // step * step)
+    distinct = distinct_colors(image)
+    m = 18 * 48 if distinct is None else distinct[0].size
+    assert (distinct is None) == (levels == 256)
+    extract_features(image, make_mask(18, 48, border=3),
+                     ExtractionConfig(features=("SGM", "CH", "SILTP")))
+    assert len(fits) == 8
+    assert sum(rows) == 8 * m

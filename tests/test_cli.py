@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,10 @@ from reid_sgm import ccl, cli
 from reid_sgm.cli import _commands, _extraction_config, _options, build_parser, main, parse_args
 from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
+from reid_sgm.errors import CorruptFile
 from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
+from reid_sgm.imaging import _load_pgm
+from reid_sgm.sgm import default_palette
 
 from conftest import per_split_eval_csv
 
@@ -854,6 +858,42 @@ class TestInspect:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00\x01\x02garbage")
         assert main(["inspect", str(path)]) == 2
+
+    def test_mask(self, corpus, capsys):
+        entry = load_manifest(corpus / "manifest.csv").entries[0]
+        assert main(["inspect", entry.mask_path]) == 0
+        spec = SynthSpec()
+        assert capsys.readouterr().out == f"mask (P5): {spec.width}x{spec.height}\n"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 garbage", "truncated header"),
+        (b"P5\n4 3\n255\n" + bytes(11), "payload holds 11 bytes, expected 12"),
+    ])
+    def test_damaged_mask_is_corrupt(self, tmp_path, capsys, data, message):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        with pytest.raises(CorruptFile, match=message):
+            _load_pgm(data)
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("p1", "short.csv:2: row lacks camera, image_path"),
+        ("p1,C,a.ppm,", "camera must be A or B, got 'C'"),
+    ])
+    def test_bad_manifest_row_keeps_its_message(self, tmp_path, capsys, row, message):
+        path = tmp_path / "short.csv"
+        path.write_text(f"person_id,camera,image_path,mask_path\n{row}\n")
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "unrecognized artifact" not in err
+
+    def test_palette(self, tmp_path, capsys):
+        path = tmp_path / "palette.txt"
+        path.write_text(resources.files("reid_sgm").joinpath("data/colornames16.txt").read_text())
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == f"palette: {', '.join(default_palette().labels)}\n"
 
 
 class TestExitCodes:

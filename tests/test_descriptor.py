@@ -48,6 +48,7 @@ from conftest import (
     make_image,
     make_mask,
     oracle_views,
+    per_map_extract_sgm,
     per_stripe_color_histogram,
     per_stripe_descriptor,
     per_stripe_siltp,
@@ -69,7 +70,7 @@ def brute_force_pool(plane):
 class TestBuildMaps:
     def test_uniform_image_gives_uniform_maps(self, palette):
         img = solid_image(6, 33, (200, 40, 90))
-        stack = build_maps(img, ColorSpace.RGB, palette, k=5)
+        stack = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=5)[0]
         assert stack.shape == (16, 33, 6)
         first = stack[:, 0, 0]
         assert np.allclose(stack, first[:, None, None])
@@ -78,22 +79,22 @@ class TestBuildMaps:
         j = 4  # pure red in the shipped palette
         rgb = tuple(int(round(v * 255)) for v in palette.names[j])
         img = solid_image(5, 30, rgb)
-        stack = build_maps(img, ColorSpace.RGB, palette, k=1)
+        stack = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=1)[0]
         assert np.allclose(stack[j], 1.0)
         others = np.delete(np.arange(16), j)
         assert np.allclose(stack[others], 0.0)
 
     def test_per_location_sums_to_one(self, palette):
         img = make_image(9, 31, seed=8)
-        stack = build_maps(img, ColorSpace.HSV, palette, k=5)
+        stack = build_maps(img, [(ColorSpace.HSV, None, None)], palette, k=5)[0]
         sums = stack.sum(axis=0)
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_mask_changes_fit_not_grid(self, palette):
         img = make_image(9, 31, seed=8)
         mask = make_mask(9, 31, border=3)
-        whole = build_maps(img, ColorSpace.RGB, palette, k=5)
-        masked = build_maps(img, ColorSpace.RGB, palette, k=5, mask=mask)
+        whole = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=5)[0]
+        masked = build_maps(img, [(ColorSpace.RGB, mask, None)], palette, k=5)[0]
         assert whole.shape == masked.shape
         assert not np.array_equal(whole, masked)
 
@@ -611,6 +612,93 @@ class TestExtractSgmOracle:
         assert_bitwise_equal(rep.vector, expected)
 
 
+def rows_per_map(image):
+    """The rows ``extract_sgm`` maps per map: distinct colors or pixels."""
+    distinct = distinct_colors(image)
+    return image.width * image.height if distinct is None else distinct[0].size
+
+
+class TestMapPasses:
+    """``extract_sgm`` maps in passes of whole maps, bit for bit as map by map."""
+
+    IMAGES = {
+        "solid": lambda: solid_image(17, 40, (200, 40, 90)),
+        "posterized": lambda: posterized_image(17, 40, seed=11),
+        "distinct": lambda: image_with_colors(17, 40, 300, seed=7),
+        "random": lambda: make_image(17, 40, seed=5),
+    }
+
+    @pytest.mark.parametrize("image_name", IMAGES)
+    @pytest.mark.parametrize("block", ["one_map", "three_maps", "default"])
+    @pytest.mark.parametrize(
+        "case", ["masked", "euclidean", "shared_models", "no_mask", "empty_mask", "one_space"]
+    )
+    def test_passes_match_per_map_oracle(self, palette, monkeypatch, image_name, block, case):
+        image = self.IMAGES[image_name]()
+        # 1 maps one map per pass; 3 m splits the 8 maps into passes of 3, 3 and 2.
+        rows = {"one_map": 1, "three_maps": 3 * rows_per_map(image),
+                "default": descriptor.BLOCK_ROWS}[block]
+        monkeypatch.setattr(descriptor, "BLOCK_ROWS", rows)
+        mask = make_mask(17, 40, border=3)
+        if case == "no_mask":
+            mask = None
+        elif case == "empty_mask":
+            mask = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
+        for k in (1, 5, 8, 16):
+            config = ExtractionConfig(
+                k=k, euclidean=case == "euclidean",
+                spaces=(ColorSpace.HSV,) if case == "one_space" else ExtractionConfig().spaces,
+            )
+            shared = None
+            if case == "shared_models":
+                shared = fit_shared_models([(image, mask), (make_image(17, 40, seed=6), mask)],
+                                           config, palette)
+            rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
+            expected = per_map_extract_sgm(image, mask, config, palette, shared_models=shared)
+            assert_bitwise_equal(rep.vector, expected)
+
+    @pytest.mark.parametrize("image_name", ["posterized", "random"])
+    def test_short_pass_maps_into_the_buffer_head(self, palette, image_name):
+        image = self.IMAGES[image_name]()
+        grids, colors = descriptor._convert_all(image, ExtractionConfig())
+        maps = [(space, None, None) for space in ExtractionConfig().spaces]
+        rows, pixels = rows_per_map(image), 17 * 40
+        work = np.full(3 * (pixels + rows) * 16, np.nan)
+        stack = build_maps(image, maps[:2], palette, 5, grids=grids, colors=colors, out=work)
+        assert stack.shape == (2, 16, 40, 17)
+        head = 2 * (pixels + rows) * 16
+        assert np.shares_memory(stack, work[:head])
+        assert np.isnan(work[head:]).all()
+        for i, (space, _, _) in enumerate(maps[:2]):
+            alone = build_maps(image, [(space, None, None)], palette, 5, grids=grids,
+                               colors=colors)
+            assert_bitwise_equal(stack[i], alone[0])
+
+
+def pass_stack(rng, g, h, w, channel_last):
+    """A (g, 16, h, w) stack with ties, optionally a view of (g, h, w, 16) memory."""
+    values = rng.choice([0.0, 0.25, 1.0, 1e-300], size=(g, h, w, 16))
+    values[rng.random(values.shape) < 0.5] = rng.random()
+    stack = values.transpose(0, 3, 1, 2)
+    return stack if channel_last else np.ascontiguousarray(stack)
+
+
+@pytest.mark.parametrize("channel_last", [True, False])
+@pytest.mark.parametrize("g, h, w, stripes", [(1, 3, 3, 1), (3, 40, 17, 10), (8, 16, 6, 5),
+                                              (5, 128, 48, 10), (2, 22, 7, 7)])
+def test_pool_and_stripe_a_pass_as_per_map_calls(rng, channel_last, g, h, w, stripes):
+    stack = pass_stack(rng, g, h, w, channel_last)
+    pooled = max_pool(stack)
+    assert pooled.flags.c_contiguous
+    assert_bitwise_equal(pooled, np.stack([max_pool(stack[i]) for i in range(g)]))
+    pooled_height = pooled.shape[2]
+    for count in sorted({1, min(stripes, pooled_height), pooled_height}):
+        assert_bitwise_equal(
+            stripe_descriptor(pooled, count),
+            np.stack([stripe_descriptor(pooled[i], count) for i in range(g)]),
+        )
+
+
 class TestDistinctColors:
     """Which images map once per distinct color, and the index they use."""
 
@@ -634,7 +722,8 @@ class TestDistinctColors:
                           (HALF + 1, 680), (680, 680)]
     )
     def test_points_each_soft_map_call_sees(self, palette, monkeypatch, count, mapped):
-        # and each convert call, one per space: the distinct path converts only the colors
+        # and each convert call, one per space: the distinct path converts only the
+        # colors.  All 8 maps of a 17x40 image go through one pass.
         seen, converted = [], []
         real_map, real_convert = descriptor.soft_map, descriptor.convert
 
@@ -650,7 +739,7 @@ class TestDistinctColors:
         monkeypatch.setattr(descriptor, "convert", counting_convert)
         image = image_with_colors(17, 40, count, seed=3)
         extract_sgm(image, make_mask(17, 40, border=3), ExtractionConfig(), palette=palette)
-        assert seen == [mapped] * 8
+        assert seen == [8 * mapped]
         assert converted == [mapped] * 4
 
 
