@@ -197,8 +197,9 @@ def build_maps(
 
     ``maps`` lists g (space, mask, model) triples.  A None model is fitted
     on the masked pixels of its space (the whole image when the mask is
-    None or selects nothing); a pre-fitted model skips the fit, which
-    serves both shared-corpus fits and the forced-identity covariance.
+    None or selects nothing), all None models in one ``fit_model`` call;
+    a pre-fitted model skips the fit, which serves both shared-corpus
+    fits and the forced-identity covariance.
     Every model is evaluated at every location of the full grid, all g
     in one ``soft_map`` call over their stacked points.  ``grids`` maps
     each space to the image already converted to it and is built here
@@ -214,10 +215,7 @@ def build_maps(
     """
     if grids is None:
         grids = {space: convert(image, space) for space in {space for space, _, _ in maps}}
-    models = [
-        fit_model(_masked_pixels(grids[space], mask), palette, epsilon0) if model is None else model
-        for space, mask, model in maps
-    ]
+    models = [model for _, _, model in _fit_missing(maps, grids, palette, epsilon0)]
     points = [grids[space].points if colors is None else colors[space][0] for space, _, _ in maps]
     count, pixels, rows = len(maps), image.height * image.width, len(points[0])
     if out is None:
@@ -235,6 +233,18 @@ def build_maps(
         weights = np.take(weights.reshape(count, rows, PALETTE_SIZE), colors[maps[0][0]][1],
                           axis=1, out=full.reshape(count, pixels, PALETTE_SIZE), mode="clip")
     return weights.reshape(count, image.height, image.width, PALETTE_SIZE).transpose(0, 3, 1, 2)
+
+
+def _fit_missing(maps, grids: dict, palette: ColorNamePalette, epsilon0: float) -> list:
+    """The (space, mask, model) triples with every None model fitted on its
+    masked pixels, all in one stacked ``fit_model`` call."""
+    maps = list(maps)
+    missing = [i for i, (_, _, model) in enumerate(maps) if model is None]
+    if missing:
+        sets = [_masked_pixels(grids[maps[i][0]], maps[i][1]) for i in missing]
+        for i, model in zip(missing, fit_model(sets, palette, epsilon0)):
+            maps[i] = (*maps[i][:2], model)
+    return maps
 
 
 def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
@@ -430,10 +440,11 @@ def extract_sgm(
     16 x stripes x spaces x views components.  ``grids`` maps each
     space to the image already converted to it and ``colors`` each space
     to its ``build_maps`` pair, or is None to map every pixel; both are
-    built when ``grids`` is None.  The (view, space) maps go through
-    ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in passes of
-    whole maps (see ``BLOCK_ROWS``), all in one work array allocated per
-    call.
+    built when ``grids`` is None.  Every (view, space) model not given
+    is fitted first, all in one stacked ``fit_model`` call; the maps then
+    go through ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in
+    passes of whole maps (see ``BLOCK_ROWS``), all in one work array
+    allocated per call.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
@@ -453,6 +464,7 @@ def extract_sgm(
             else:
                 model = None
             maps.append((space, view_mask, model))
+    maps = _fit_missing(maps, grids, palette, config.epsilon0)
     pixels = image.height * image.width
     rows = pixels if colors is None else len(colors[config.spaces[0]][0])
     per_pass = min(len(maps), max(1, BLOCK_ROWS // rows))

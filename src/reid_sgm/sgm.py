@@ -9,6 +9,7 @@ Gaussian likelihoods over its k most similar color names.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -83,139 +84,154 @@ def load_palette(path) -> ColorNamePalette:
     return parse_palette(Path(path).read_text())
 
 
+@functools.lru_cache(maxsize=None)
 def default_palette() -> ColorNamePalette:
-    """The palette shipped with the package."""
+    """The palette shipped with the package, parsed once; every call returns
+    the same object, whose ``names`` are read-only."""
     text = resources.files("reid_sgm").joinpath("data/colornames16.txt").read_text()
-    return parse_palette(text)
+    palette = parse_palette(text)
+    palette.names.flags.writeable = False
+    return palette
 
 
-def _jacobi_refine(a: np.ndarray, vecs: np.ndarray, sweeps: int = 8):
-    """Polish approximate eigenvectors of symmetric ``a`` by Jacobi sweeps."""
-    v = vecs
-    for _ in range(sweeps):
-        m = v.T @ a @ v
-        (m00, m01, m02), (_, m11, m12), (_, _, m22) = m.tolist()
-        off = max(abs(m01), abs(m02), abs(m12))
-        scale = max(abs(m00), abs(m11), abs(m22), 1e-300)
-        if off <= 1e-15 * scale:
-            return m.diagonal().copy(), v  # m is already v.T @ a @ v
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = m[p, q]
-            if apq == 0.0:
-                continue
-            theta = 0.5 * np.arctan2(2.0 * apq, m[p, p] - m[q, q])
-            c, s = np.cos(theta), np.sin(theta)
-            rot = _EYE3.copy()
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = -s
-            rot[q, p] = s
-            v = v @ rot
-            m = rot.T @ m @ rot
-    m = v.T @ a @ v
-    return m.diagonal().copy(), v
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) stacks, with its rounding and no FMA."""
+    return a[..., (1, 2, 0)] * b[..., (2, 0, 1)] - a[..., (2, 0, 1)] * b[..., (1, 2, 0)]
 
 
-def _cross(a, b) -> tuple[float, float, float]:
-    """``np.cross`` of two 3-sequences of floats, with its rounding and no FMA."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., 3) stacks as BLAS ``ddot``, the
+    rounding of ``v.dot(v)``, which ``(x * y).sum(-1)`` does not share."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 3-vector: its BLAS dot product, then the sqrt."""
-    return math.sqrt(v.dot(v))
-
-
-def _null_vector(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
-    """Best unit vector with m @ v ~ 0, orthogonal to already-found ones."""
-    r0, r1, r2 = m.tolist()
-    cands = np.array([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)])
-    norms = [_norm(c) for c in cands]
-    best = max(range(3), key=norms.__getitem__)  # the first maximum, as np.argmax
-    if norms[best] > 1e-14:
-        v = cands[best] / norms[best]
+def _null_vectors(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
+    """Per (3, 3) slice, the best unit vector with m @ v ~ 0, orthogonal
+    to the already-found (G, 3) rows of ``avoid``."""
+    rows = np.arange(len(m))
+    cands = _cross(m[:, (0, 0, 1)], m[:, (1, 2, 2)])
+    norms = np.sqrt(_dot(cands, cands))
+    best = norms.argmax(axis=1)  # the first maximum
+    top = norms[rows, best]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = cands[rows, best] / top[:, None]
+        axes = np.broadcast_to(_EYE3, m.shape)
         for u in avoid:
-            v -= (v @ u) * u
-        n = _norm(v)
-        if n > 1e-8:
-            return v / n
+            v = v - _dot(v, u)[:, None] * u
+            axes = axes - _dot(axes, u[:, None])[..., None] * u[:, None]
+        n = np.sqrt(_dot(v, v))
+        v = v / n[:, None]
+    good = (top > 1e-14) & (n > 1e-8)
+    if good.all():
+        return v
     # (Near-)repeated eigenvalue, or the candidate collapsed under
     # orthogonalization: any completion of the found set works, since the
-    # remaining eigenspace absorbs every orthogonal direction.
-    for axis in _EYE3:
-        w = axis.copy()
-        for u in avoid:
-            w -= (w @ u) * u
-        n = _norm(w)
-        if n > 1e-8:
-            return w / n
-    return np.array([1.0, 0.0, 0.0])  # pragma: no cover - unreachable for len(avoid) < 3
+    # remaining eigenspace absorbs every orthogonal direction.  The first
+    # axis that keeps some length is used.
+    lengths = np.sqrt(_dot(axes, axes))
+    first = (lengths > 1e-8).argmax(axis=1)
+    return np.where(good[:, None], v, axes[rows, first] / lengths[rows, first, None])
+
+
+def _jacobi_refine(a: np.ndarray, v: np.ndarray, sweeps: int = 8):
+    """Polish approximate eigenvectors of a symmetric (G, 3, 3) stack by
+    Jacobi sweeps.  A slice stops at the first sweep that finds it
+    diagonal, and keeps its values bit for bit from then on."""
+    vals = np.empty((len(a), 3))
+    active = np.ones(len(a), dtype=bool)
+    for sweep in range(sweeps + 1):
+        m = v.swapaxes(1, 2) @ a @ v
+        diag = m.diagonal(axis1=1, axis2=2)
+        off = np.abs(m[:, (0, 0, 1), (1, 2, 2)]).max(axis=1)
+        scale = np.maximum(np.abs(diag).max(axis=1), 1e-300)
+        done = active & ((off <= 1e-15 * scale) | (sweep == sweeps))
+        vals[done] = diag[done]
+        active &= ~done
+        if not active.any():
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = m[:, p, q]
+            theta = 0.5 * np.arctan2(2.0 * apq, m[:, p, p] - m[:, q, q])
+            c, s = np.cos(theta), np.sin(theta)
+            rot = np.tile(_EYE3, (len(a), 1, 1))
+            rot[:, (p, q, p, q), (p, q, q, p)] = np.stack([c, c, -s, s], axis=1)
+            # Select, since a product by an identity could flip a zero's sign.
+            turn = (active & (apq != 0.0))[:, None, None]
+            v = np.where(turn, v @ rot, v)
+            m = np.where(turn, rot.swapaxes(1, 2) @ m @ rot, m)
+    return vals, v
 
 
 def eig3_symmetric(a: np.ndarray):
-    """Eigendecomposition of a real symmetric 3x3 matrix.
+    """Eigendecomposition of a real symmetric 3x3 matrix, or of each slice
+    of a (B, 3, 3) stack.
 
     Closed-form trigonometric eigenvalues, eigenvectors from cross
-    products of the shifted rows, then Jacobi refinement sweeps.
-    Elementwise scalar steps run on Python floats; every reduction that
-    numpy hands to BLAS, LAPACK or SIMD code (dot products, ``det``,
-    ``trace``, matrix products, ``arccos``/``cos``/``sin``) stays a numpy
-    call, so the result keeps numpy's rounding bit for bit.
+    products of the shifted rows, then Jacobi refinement sweeps.  Slices
+    take their branches (zero or diagonal matrix, null-vector fallbacks,
+    Jacobi rotations) by masks, and every stacked numpy call used rounds
+    each slice as its single call does, so a slice gets the same bits in
+    any stack as alone.
 
     Returns
     -------
-    vals : (3,) ndarray, ascending
-    vecs : (3, 3) ndarray with orthonormal columns, vecs[:, i] matching vals[i]
+    vals : (3,) ndarray, ascending; (B, 3) for a stack
+    vecs : (3, 3) ndarray with orthonormal columns, vecs[:, i] matching
+        vals[i]; (B, 3, 3) for a stack
     """
     a = np.asarray(a, dtype=np.float64)
-    a = 0.5 * (a + a.T)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(3), np.eye(3)
-    b = a / scale
-    (b00, b01, b02), (_, b11, b12), (_, _, b22) = b.tolist()
+    if a.ndim == 2:
+        vals, vecs = eig3_symmetric(a[None])
+        return vals[0], vecs[0]
+    a = 0.5 * (a + a.swapaxes(1, 2))
+    vals = np.zeros((len(a), 3))
+    vecs = np.tile(_EYE3, (len(a), 1, 1))
+    scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+    live = np.flatnonzero(scale != 0.0)  # a zero matrix keeps (0, I)
+    b = a[live] / scale[live, None, None]
+    # A diagonal slice's eigenpairs are its diagonal and the axes.
+    lam = b.diagonal(axis1=1, axis2=2).copy()
+    vec = vecs[live]
+    # Squares of Python floats are libm pow, which x * x and np.power round apart.
+    p1 = np.array([x**2 + y**2 + z**2 for x, y, z in b[:, (0, 0, 1), (1, 2, 2)].tolist()])
+    dense = np.flatnonzero(p1 != 0.0)
+    if dense.size:
+        lam[dense], vec[dense] = _dense_eig3(b[dense], p1[dense])
+    order = np.argsort(lam, axis=1, kind="stable")
+    vals[live] = np.take_along_axis(lam, order, axis=1) * scale[live, None]
+    vecs[live] = np.take_along_axis(vec, order[:, None, :], axis=2)
+    return vals, vecs
 
-    p1 = b01**2 + b02**2 + b12**2
-    if p1 == 0.0:
-        vals = np.diag(b).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order] * scale, np.eye(3)[:, order]
 
-    q = float(np.trace(b)) / 3.0
-    p2 = (b00 - q) ** 2 + (b11 - q) ** 2 + (b22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    m = (b - q * _EYE3) / p
-    r = min(max(float(np.linalg.det(m)) / 2.0, -1.0), 1.0)
+def _dense_eig3(b: np.ndarray, p1: np.ndarray):
+    """Unsorted eigenpairs of a (G, 3, 3) stack whose off-diagonal squares
+    sum to ``p1`` != 0."""
+    d = b.diagonal(axis1=1, axis2=2)
+    q = (d[:, 0] + d[:, 1] + d[:, 2]) / 3.0  # left to right, as np.trace adds
+    p2 = [(x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2 + 2.0 * s
+          for (x, y, z), c, s in zip(d.tolist(), q.tolist(), p1.tolist())]
+    p = np.sqrt(np.array(p2) / 6.0)
+    m = (b - q[:, None, None] * _EYE3) / p[:, None, None]
+    r = np.minimum(np.maximum(np.linalg.det(m) / 2.0, -1.0), 1.0)
     phi = np.arccos(r) / 3.0
-    hi = float(q + 2.0 * p * np.cos(phi))
-    lo = float(q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0))
-    mid = 3.0 * q - hi - lo
-    vals = (lo, mid, hi)
+    hi = q + 2.0 * p * np.cos(phi)
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    vals = np.stack([lo, 3.0 * q - hi - lo, hi], axis=1)
 
-    # Recover the best-separated eigenvector first; the last comes free.
-    gaps = (
-        min(abs(lo - mid), abs(lo - hi)),
-        min(abs(mid - lo), abs(mid - hi)),
-        min(abs(hi - lo), abs(hi - mid)),
-    )
-    order = sorted(range(3), key=lambda i: -gaps[i])  # stable, as np.argsort
-    vecs = [None, None, None]
+    # Recover the best-separated eigenvector first.  The second then keeps a
+    # length above 1e-8 once the first is taken out, so the cross product of
+    # the two has length near 1, and the last needs no fallback.
+    gaps = np.minimum(np.abs(vals - vals[:, (1, 0, 0)]), np.abs(vals - vals[:, (2, 2, 1)]))
+    order = np.argsort(-gaps, axis=1, kind="stable")
+    rows = np.arange(len(b))
+    vecs = np.empty_like(b)
     found: list[np.ndarray] = []
-    for idx in order[:2]:
-        v = _null_vector(b - vals[idx] * _EYE3, found)
-        vecs[idx] = v
-        found.append(v)
-    last = order[2]
-    w = np.array(_cross(found[0].tolist(), found[1].tolist()))
-    n = _norm(w)
-    vecs[last] = w / n if n > 0 else _null_vector(b - vals[last] * _EYE3, found)
-
-    v = np.column_stack(vecs)
-    vals, v = _jacobi_refine(b, v)
-    order = np.argsort(vals, kind="stable")
-    return vals[order] * scale, v[:, order]
+    for idx in order[:, :2].T:
+        found.append(_null_vectors(b - vals[rows, idx, None, None] * _EYE3, found))
+        vecs[rows, :, idx] = found[-1]
+    w = _cross(found[0], found[1])
+    vecs[rows, :, order[:, 2]] = w / np.sqrt(_dot(w, w))[:, None]
+    return _jacobi_refine(b, vecs)
 
 
 @dataclass(frozen=True)
@@ -243,31 +259,38 @@ def rectify_eigenvalues(eigenvalues: np.ndarray, epsilon0: float) -> np.ndarray:
     return np.where(eigenvalues > 0.0, eigenvalues, 1.0 / epsilon0)
 
 
-def model_from_sigma(sigma: np.ndarray, epsilon0: float = DEFAULT_EPSILON0) -> GaussianMapModel:
-    """Build the rectified-covariance machinery from a raw 3x3 covariance."""
+def model_from_sigma(
+    sigma: np.ndarray, epsilon0: float = DEFAULT_EPSILON0
+) -> GaussianMapModel | list[GaussianMapModel]:
+    """Build the rectified-covariance machinery from a raw 3x3 covariance.
+
+    A (B, 3, 3) stack gives a list of B models, built in one stacked pass;
+    each equals the model its slice gives alone, bit for bit, and no two
+    share memory.
+    """
     if not 0.0 < epsilon0 < math.inf:
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (3, 3):
-        raise ValueError(f"covariance must be 3x3, got {sigma.shape}")
-    if np.max(np.abs(sigma - sigma.T)) > 1e-12:
+    if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (3, 3):
+        raise ValueError(f"covariance must be 3x3 or a stack of 3x3, got {sigma.shape}")
+    stack = sigma.reshape(-1, 3, 3)
+    if np.abs(stack - stack.swapaxes(1, 2)).max(initial=0.0) > 1e-12:
         raise ValueError("covariance must be symmetric to within 1e-12")
-    sigma = 0.5 * (sigma + sigma.T)
+    stack = 0.5 * (stack + stack.swapaxes(1, 2))
 
-    vals, vecs = eig3_symmetric(sigma)
+    vals, vecs = eig3_symmetric(stack)
     vals = np.where(np.abs(vals) <= EIGENVALUE_SNAP, 0.0, vals)
     rectified = rectify_eigenvalues(vals, epsilon0)
-    inv = (vecs * (1.0 / rectified)) @ vecs.T
-    inv = 0.5 * (inv + inv.T)
-    norm_const = float(_GAUSS_CONST / np.sqrt(np.prod(rectified)))
-    return GaussianMapModel(
-        sigma=sigma,
-        rectified_inverse=inv,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        norm_const=norm_const,
-        epsilon0=epsilon0,
-    )
+    inv = (vecs * (1.0 / rectified)[:, None, :]) @ vecs.swapaxes(1, 2)
+    inv = 0.5 * (inv + inv.swapaxes(1, 2))
+    # np.prod multiplies left to right.
+    norm_const = _GAUSS_CONST / np.sqrt(rectified[:, 0] * rectified[:, 1] * rectified[:, 2])
+    models = [
+        GaussianMapModel(sigma=s, rectified_inverse=i, eigenvalues=v, eigenvectors=e,
+                         norm_const=c, epsilon0=epsilon0)
+        for s, i, v, e, c in zip(stack, inv, vals, vecs, norm_const.tolist())
+    ]
+    return models[0] if sigma.ndim == 2 else models
 
 
 def identity_model(epsilon0: float = DEFAULT_EPSILON0) -> GaussianMapModel:
@@ -281,32 +304,46 @@ def estimate_sigma(points: np.ndarray, names: np.ndarray) -> np.ndarray:
     Uses the expanded sufficient-statistics form rather than the n*16
     double loop; the two agree to float precision.
     """
-    points = np.asarray(points, dtype=np.float64)
+    return _sigma_stack([points], names)[0]
+
+
+def _sigma_stack(point_sets: Sequence[np.ndarray], names: np.ndarray) -> np.ndarray:
+    """``estimate_sigma`` of each (n_i, 3) point set, as a (B, 3, 3) stack.
+
+    The pixel sums run per set, as one set alone runs them; the palette
+    terms are formed once and the combining tail runs stacked.
+    """
     names = np.asarray(names, dtype=np.float64)
-    n = points.shape[0]
     k = names.shape[0]
-    # Adds the rows one after another, the order sum(axis=0) uses on an
-    # (n, 3) array, without its per-row reduction overhead.
-    sum_z = np.einsum("ij->j", points)
+    point_sets = [np.asarray(points, dtype=np.float64) for points in point_sets]
+    n = np.array([len(points) for points in point_sets])[:, None, None]
+    # einsum adds the rows one after another, the order sum(axis=0) uses on
+    # an (n, 3) array, without its per-row reduction overhead.
+    sum_z = np.array([np.einsum("ij->j", points) for points in point_sets]).reshape(-1, 3)
+    outer_z = np.array([points.T @ points for points in point_sets]).reshape(-1, 3, 3)
     sum_c = names.sum(axis=0)
-    outer_z = points.T @ points
-    outer_c = names.T @ names
-    sigma = (k * outer_z + n * outer_c - np.outer(sum_z, sum_c) - np.outer(sum_c, sum_z)) / (
-        k * n
-    )
-    return 0.5 * (sigma + sigma.T)
+    sigma = (k * outer_z + n * (names.T @ names) - sum_z[:, :, None] * sum_c
+             - sum_c[:, None] * sum_z[:, None, :]) / (k * n)
+    return 0.5 * (sigma + sigma.swapaxes(1, 2))
 
 
 def fit_model(
-    pixels: PixelSet,
+    pixels: PixelSet | Sequence[PixelSet],
     palette: ColorNamePalette,
     epsilon0: float = DEFAULT_EPSILON0,
-) -> GaussianMapModel:
-    """Fit the discrepancy Gaussian between a pixel set and the palette."""
-    if pixels.points.shape[0] == 0:
+) -> GaussianMapModel | list[GaussianMapModel]:
+    """Fit the discrepancy Gaussian between a pixel set and the palette.
+
+    A sequence of B pixel sets gives a list of B models: each set's
+    covariance is summed on its own, then all models are built in one
+    stacked ``model_from_sigma`` pass, each with the bits its set gets
+    alone.
+    """
+    sets = [pixels] if isinstance(pixels, PixelSet) else list(pixels)
+    if any(s.points.shape[0] == 0 for s in sets):
         raise EmptyPixelSet("cannot fit a model on zero pixels")
-    sigma = estimate_sigma(pixels.points, palette.names)
-    return model_from_sigma(sigma, epsilon0)
+    sigma = _sigma_stack([s.points for s in sets], palette.names)
+    return model_from_sigma(sigma[0] if isinstance(pixels, PixelSet) else sigma, epsilon0)
 
 
 def pixel_likelihoods(

@@ -57,13 +57,14 @@ def test_timed_hook_exists():
 def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
     """``sgm.fit_calls`` counts ``fit_model`` calls and ``sgm.pixels_mapped``
     sums ``len(args[1])`` over ``soft_map`` calls, both wrapped at their names
-    in ``descriptor`` as ``traced_cli.py`` wraps them: a masked image is 8
-    fits and 8 maps of m rows, m its pixels or (posterized) its distinct colors."""
+    in ``descriptor`` as ``traced_cli.py`` wraps them: a masked image is one
+    fit of 8 pixel sets and 8 maps of m rows, m its pixels or (posterized)
+    its distinct colors."""
     fits, rows = [], []
     real_fit, real_map = descriptor.fit_model, descriptor.soft_map
 
     def fit_model(*args, **kwargs):
-        fits.append(1)
+        fits.append(len(args[0]))
         return real_fit(*args, **kwargs)
 
     def soft_map(*args, **kwargs):
@@ -79,5 +80,5 @@ def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
     assert (distinct is None) == (levels == 256)
     extract_features(image, make_mask(18, 48, border=3),
                      ExtractionConfig(features=("SGM", "CH", "SILTP")))
-    assert len(fits) == 8
+    assert fits == [8]
     assert sum(rows) == 8 * m

@@ -1,6 +1,7 @@
 """Representation pipeline: maps, pooling, stripes, histograms, fusion."""
 
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from reid_sgm.descriptor import (
     stripe_descriptor,
 )
 from reid_sgm.imaging import ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
-from reid_sgm.sgm import ColorNamePalette, fit_model, identity_model
+from reid_sgm.sgm import ColorNamePalette, default_palette, fit_model, identity_model, parse_palette
 
 from conftest import (
     argsort_soft_map,
@@ -291,6 +292,16 @@ class TestExtractSgm:
         a = base.vector.reshape(-1, 16)
         b = swapped.vector.reshape(-1, 16)
         assert np.array_equal(a[:, perm], b)
+
+    def test_default_palette_equals_a_parsed_copy(self):
+        text = resources.files("reid_sgm").joinpath("data/colornames16.txt").read_text()
+        parsed = parse_palette(text)
+        assert parsed is not default_palette()
+        img = make_image(18, 48, seed=21)
+        config = ExtractionConfig(features=("SGM", "CH", "SILTP"))
+        implicit = extract_features(img, make_mask(18, 48, border=3), config)
+        explicit = extract_features(img, make_mask(18, 48, border=3), config, palette=parsed)
+        assert_bitwise_equal(implicit.vector, explicit.vector)
 
     def test_euclidean_variant_differs(self, palette):
         img = make_image(12, 33, seed=16)

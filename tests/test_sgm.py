@@ -13,6 +13,7 @@ from reid_sgm.errors import EmptyPixelSet
 from reid_sgm.imaging import ColorSpace, PixelSet, RasterImage, convert
 from reid_sgm.sgm import (
     ColorNamePalette,
+    default_palette,
     eig3_symmetric,
     estimate_sigma,
     fit_model,
@@ -30,6 +31,7 @@ from conftest import (
     argsort_top_k,
     assert_bitwise_equal,
     expression_likelihoods,
+    _oracle_null_vector,
     oracle_eig3_symmetric,
     sum_estimate_sigma,
 )
@@ -70,6 +72,12 @@ class TestPalette:
         assert palette.names.shape == (16, 3)
         assert len(set(palette.labels)) == 16
         assert palette.names.min() >= 0.0 and palette.names.max() <= 1.0
+
+    def test_default_palette_is_parsed_once_and_read_only(self):
+        palette = default_palette()
+        assert default_palette() is palette
+        with pytest.raises(ValueError):
+            palette.names[0, 0] = 0.5
 
     def test_parse_rejects_wrong_count(self):
         text = "\n".join(f"c{i} 0.{i} 0 0" for i in range(15))
@@ -166,6 +174,153 @@ def test_eig3_matches_numpy_array_oracle_bitwise(a):
     ref_vals, ref_vecs = oracle_eig3_symmetric(a)
     assert_bitwise_equal(vals, ref_vals)
     assert_bitwise_equal(vecs, ref_vecs)
+
+
+def assert_slices_match_oracle(stack):
+    vals, vecs = eig3_symmetric(np.stack(stack))
+    assert vals.shape == (len(stack), 3) and vecs.shape == (len(stack), 3, 3)
+    for a, slice_vals, slice_vecs in zip(stack, vals, vecs):
+        ref_vals, ref_vecs = oracle_eig3_symmetric(a)
+        assert_bitwise_equal(slice_vals, ref_vals)
+        assert_bitwise_equal(slice_vecs, ref_vecs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=st.lists(symmetric_3x3(), min_size=1, max_size=9))
+def test_eig3_stack_matches_oracle_slice_by_slice(stack):
+    """Dense, diagonal, rank-1, repeated and zero slices mixed in one stack."""
+    assert_slices_match_oracle(stack)
+
+
+def from_hex(rows):
+    return np.array([[float.fromhex(v) for v in row] for row in rows])
+
+
+# Matrices that send the scalar eigensolver down its rare branches.
+BRANCH_CASES = {
+    "zero": np.zeros((3, 3)),
+    "diagonal": np.diag([3.0, -1.0, 2.0]),
+    # Off-diagonal squares underflow, so p1 == 0 although the matrix is not diagonal.
+    "p1_underflow": np.array([[1.0, 1e-170, 0.0], [1e-170, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+    # Rank 1: the second null vector's cross products vanish (best norm <= 1e-14).
+    "rank1_best_norm_small": np.full((3, 3), -2.0),
+    # A near-identity: the first null vector falls back to an axis, and the
+    # second to the next axis, as the first axis collapses against it.
+    "near_identity_axis_fallback": from_hex([
+        ["0x1.0000000007510p+0", "0x1.596e18eb2594ap-40", "-0x1.32e1626a3d15cp-38"],
+        ["0x1.596e18eb2594ap-40", "0x1.00000000003fcp+0", "-0x1.c4d2f8e6bd0efp-41"],
+        ["-0x1.32e1626a3d15cp-38", "-0x1.c4d2f8e6bd0efp-41", "0x1.000000000324ap+0"],
+    ]),
+    # A discrepancy covariance from a synthetic corpus (whole view, normalized
+    # RGB) whose first Jacobi check fails: it takes one sweep of rotations.
+    "corpus_jacobi_sweep": from_hex([
+        ["0x1.a50aff5724f19p-3", "0x1.c89c099e1e8c5p-5", "-0x1.ca65dd5f16260p-6"],
+        ["0x1.c89c099e1e8c5p-5", "0x1.3d6911d583065p-3", "0x1.5a4f2fe94c850p-5"],
+        ["-0x1.ca65dd5f16260p-6", "0x1.5a4f2fe94c850p-5", "0x1.c227ccae44d0dp-3"],
+    ]),
+    # off/scale at the first check: 9.98e-16 (converged) and 1.02e-15 (rotated).
+    "off_scale_just_below": from_hex([
+        ["0x1.4031944b37deep-4", "-0x1.761c8ca94dff6p-8", "-0x1.c11c15ba31386p-9"],
+        ["-0x1.761c8ca94dff6p-8", "0x1.6299e19586ce9p-4", "0x1.e4d3319d05fb6p-8"],
+        ["-0x1.c11c15ba31386p-9", "0x1.e4d3319d05fb6p-8", "0x1.46f60bb7b8cd0p-4"],
+    ]),
+    "off_scale_just_above": from_hex([
+        ["0x1.6a8ff17b44fdbp-4", "-0x1.ce25b4efaf5f3p-8", "-0x1.5d42823735c7cp-6"],
+        ["-0x1.ce25b4efaf5f3p-8", "0x1.d02a818527806p-5", "0x1.0406396338072p-8"],
+        ["-0x1.5d42823735c7cp-6", "0x1.0406396338072p-8", "0x1.1bed850863b13p-4"],
+    ]),
+    # A near-degenerate block: rotations run, and those with apq == 0 are skipped.
+    "jacobi_skips_zero_pivots": from_hex([
+        ["-0x1.815e82fe01948p-2", "0x0.0p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x1.835dd54ab81a9p-6", "-0x1.32325c0672ddbp-22"],
+        ["0x0.0p+0", "-0x1.32325c0672ddbp-22", "0x1.835ef9bc91700p-6"],
+    ]),
+    # libm pow (Python's ``**``) and ``x * x`` round one of the squares apart:
+    # an off-diagonal one (in p1) and a diagonal deviation from the mean (in p2).
+    "square_rounding_p1": from_hex([
+        ["0x1.4b644455cdb91p-5", "0x1.4aa276d3d5aa0p-5", "0x1.c645e0bbd302dp-10"],
+        ["0x1.4aa276d3d5aa0p-5", "0x1.00961cf260328p-3", "0x1.02181e5e49aa8p-7"],
+        ["0x1.c645e0bbd302dp-10", "0x1.02181e5e49aa8p-7", "0x1.96ca8dc6966bap-4"],
+    ]),
+    "square_rounding_p2": from_hex([
+        ["0x1.f45e1cbfec531p-5", "-0x1.9e825f7f0f554p-11", "-0x1.1b5dca5550a64p-8"],
+        ["-0x1.9e825f7f0f554p-11", "0x1.526407ee99d6ep-4", "0x1.a17433f4f6747p-7"],
+        ["-0x1.1b5dca5550a64p-8", "0x1.a17433f4f6747p-7", "0x1.78d13af25a0cdp-4"],
+    ]),
+    # Converges at once with signed zeros in its eigenvectors, which a
+    # product by an identity rotation would turn into +0.0.
+    "signed_zero_eigenvectors": np.array([[-0.5, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, -1.0]]),
+    # Never converges: all 8 sweeps run, then the final v.T @ a @ v.
+    "nan_runs_every_sweep": np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_eig3_branch_case_matches_oracle_inside_a_stack(name, rng):
+    """Each case alone, and among ordinary matrices and one that rotates
+    while the others must keep their values."""
+    ordinary = [random_spd(rng) for _ in range(4)]
+    rotating = BRANCH_CASES["corpus_jacobi_sweep"]
+    with np.errstate(invalid="ignore"):
+        assert_slices_match_oracle([ordinary[0], BRANCH_CASES[name], rotating, *ordinary[1:]])
+        assert_slices_match_oracle([BRANCH_CASES[name]])
+
+
+def test_null_vector_collapse_falls_back_inside_a_stack(rng):
+    """A candidate that vanishes once the found vector is taken out of it
+    (length <= 1e-8) falls back to the first axis that keeps its length."""
+    collapsing = (np.diag([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    cases = [(random_spd(rng), np.array([1.0, 0.0, 0.0])), collapsing,
+             (random_spd(rng), np.array([0.6, 0.8, 0.0]))]
+    got = sgm._null_vectors(np.stack([m for m, _ in cases]), [np.stack([u for _, u in cases])])
+    for (m, u), v in zip(cases, got):
+        assert_bitwise_equal(v, _oracle_null_vector(m, [u]))
+    assert_bitwise_equal(got[1], np.array([1.0, 0.0, 0.0]))
+
+
+class TestStackedFits:
+    def test_model_from_sigma_stack_equals_single_calls(self, rng):
+        stack = np.stack([*BRANCH_CASES.values(), random_spd(rng), -random_spd(rng)])
+        stack = stack[np.isfinite(stack).all(axis=(1, 2))]
+        models = model_from_sigma(stack, epsilon0=1e-3)
+        assert len(models) == len(stack)
+        for sigma, model in zip(stack, models):
+            assert_models_equal(model, model_from_sigma(sigma, epsilon0=1e-3))
+
+    def test_fit_model_sequence_equals_single_calls(self, palette, rng):
+        sets = [pixel_set(rng.random((n, 3))) for n in (1, 2, 17, 864, 6144)]
+        sets.append(pixel_set(palette.names[:3].copy()))
+        models = fit_model(sets, palette)
+        assert len(models) == len(sets)
+        for pixels, model in zip(sets, models):
+            assert_models_equal(model, fit_model(pixels, palette))
+        arrays = [getattr(m, f) for m in models
+                  for f in ("sigma", "rectified_inverse", "eigenvalues", "eigenvectors")]
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(arrays) for y in arrays[:i])
+
+    def test_empty_set_in_a_sequence_is_rejected(self, palette, rng):
+        with pytest.raises(EmptyPixelSet):
+            fit_model([pixel_set(rng.random((5, 3))), pixel_set(np.empty((0, 3)))], palette)
+
+    def test_asymmetric_slice_is_rejected(self, rng):
+        bad = random_spd(rng)
+        bad[0, 1] += 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            model_from_sigma(np.stack([random_spd(rng), bad]))
+
+    @pytest.mark.parametrize("epsilon0", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_epsilon0_is_rejected_for_a_sequence(self, palette, rng, epsilon0):
+        with pytest.raises(ValueError, match="epsilon0"):
+            fit_model([pixel_set(rng.random((5, 3)))] * 2, palette, epsilon0=epsilon0)
+        with pytest.raises(ValueError, match="epsilon0"):
+            model_from_sigma(np.stack([np.eye(3)] * 2), epsilon0=epsilon0)
+
+
+def assert_models_equal(actual, expected):
+    for field in ("sigma", "rectified_inverse", "eigenvalues", "eigenvectors"):
+        assert_bitwise_equal(getattr(actual, field), getattr(expected, field))
+    assert np.float64(actual.norm_const).tobytes() == np.float64(expected.norm_const).tobytes()
+    assert actual.epsilon0 == expected.epsilon0
 
 
 @settings(max_examples=60, deadline=None)
