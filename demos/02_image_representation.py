@@ -14,11 +14,13 @@ from reid_sgm import (
     ColorSpace,
     ExtractionConfig,
     build_maps,
+    convert,
     default_palette,
     extract_color_histogram,
     extract_features,
     extract_sgm,
     extract_siltp,
+    fit_model,
     load_image,
     load_mask,
     max_pool,
@@ -37,8 +39,10 @@ mask = load_mask(entry.mask_path, image)
 print(f"image {image.width}x{image.height}, "
       f"{mask.foreground_count()} foreground pixels")
 
-# Stage 1: sixteen soft Gaussian maps per color space.
-stack = build_maps(image, [(ColorSpace.RGB, mask, None)], palette, k=5)[0]
+# Stage 1: sixteen soft Gaussian maps per color space, under the
+# discrepancy Gaussian fitted on the foreground pixels.
+model = fit_model(convert(image, ColorSpace.RGB, mask), palette)
+stack = build_maps(image, [(ColorSpace.RGB, model)], palette, k=5)[0]
 print("map stack:", stack.shape, "- per-pixel weight sums:",
       np.round(stack.sum(axis=0).min(), 9), "to", np.round(stack.sum(axis=0).max(), 9))
 

@@ -52,16 +52,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path) -> dict[str, str]:
-    """Read a flat key=value config file; '#' starts a comment line."""
+    """Read a flat key=value config file; '#' starts a comment line and a
+    key may appear once."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

@@ -11,6 +11,7 @@ sets can be persisted to a compact binary file or exported as CSV.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import struct
@@ -185,38 +186,32 @@ def stripe_bounds(height: int, stripes: int) -> list[tuple[int, int]]:
 
 def build_maps(
     image: RasterImage,
-    maps: Sequence[tuple[ColorSpace, ForegroundMask | None, GaussianMapModel | None]],
+    maps: Sequence[tuple[ColorSpace, GaussianMapModel]],
     palette: ColorNamePalette,
     k: int,
-    epsilon0: float = DEFAULT_EPSILON0,
     grids: dict | None = None,
     colors: dict | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convert an image into g sets of 16 soft Gaussian maps, shape (g, 16, h, w).
 
-    ``maps`` lists g (space, mask, model) triples.  A None model is fitted
-    on the masked pixels of its space (the whole image when the mask is
-    None or selects nothing), all None models in one ``fit_model`` call;
-    a pre-fitted model skips the fit, which serves both shared-corpus
-    fits and the forced-identity covariance.
-    Every model is evaluated at every location of the full grid, all g
-    in one ``soft_map`` call over their stacked points.  ``grids`` maps
-    each space to the image already converted to it and is built here
-    when None.  ``colors`` optionally maps each space to a (points,
-    inverse) pair: the grid's distinct colors and each pixel's index into
-    them (see ``distinct_colors``); a map entry depends only on the
-    pixel's color, so only those points are mapped.  ``out`` is an
-    optional flat float64 work array of at least g * (h*w + m) * 16
-    entries, m being the rows mapped per map; only its head is used.
+    ``maps`` lists g (space, model) pairs; each model is evaluated at
+    every location of its space's full grid, all g in one ``soft_map``
+    call over their stacked points.  ``grids`` maps each space to the
+    image already converted to it and is built here when None.
+    ``colors`` optionally maps each space to a (points, inverse) pair:
+    the grid's distinct colors and each pixel's index into them (see
+    ``distinct_colors``); a map entry depends only on the pixel's color,
+    so only those points are mapped.  ``out`` is an optional flat float64
+    work array of at least g * (h*w + m) * 16 entries, m being the rows
+    mapped per map; only its head is used.
 
     The returned stack is a transposed view of the (g, h*w, 16) weights,
     valid until the next call that reuses ``out``.
     """
     if grids is None:
-        grids = {space: convert(image, space) for space in {space for space, _, _ in maps}}
-    models = [model for _, _, model in _fit_missing(maps, grids, palette, epsilon0)]
-    points = [grids[space].points if colors is None else colors[space][0] for space, _, _ in maps]
+        grids = {space: convert(image, space) for space in {space for space, _ in maps}}
+    points = [grids[space].points if colors is None else colors[space][0] for space, _ in maps]
     count, pixels, rows = len(maps), image.height * image.width, len(points[0])
     if out is None:
         out = np.empty(count * (pixels + rows) * PALETTE_SIZE)
@@ -226,25 +221,14 @@ def build_maps(
     full = out[:cut].reshape(-1, PALETTE_SIZE)
     mapped = out[cut : cut + count * rows * PALETTE_SIZE].reshape(-1, PALETTE_SIZE)
     stacked = points[0] if count == 1 else np.concatenate(points)
-    weights = soft_map(models, stacked, palette, k, out=mapped, work=full[: count * rows])
+    weights = soft_map([model for _, model in maps], stacked, palette, k, out=mapped,
+                       work=full[: count * rows])
     if colors is not None:
         # take reads ``mapped`` while it writes ``full``; the indices are in
         # range, and "clip" skips a copy.
         weights = np.take(weights.reshape(count, rows, PALETTE_SIZE), colors[maps[0][0]][1],
                           axis=1, out=full.reshape(count, pixels, PALETTE_SIZE), mode="clip")
     return weights.reshape(count, image.height, image.width, PALETTE_SIZE).transpose(0, 3, 1, 2)
-
-
-def _fit_missing(maps, grids: dict, palette: ColorNamePalette, epsilon0: float) -> list:
-    """The (space, mask, model) triples with every None model fitted on its
-    masked pixels, all in one stacked ``fit_model`` call."""
-    maps = list(maps)
-    missing = [i for i, (_, _, model) in enumerate(maps) if model is None]
-    if missing:
-        sets = [_masked_pixels(grids[maps[i][0]], maps[i][1]) for i in missing]
-        for i, model in zip(missing, fit_model(sets, palette, epsilon0)):
-            maps[i] = (*maps[i][:2], model)
-    return maps
 
 
 def distinct_colors(image: RasterImage) -> tuple[np.ndarray, np.ndarray] | None:
@@ -308,11 +292,9 @@ def stripe_descriptor(stack: np.ndarray, stripes: int) -> np.ndarray:
     C-ordered stack, summed pairwise as a whole.
     """
     *lead, planes, height, width = stack.shape
-    base = height // stripes
-    if base == 0:
-        raise EmptyStripe(f"{height} rows cannot form {stripes} stripes")
+    bounds = stripe_bounds(height, stripes)
+    base, last = bounds[0][1], bounds[-1][0]
     stack = np.ascontiguousarray(stack)
-    last = (stripes - 1) * base
     values = np.empty((*lead, stripes, planes))
     blocks = stack[..., :last, :].reshape(*lead, planes, stripes - 1, base * width)
     values[..., :-1, :] = blocks.sum(axis=-1).swapaxes(-1, -2)
@@ -322,8 +304,9 @@ def stripe_descriptor(stack: np.ndarray, stripes: int) -> np.ndarray:
 
 
 def _mask_selection(mask: ForegroundMask | None, count: int) -> np.ndarray | None:
-    """Flat flags of the masked pixels; None for every pixel, which is also
-    what a mask that selects nothing falls back to."""
+    """Flat flags of the masked pixels of an image of ``count`` pixels; None
+    for every pixel, which is also what a mask that selects nothing falls
+    back to.  The one check that a mask covers its image."""
     if mask is None:
         return None
     keep = mask.values.reshape(-1) == 1
@@ -370,34 +353,42 @@ def _layout(kind: str, spaces: tuple, stripes: int, foreground: bool) -> tuple[L
     )
 
 
-def _stripe_labels(height: int, width: int, stripes: int) -> np.ndarray:
-    """Stripe index of every pixel, in row-major order."""
-    rows = [stop - start for start, stop in stripe_bounds(height, stripes)]
-    return np.repeat(np.arange(stripes), np.array(rows) * width)
+def _stripe_histograms(kind: str, codes: list, bins: int, image: RasterImage,
+                       mask: ForegroundMask | None, config: ExtractionConfig,
+                       source_id: str) -> ImageRepresentation:
+    """Sum-normalized per-stripe histograms of each view and code array.
 
-
-def _view_selection(mask: ForegroundMask | None, labels: np.ndarray, stripes: int):
-    """Pixels a view histograms: every pixel without a mask, else the masked
-    ones, with a stripe that holds no masked pixel falling back to all of its
-    pixels.  ``None`` stands for every pixel."""
-    if mask is None:
-        return None
-    keep = mask.values.reshape(-1) == 1
-    empty = np.bincount(labels[keep], minlength=stripes) == 0
-    return keep | empty[labels]
-
-
-def _stripe_histograms(codes: np.ndarray, keep, stripes: int, bins: int) -> np.ndarray:
-    """Sum-normalized per-stripe histograms from one ``bincount``.
-
-    ``codes`` holds each pixel's bin already offset by ``stripe * bins``
-    (any trailing axis is flattened into the count).  The counts are
-    integers, so their float64 row sums are exact.
+    ``codes`` holds one int64 (pixels, c) array per layout space, its rows
+    in row-major pixel order and each of its c channels' entries a bin in
+    [0, ``bins`` / c); a stripe's histogram lays the c channels side by
+    side.  The codes are offset in place by stripe and channel, so each
+    histogram set is one ``bincount``; integer counts give exact float64
+    row sums.  A view histograms every pixel without a mask, else the
+    masked ones, with a stripe that holds no masked pixel falling back to
+    all of its pixels.
     """
-    selected = codes if keep is None else codes[keep]
-    hist = np.bincount(selected.reshape(-1), minlength=stripes * bins).astype(np.float64)
-    hist = hist.reshape(stripes, bins)
-    return hist / hist.sum(axis=1, keepdims=True)
+    stripes = config.stripes
+    rows = [stop - start for start, stop in stripe_bounds(image.height, stripes)]
+    labels = np.repeat(np.arange(stripes), np.array(rows) * image.width)
+    channels = codes[0].shape[1]
+    offsets = labels[:, None] * bins + np.arange(0, bins, bins // channels)
+    for array in codes:
+        array += offsets
+    views = _views(mask, config)
+    segments = []
+    for _, view_mask in views:
+        keep = _mask_selection(view_mask, labels.shape[0])
+        if keep is not None:
+            keep |= (np.bincount(labels[keep], minlength=stripes) == 0)[labels]
+            keep = np.flatnonzero(keep)  # a row take is cheaper than a boolean mask
+        for array in codes:
+            selected = array if keep is None else array.take(keep, axis=0)
+            hist = np.bincount(selected.reshape(-1), minlength=stripes * bins).astype(np.float64)
+            hist = hist.reshape(stripes, bins)
+            segments.append(hist / hist.sum(axis=1, keepdims=True))
+    vector = np.concatenate(segments, axis=None).astype(np.float32)
+    layout = _layout(kind, config.spaces, stripes, len(views) > 1)
+    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
 
 
 def _convert_all(image: RasterImage, config: ExtractionConfig) -> tuple[dict, dict | None]:
@@ -440,31 +431,30 @@ def extract_sgm(
     16 x stripes x spaces x views components.  ``grids`` maps each
     space to the image already converted to it and ``colors`` each space
     to its ``build_maps`` pair, or is None to map every pixel; both are
-    built when ``grids`` is None.  Every (view, space) model not given
-    is fitted first, all in one stacked ``fit_model`` call; the maps then
-    go through ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in
-    passes of whole maps (see ``BLOCK_ROWS``), all in one work array
-    allocated per call.
+    built when ``grids`` is None.  Each (view, space) model is the
+    identity under ``euclidean``, else taken from ``shared_models``, else
+    fitted on the view's masked pixels, all in one stacked ``fit_model``
+    call; the maps then go through ``build_maps``, ``max_pool`` and
+    ``stripe_descriptor`` in passes of whole maps (see ``BLOCK_ROWS``), all
+    in one work array allocated per call.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
     if grids is None:
         grids, colors = _convert_all(image, config)
     views = _views(mask, config)
-    identity = identity_model(config.epsilon0) if config.euclidean else None
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
-    maps = []
-    for view, view_mask in views[:1] if config.euclidean else views:
-        for space in config.spaces:
-            if identity is not None:
-                model = identity
-            elif shared_models is not None:
-                model = shared_models[(space, view)]
-            else:
-                model = None
-            maps.append((space, view_mask, model))
-    maps = _fit_missing(maps, grids, palette, config.epsilon0)
+    mapped = views[:1] if config.euclidean else views
+    cells = [(view, view_mask, space) for view, view_mask in mapped for space in config.spaces]
+    if config.euclidean:
+        models = [identity_model(config.epsilon0)] * len(cells)
+    elif shared_models is not None:
+        models = [shared_models[(space, view)] for view, _, space in cells]
+    else:
+        sets = [_masked_pixels(grids[space], view_mask) for _, view_mask, space in cells]
+        models = fit_model(sets, palette, config.epsilon0)
+    maps = [(space, model) for (_, _, space), model in zip(cells, models)]
     pixels = image.height * image.width
     rows = pixels if colors is None else len(colors[config.spaces[0]][0])
     per_pass = min(len(maps), max(1, BLOCK_ROWS // rows))
@@ -475,7 +465,7 @@ def extract_sgm(
     work = np.empty(2 * per_pass * pixels * PALETTE_SIZE)
     values = np.concatenate([
         stripe_descriptor(max_pool(build_maps(image, maps[start : start + per_pass], palette,
-                                              config.k, config.epsilon0, grids, colors, out=work)),
+                                              config.k, grids, colors, out=work)),
                           config.stripes)
         for start in range(0, len(maps), per_pass)
     ])
@@ -537,26 +527,11 @@ def extract_color_histogram(
     sum-normalized.  Foreground stripes with no masked pixel fall back
     to all of the stripe's pixels.  ``grids`` is as in ``extract_sgm``.
     """
-    stripes = config.stripes
-    labels = _stripe_labels(image.height, image.width, stripes)
-    views = _views(mask, config)
-    selections = [_view_selection(view_mask, labels, stripes) for _, view_mask in views]
     if grids is None:
         grids, _ = _convert_all(image, config)
-    # Bin of each (pixel, channel), offset by stripe * 48 + channel * 16.
-    offsets = labels[:, None] * (3 * CH_BINS) + np.arange(0, 3 * CH_BINS, CH_BINS)
-    codes = {
-        space: np.minimum((grids[space].points * CH_BINS).astype(np.int64), CH_BINS - 1) + offsets
-        for space in config.spaces
-    }
-    segments = [
-        _stripe_histograms(codes[space], keep, stripes, 3 * CH_BINS)
-        for keep in selections
-        for space in config.spaces
-    ]
-    vector = np.concatenate(segments, axis=None).astype(np.float32)
-    layout = _layout("CH", config.spaces, config.stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
+    codes = [np.minimum((grids[space].points * CH_BINS).astype(np.int64), CH_BINS - 1)
+             for space in config.spaces]
+    return _stripe_histograms("CH", codes, 3 * CH_BINS, image, mask, config, source_id)
 
 
 def siltp_codes(gray: np.ndarray, tau: float = SILTP_TAU) -> np.ndarray:
@@ -594,17 +569,8 @@ def extract_siltp(
 ) -> ImageRepresentation:
     """Per-stripe ternary-pattern texture histograms on the gray image."""
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
-    stripes = config.stripes
-    labels = _stripe_labels(image.height, image.width, stripes)
-    codes = siltp_codes(gray).reshape(-1) + labels * SILTP_CODES
-    views = _views(mask, config)
-    segments = [
-        _stripe_histograms(codes, _view_selection(view_mask, labels, stripes), stripes, SILTP_CODES)
-        for _, view_mask in views
-    ]
-    vector = np.concatenate(segments, axis=None).astype(np.float32)
-    layout = _layout("SILTP", config.spaces, config.stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
+    codes = [siltp_codes(gray).reshape(-1, 1)]
+    return _stripe_histograms("SILTP", codes, SILTP_CODES, image, mask, config, source_id)
 
 
 def fuse(reps: list[ImageRepresentation]) -> ImageRepresentation:
@@ -750,7 +716,10 @@ def load_descriptors(path) -> DescriptorSet:
 
 
 def export_csv(path, reps: Sequence[ImageRepresentation]) -> None:
-    """Write one CSV row per image; the header names every component."""
+    """Write one CSV row per image; the header names every component.
+
+    A source id holding a comma, a quote or a line break is quoted.
+    """
     if not reps:
         raise ValueError("nothing to export")
     layout = reps[0].layout
@@ -758,8 +727,7 @@ def export_csv(path, reps: Sequence[ImageRepresentation]) -> None:
     for rec in layout:
         prefix = rec.path()
         columns.extend(f"{prefix}/c{i:02d}" for i in range(rec.length))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for rep in reps:
-            values = ",".join("%.9g" % v for v in rep.vector)
-            fh.write(f"{rep.source_id},{values}\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([rep.source_id, *("%.9g" % v for v in rep.vector)] for rep in reps)

@@ -266,7 +266,8 @@ def model_from_sigma(
 
     A (B, 3, 3) stack gives a list of B models, built in one stacked pass;
     each equals the model its slice gives alone, bit for bit, and no two
-    share memory.
+    share memory.  A non-finite or asymmetric matrix, or slice, raises
+    ``ValueError``.
     """
     if not 0.0 < epsilon0 < math.inf:
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
@@ -274,6 +275,8 @@ def model_from_sigma(
     if sigma.ndim not in (2, 3) or sigma.shape[-2:] != (3, 3):
         raise ValueError(f"covariance must be 3x3 or a stack of 3x3, got {sigma.shape}")
     stack = sigma.reshape(-1, 3, 3)
+    if not np.isfinite(stack).all():
+        raise ValueError("covariance must be finite")
     if np.abs(stack - stack.swapaxes(1, 2)).max(initial=0.0) > 1e-12:
         raise ValueError("covariance must be symmetric to within 1e-12")
     stack = 0.5 * (stack + stack.swapaxes(1, 2))

@@ -114,6 +114,13 @@ class TestSynth:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_spec_key_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text("n_ids = 2\nnoise = 1.0\nnoise = 2.0\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert f"{spec}:3: key 'noise' repeats line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_misspelt_spec_key_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "s.cfg"
         spec.write_text("n_ids = 2\nilum_jitter = 0.4\n")
@@ -234,6 +241,15 @@ class TestExtract:
         assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out2),
                      "--config", str(cfg), "--spaces", "RGB,HSV"]) == 0
         assert load_descriptors(out2)[0].dim == 640
+
+    def test_repeated_config_key_is_usage_error(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("k = 3\n# comment\nspaces = RGB\nk = 4\n")
+        out = tmp_path / "twice.sgmd"
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        assert f"{cfg}:4: key 'k' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misspelt_config_key_is_usage_error(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

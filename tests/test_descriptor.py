@@ -1,5 +1,6 @@
 """Representation pipeline: maps, pooling, stripes, histograms, fusion."""
 
+import csv
 import tracemalloc
 from importlib import resources
 
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from reid_sgm.errors import (
     ArtifactMismatch,
     CorruptFile,
+    DimensionMismatch,
     EmptyStripe,
     SourceMismatch,
     StackTooSmall,
@@ -68,10 +70,15 @@ def brute_force_pool(plane):
     return out
 
 
+def fitted(image, space, palette, mask=None):
+    """The (space, model) pair ``build_maps`` takes, fitted on the masked pixels."""
+    return space, fit_model(convert(image, space, mask), palette)
+
+
 class TestBuildMaps:
     def test_uniform_image_gives_uniform_maps(self, palette):
         img = solid_image(6, 33, (200, 40, 90))
-        stack = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=5)[0]
+        stack = build_maps(img, [fitted(img, ColorSpace.RGB, palette)], palette, k=5)[0]
         assert stack.shape == (16, 33, 6)
         first = stack[:, 0, 0]
         assert np.allclose(stack, first[:, None, None])
@@ -80,22 +87,22 @@ class TestBuildMaps:
         j = 4  # pure red in the shipped palette
         rgb = tuple(int(round(v * 255)) for v in palette.names[j])
         img = solid_image(5, 30, rgb)
-        stack = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=1)[0]
+        stack = build_maps(img, [fitted(img, ColorSpace.RGB, palette)], palette, k=1)[0]
         assert np.allclose(stack[j], 1.0)
         others = np.delete(np.arange(16), j)
         assert np.allclose(stack[others], 0.0)
 
     def test_per_location_sums_to_one(self, palette):
         img = make_image(9, 31, seed=8)
-        stack = build_maps(img, [(ColorSpace.HSV, None, None)], palette, k=5)[0]
+        stack = build_maps(img, [fitted(img, ColorSpace.HSV, palette)], palette, k=5)[0]
         sums = stack.sum(axis=0)
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_mask_changes_fit_not_grid(self, palette):
         img = make_image(9, 31, seed=8)
         mask = make_mask(9, 31, border=3)
-        whole = build_maps(img, [(ColorSpace.RGB, None, None)], palette, k=5)[0]
-        masked = build_maps(img, [(ColorSpace.RGB, mask, None)], palette, k=5)[0]
+        whole = build_maps(img, [fitted(img, ColorSpace.RGB, palette)], palette, k=5)[0]
+        masked = build_maps(img, [fitted(img, ColorSpace.RGB, palette, mask)], palette, k=5)[0]
         assert whole.shape == masked.shape
         assert not np.array_equal(whole, masked)
 
@@ -384,6 +391,15 @@ class TestSiltp:
                 assert codes[i, j] == ref
 
 
+@pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP"])
+def test_mask_of_another_size_is_rejected(palette, kind):
+    """Every feature checks that the mask covers the image's pixels."""
+    image = make_image(18, 48, seed=4)
+    with pytest.raises(DimensionMismatch, match="mask covers 480 pixels but the image has 864"):
+        extract_features(image, make_mask(10, 48), ExtractionConfig(features=(kind,)),
+                         palette=palette)
+
+
 class TestFuse:
     def test_singleton(self, palette):
         img = make_image(12, 33, seed=22)
@@ -505,6 +521,19 @@ class TestPersistence:
         row = lines[1].split(",")
         assert row[0] == "img0"
         assert np.allclose([float(v) for v in row[1:]], reps[0].vector, rtol=1e-6)
+        # A plain id is written unquoted, each value as %.9g.
+        assert lines[1] == "img0," + ",".join("%.9g" % v for v in reps[0].vector)
+
+    def test_csv_export_quotes_a_source_id(self, tmp_path, palette):
+        rep = self.make_reps(palette, n=1)[0]
+        odd = 'c,1/"cam A"/0.ppm'
+        path = tmp_path / "d.csv"
+        export_csv(path, [ImageRepresentation(vector=rep.vector, layout=rep.layout,
+                                              source_id=odd)])
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(header) == len(row) == 1 + rep.dim
+        assert row[0] == odd
 
 
 @settings(max_examples=40, deadline=None)
@@ -672,7 +701,7 @@ class TestMapPasses:
     def test_short_pass_maps_into_the_buffer_head(self, palette, image_name):
         image = self.IMAGES[image_name]()
         grids, colors = descriptor._convert_all(image, ExtractionConfig())
-        maps = [(space, None, None) for space in ExtractionConfig().spaces]
+        maps = [fitted(image, space, palette) for space in ExtractionConfig().spaces]
         rows, pixels = rows_per_map(image), 17 * 40
         work = np.full(3 * (pixels + rows) * 16, np.nan)
         stack = build_maps(image, maps[:2], palette, 5, grids=grids, colors=colors, out=work)
@@ -680,9 +709,8 @@ class TestMapPasses:
         head = 2 * (pixels + rows) * 16
         assert np.shares_memory(stack, work[:head])
         assert np.isnan(work[head:]).all()
-        for i, (space, _, _) in enumerate(maps[:2]):
-            alone = build_maps(image, [(space, None, None)], palette, 5, grids=grids,
-                               colors=colors)
+        for i, pair in enumerate(maps[:2]):
+            alone = build_maps(image, [pair], palette, 5, grids=grids, colors=colors)
             assert_bitwise_equal(stack[i], alone[0])
 
 

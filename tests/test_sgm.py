@@ -308,6 +308,15 @@ class TestStackedFits:
         with pytest.raises(ValueError, match="symmetric"):
             model_from_sigma(np.stack([random_spd(rng), bad]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_is_rejected(self, rng, value):
+        bad = random_spd(rng)
+        bad[1, 2] = bad[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            model_from_sigma(bad)
+        with pytest.raises(ValueError, match="finite"):
+            model_from_sigma(np.stack([random_spd(rng), bad, random_spd(rng)]))
+
     @pytest.mark.parametrize("epsilon0", [0.0, -1.0, np.inf, np.nan])
     def test_bad_epsilon0_is_rejected_for_a_sequence(self, palette, rng, epsilon0):
         with pytest.raises(ValueError, match="epsilon0"):

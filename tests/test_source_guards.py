@@ -1,0 +1,42 @@
+"""Every function of the package reads each of its parameters.
+
+A parameter that no code reads is an option a caller can pass and the
+function silently ignores.  The check parses each module of
+``src/reid_sgm`` with ``ast``; ``self`` and ``cls`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reid_sgm"
+EXEMPT = {"self", "cls"}
+
+
+def unread_parameters(source: str, module: str) -> list[str]:
+    """``module.function(param)`` for each parameter its function never loads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{module}.{name}({param})" for param in params
+                  if param not in EXEMPT and param not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(), path.stem) == []
+
+
+def test_guard_names_an_unread_parameter():
+    source = "def build_maps(image, maps, epsilon0=1e-4):\n    return image, maps\n"
+    assert unread_parameters(source, "descriptor") == ["descriptor.build_maps(epsilon0)"]
