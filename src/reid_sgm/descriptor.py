@@ -303,17 +303,12 @@ def stripe_descriptor(stack: np.ndarray, stripes: int) -> np.ndarray:
     return np.divide(values, totals, out=np.full_like(values, 1.0 / planes), where=totals > 0)
 
 
-def _mask_selection(mask: ForegroundMask | None, count: int) -> np.ndarray | None:
-    """Flat flags of the masked pixels of an image of ``count`` pixels; None
-    for every pixel, which is also what a mask that selects nothing falls
-    back to.  The one check that a mask covers its image."""
+def _mask_selection(mask: ForegroundMask | None) -> np.ndarray | None:
+    """Flat flags of the masked pixels; None for every pixel, which is also
+    what a mask that selects nothing falls back to."""
     if mask is None:
         return None
     keep = mask.values.reshape(-1) == 1
-    if keep.shape[0] != count:
-        raise DimensionMismatch(
-            f"mask covers {keep.shape[0]} pixels but the image has {count}"
-        )
     return keep if keep.any() else None
 
 
@@ -323,15 +318,21 @@ def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
     Conversion is per-pixel, so masking the converted grid equals
     converting the masked selection.
     """
-    keep = _mask_selection(mask, grid.points.shape[0])
+    keep = _mask_selection(mask)
     if keep is None:
         return grid
     return PixelSet(space=grid.space, points=grid.points.take(np.flatnonzero(keep), axis=0))
 
 
-def _views(mask: ForegroundMask | None, config: ExtractionConfig):
+def _views(image: RasterImage, mask: ForegroundMask | None, config: ExtractionConfig):
+    """The (view, mask-or-None) pairs to extract.  The one check that a mask
+    in use has its image's width and height."""
     views = [(VIEW_WHOLE, None)]
     if mask is not None and config.use_mask:
+        if (mask.width, mask.height) != (image.width, image.height):
+            raise DimensionMismatch(
+                f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
+            )
         views.append((VIEW_FOREGROUND, mask))
     return views
 
@@ -374,10 +375,10 @@ def _stripe_histograms(kind: str, codes: list, bins: int, image: RasterImage,
     offsets = labels[:, None] * bins + np.arange(0, bins, bins // channels)
     for array in codes:
         array += offsets
-    views = _views(mask, config)
+    views = _views(image, mask, config)
     segments = []
     for _, view_mask in views:
-        keep = _mask_selection(view_mask, labels.shape[0])
+        keep = _mask_selection(view_mask)
         if keep is not None:
             keep |= (np.bincount(labels[keep], minlength=stripes) == 0)[labels]
             keep = np.flatnonzero(keep)  # a row take is cheaper than a boolean mask
@@ -442,7 +443,7 @@ def extract_sgm(
     # Both views map the same grid; only the fitted model differs.
     if grids is None:
         grids, colors = _convert_all(image, config)
-    views = _views(mask, config)
+    views = _views(image, mask, config)
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
     mapped = views[:1] if config.euclidean else views
@@ -493,8 +494,8 @@ def fit_shared_models(
     selections: dict = {}
     for image, mask in items:
         flat = image.pixels.reshape(-1, 3)
-        for view, view_mask in _views(mask, config):
-            keep = _mask_selection(view_mask, flat.shape[0])
+        for view, view_mask in _views(image, mask, config):
+            keep = _mask_selection(view_mask)
             selections.setdefault(view, []).append(flat if keep is None else flat[keep])
     models = {}
     for view, chunks in selections.items():

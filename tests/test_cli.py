@@ -991,12 +991,35 @@ def test_every_subcommand_reads_each_of_its_arguments():
         assert not unread, (command, sorted(unread))
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # Only train's solver needs scipy; every other stage skips its import cost.
+def test_importing_the_cli_loads_no_scipy(corpus, descriptors, model, tmp_path):
+    # No stage needs scipy: importing the CLI, training on a reduced problem
+    # (2n + r < d) and solving a dense one (2n + r >= d) load none of it.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
                                                                     os.environ.get("PYTHONPATH")])))
-    code = "import sys, reid_sgm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = tmp_path / "m.cclm"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from reid_sgm import ccl, cli\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "loaded()\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "loaded()\n"
+        "rng = np.random.default_rng(5)\n"
+        "pairs = [ccl.PairedSample(rng.normal(size=10), rng.normal(size=10)) for _ in range(8)]\n"
+        "dense = ccl.solve_subspace(ccl.accumulate_stats(pairs), 3)\n"
+        "print(dense.w.shape, np.isfinite(dense.w).all())\n"
+        "loaded()\n"
+    )
+    args = ["train", str(descriptors), str(corpus / "manifest.csv"), "--out", str(out),
+            "--r", "20", "--fraction", "0.5", "--seed", "9"]
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    lines = result.stdout.strip().splitlines()
+    dim, pairs = map(int, re.search(r"d=(\d+) r=20 pairs=(\d+)", result.stdout).groups())
+    assert 2 * pairs + 20 < dim  # the reduced branch
+    assert lines[0] == lines[-3] == lines[-1] == "[]"
+    assert lines[-2] == "(10, 3) True"
+    assert out.read_bytes() == model.read_bytes()

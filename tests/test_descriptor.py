@@ -393,11 +393,33 @@ class TestSiltp:
 
 @pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP"])
 def test_mask_of_another_size_is_rejected(palette, kind):
-    """Every feature checks that the mask covers the image's pixels."""
+    """Every feature checks that the mask has the image's width and height."""
     image = make_image(18, 48, seed=4)
-    with pytest.raises(DimensionMismatch, match="mask covers 480 pixels but the image has 864"):
+    with pytest.raises(DimensionMismatch, match="mask is 10x48 but image is 18x48"):
         extract_features(image, make_mask(10, 48), ExtractionConfig(features=(kind,)),
                          palette=palette)
+
+
+@pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP", "SGM-euclidean", "SGM-shared"])
+def test_transposed_mask_is_rejected(palette, kind):
+    """A mask with the image's pixel count but not its shape is rejected, as by
+    ``convert``, also where SGM fits no model on it."""
+    image = make_image(18, 48, seed=4)
+    mask = ForegroundMask(width=48, height=18, values=np.ones((18, 48), np.uint8))
+    config = ExtractionConfig(features=(kind.split("-")[0],), euclidean=kind == "SGM-euclidean")
+    shared = None
+    if kind == "SGM-shared":
+        shared = fit_shared_models([(image, make_mask(18, 48))], config, palette)
+    with pytest.raises(DimensionMismatch, match="mask is 48x18 but image is 18x48"):
+        extract_features(image, mask, config, palette=palette, shared_models=shared)
+
+
+def test_transposed_mask_is_rejected_by_shared_fit(palette):
+    image = make_image(18, 48, seed=4)
+    mask = ForegroundMask(width=48, height=18, values=np.ones((18, 48), np.uint8))
+    with pytest.raises(DimensionMismatch, match="mask is 48x18 but image is 18x48"):
+        fit_shared_models([(image, make_mask(18, 48)), (image, mask)], ExtractionConfig(),
+                          palette)
 
 
 class TestFuse:
