@@ -146,32 +146,31 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
 
 
 def _coupled_problem(stats: CoupledStats, r: int):
-    """The covariance pair to solve and the basis that lifts its vectors.
+    """The covariance pair to solve and the factor Q that lifts its vectors.
 
     With n pairs, both ridged covariances equal ridge_term * I on the
     complement of the rows of M and E, so every direction there is a
     generalized eigenvector of eigenvalue 1.  When k = 2n + r < d the
-    problem is therefore solved exactly in an orthonormal basis Q
-    (d x k) of those rows padded with the first k - 2n unit vectors:
-    the r extra directions keep at least r eigenvalues of 1 in the
-    reduced problem, as many as the top r of the full one can hold.
-    Returns (Q^T sigma_m Q, Q^T sigma_e Q, Q), or the full matrices
-    and None when k >= d.
+    problem is therefore solved exactly in an orthonormal basis of those
+    rows padded with the first r unit vectors, which keep at least r
+    eigenvalues of 1 in it, as many as the top r of the full one can hold:
+    those unit vectors, then Q of [M[:, r:]^T E[:, r:]^T] = Q R.  In it the
+    rows read [M[:, :r] | R[:, :n]^T] and [E[:, :r] | R[:, n:]^T], so no
+    d x k array is formed.  Returns their ridged Grams and Q, or the full
+    matrices and None when k >= d.
     """
     n = stats.m_rows.shape[0]
-    k = 2 * n + r
-    if k >= stats.dim:
+    if 2 * n + r >= stats.dim:
         return stats.sigma_m, stats.sigma_e, None
     if stats.ridge_term <= 0:
         raise NotPositiveDefinite(
             f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
         )
-    spanning = np.hstack([stats.m_rows.T, stats.e_rows.T, np.eye(stats.dim, k - 2 * n)])
-    basis = np.linalg.qr(spanning)[0]
+    q, upper = np.linalg.qr(np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]]).T)
     return (
-        _ridged_gram(stats.m_rows @ basis, stats.ridge_term),
-        _ridged_gram(stats.e_rows @ basis, stats.ridge_term),
-        basis,
+        _ridged_gram(np.hstack([stats.m_rows[:, :r], upper[:, :n].T]), stats.ridge_term),
+        _ridged_gram(np.hstack([stats.e_rows[:, :r], upper[:, n:].T]), stats.ridge_term),
+        q,
     )
 
 
@@ -189,7 +188,7 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
-    sigma_m, sigma_e, basis = _coupled_problem(stats, r)
+    sigma_m, sigma_e, q = _coupled_problem(stats, r)
     try:
         lower = np.linalg.cholesky(sigma_e)
     except np.linalg.LinAlgError:
@@ -208,11 +207,9 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     eigenvalues = evals[::-1][:r].copy()
     vecs = inv_lower.T @ top
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    w = vecs if basis is None else basis @ vecs
+    w = vecs if q is None else np.vstack([vecs[:r], q @ vecs[r:]])
     signs = np.where(w[np.abs(w).argmax(axis=0), np.arange(r)] < 0, -1.0, 1.0)
-    vecs *= signs
-    if basis is not None:
-        w *= signs
+    w, vecs = w * signs, vecs * signs
 
     proj_m = vecs.T @ sigma_m @ vecs
     proj_e = vecs.T @ sigma_e @ vecs

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -150,8 +151,11 @@ class DescriptorSet(Sequence):
         index = dict(zip(self.source_ids, range(len(self))))
         missing = [sid for sid in ids if sid not in index]
         if missing:
+            root = os.path.dirname(os.path.commonprefix(self.source_ids))
+            moved = f"; none of them has a row: its rows were extracted under {root}"
             raise ArtifactMismatch(
                 f"descriptor file lacks {len(missing)} image(s), first: {missing[0]}"
+                + (moved if root and len(missing) == len(ids) else "")
             )
         return [index[sid] for sid in ids]
 

@@ -142,10 +142,9 @@ def make_splits(
     ids = manifest.person_ids()
     n = len(ids)
     n_train = int(round(fraction * n))
-    if n < 2 or n_train < 1 or n_train >= n:
-        raise TooFewIdentities(
-            f"{n} identities cannot form a {fraction:.3f} train split with a nonempty test side"
-        )
+    if n_train < 1 or n_train >= n:
+        side = "train" if n_train < 1 else "test"
+        raise TooFewIdentities(f"{n} identities at train fraction {fraction} leave the {side} side empty")
     rng = np.random.default_rng(seed)
     splits = []
     for _ in range(n_splits):

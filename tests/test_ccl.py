@@ -19,6 +19,7 @@ from reid_sgm.ccl import (
     score,
     score_matrix,
     solve_subspace,
+    _coupled_problem,
 )
 from reid_sgm.errors import (
     CorruptFile,
@@ -262,16 +263,32 @@ class TestSpanSolve:
     """
 
     @pytest.mark.parametrize(
-        "n, d, r",
+        "n, d, r, views",
         [
-            (6, 40, 5),    # d > 2n + r
-            (3, 40, 10),   # r > 2n: the top r reach into the eigenvalue-1 block
-            (3, 19, 12),   # r > 2n and k = 2n + r = d - 1
-            (20, 30, 5),   # d <= 2n: the full matrices
+            # d > 2n + r
+            pytest.param(6, 40, 5, "noisy", id="6-40-5"),
+            # r > 2n: the top r reach into the eigenvalue-1 block
+            pytest.param(3, 40, 10, "noisy", id="3-40-10"),
+            # r > 2n and k = 2n + r = d - 1
+            pytest.param(3, 19, 12, "noisy", id="3-19-12"),
+            # r < 2n and k = 2n + r = d - 1
+            pytest.param(6, 18, 5, "noisy", id="6-18-5"),
+            # d <= 2n: the full matrices
+            pytest.param(20, 30, 5, "noisy", id="20-30-5"),
+            # pair data only in the first r coordinates: the QR'd block and R are 0
+            pytest.param(6, 40, 5, "head", id="6-40-5-head"),
+            # identical views: E = 0
+            pytest.param(6, 40, 5, "same", id="6-40-5-same"),
         ],
     )
-    def test_matches_dense_oracle(self, rng, n, d, r):
-        stats = accumulate_stats(make_pairs(rng, n=n, d=d, spread=0.5))
+    def test_matches_dense_oracle(self, rng, n, d, r, views):
+        pairs = make_pairs(rng, n=n, d=d, spread=0.5)
+        if views == "head":
+            head = np.arange(d) < r
+            pairs = [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
+        elif views == "same":
+            pairs = [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
+        stats = accumulate_stats(pairs)
         model = solve_subspace(stats, r)
         oracle = dense_oracle_model(stats, r)
         assert model.w.shape == (d, r)
@@ -281,6 +298,19 @@ class TestSpanSolve:
         got = fused_scores(model, probes_raw, gallery_raw)
         ref = fused_scores(oracle, probes_raw, gallery_raw)
         assert relative_error(got, ref) <= 1e-8
+
+    def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
+        n, d, r = 6, 40, 5
+        stats = accumulate_stats(make_pairs(rng, n=n, d=d, spread=0.5))
+        sigma_m, sigma_e, q = _coupled_problem(stats, r)
+        basis = np.zeros((d, 2 * n + r))
+        basis[:r, :r] = np.eye(r)
+        basis[r:, r:] = q
+        assert np.allclose(basis.T @ basis, np.eye(2 * n + r), atol=1e-12)
+        for rows in (stats.m_rows, stats.e_rows):
+            assert relative_error(rows @ basis @ basis.T, rows) <= 1e-12
+        assert relative_error(sigma_m, basis.T @ stats.sigma_m @ basis) <= 1e-12
+        assert relative_error(sigma_e, basis.T @ stats.sigma_e @ basis) <= 1e-12
 
     def test_no_ridge_beyond_span_rejected(self, rng):
         stats = accumulate_stats(make_pairs(rng, n=4, d=30), ridge=0.0)
@@ -301,6 +331,24 @@ class TestSpanSolve:
         assert model.w.shape == (d, r)
         # One d x d float64 matrix would take 3.2 GB.
         assert peak < 64 * 2**20
+
+    def test_reduced_solve_forms_no_pair_span_matrix(self, rng):
+        d, n, r = 20000, 40, 100
+        xs = rng.normal(size=(n, d))
+        ys = xs + 0.3 * rng.normal(size=(n, d))
+        stats = accumulate_stats([PairedSample(x=xs[i], y=ys[i]) for i in range(n)])
+        tracemalloc.start()
+        try:
+            model = solve_subspace(stats, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.w.shape == (d, r)
+        # One d x (2n + r) float64 array takes 27.5 MiB.  The solve peaks
+        # at 59.5 MiB (mostly the QR's copies of the (d - r) x 2n block),
+        # and at 82.7 MiB when it builds and factors the padded d x k
+        # spanning matrix.
+        assert peak < 70 * 2**20
 
 
 class TestProject:

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -334,6 +335,21 @@ class TestTrain:
         ])
         assert code == 1
         assert "r must be >= 1" in capsys.readouterr().err
+
+    def test_moved_corpus_names_where_rows_were_extracted(self, corpus, tmp_path, capsys):
+        before, after = tmp_path / "before", tmp_path / "after"
+        shutil.copytree(corpus, before)
+        desc = tmp_path / "d.sgmd"
+        assert main(["extract", str(before / "manifest.csv"), "--out", str(desc)]) == 0
+        shutil.move(before, after)
+        code = main([
+            "train", str(desc), str(after / "manifest.csv"),
+            "--out", str(tmp_path / "m.cclm"), "--r", "5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"none of them has a row: its rows were extracted under {before / 'images'}" in err
+        assert all(sid.startswith(str(before)) for sid in load_descriptors(desc).source_ids)
 
 
 class TestEval:

@@ -115,8 +115,15 @@ class TestSplits:
 
     def test_too_small_test_side(self):
         manifest = toy_manifest(4)
-        with pytest.raises(TooFewIdentities):
+        message = r"^4 identities at train fraction 0\.999 leave the test side empty$"
+        with pytest.raises(TooFewIdentities, match=message):
             make_splits(manifest, 0.999, 1, seed=0)
+
+    def test_too_small_train_side(self):
+        manifest = toy_manifest(316)
+        message = r"^316 identities at train fraction 0\.0004 leave the train side empty$"
+        with pytest.raises(TooFewIdentities, match=message):
+            make_splits(manifest, 0.0004, 1, seed=0)
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
