@@ -51,7 +51,7 @@ class CoupledStats:
     the rows of ``m_rows`` (M) and ``e_rows`` (E) with the centered
     m = x + y and e = x - y of each pair over sqrt(n).  Reading
     ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
-    does not when 2n + r < d.
+    does not when 2n + r < d, where it factors the rows' 2n x 2n Gram.
     """
 
     dim: int
@@ -146,18 +146,21 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
 
 
 def _coupled_problem(stats: CoupledStats, r: int):
-    """The covariance pair to solve and the factor Q that lifts its vectors.
+    """The covariance pair to solve and the map that lifts its vectors.
 
-    With n pairs, both ridged covariances equal ridge_term * I on the
-    complement of the rows of M and E, so every direction there is a
-    generalized eigenvector of eigenvalue 1.  When k = 2n + r < d the
-    problem is therefore solved exactly in an orthonormal basis of those
-    rows padded with the first r unit vectors, which keep at least r
-    eigenvalues of 1 in it, as many as the top r of the full one can hold:
-    those unit vectors, then Q of [M[:, r:]^T E[:, r:]^T] = Q R.  In it the
-    rows read [M[:, :r] | R[:, :n]^T] and [E[:, :r] | R[:, n:]^T], so no
-    d x k array is formed.  Returns their ridged Grams and Q, or the full
-    matrices and None when k >= d.
+    With n pairs, both ridged covariances equal ridge_term * I off the
+    rows of M and E, so every direction there has eigenvalue 1.  When
+    2n + r < d the problem is solved exactly in an orthonormal basis of
+    at most 2n + r directions that holds the rows and r directions off
+    them: the first r unit vectors, then P^T V L^(-1/2) from the Gram
+    P P^T = V L V^T of the rows' other coordinates P = [M[:, r:]; E[:, r:]],
+    in which the rows read V L^(1/2).  Eigenpairs with L <= 2n eps max(L)
+    (centering nulls, row components below about sqrt(2n eps) of the
+    largest, which the Gram cannot resolve) give way to unit vectors at
+    the coordinates the rows use least, made orthogonal to the rows.
+    Returns the ridged Grams in that basis and the map that lifts solved
+    vectors' last k - r entries, or the full matrices and None when
+    2n + r >= d.
     """
     n = stats.m_rows.shape[0]
     if 2 * n + r >= stats.dim:
@@ -166,11 +169,31 @@ def _coupled_problem(stats: CoupledStats, r: int):
         raise NotPositiveDefinite(
             f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
         )
-    q, upper = np.linalg.qr(np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]]).T)
+    m_tail, e_tail = stats.m_rows[:, r:], stats.e_rows[:, r:]
+    cross = e_tail @ m_tail.T
+    evals, evecs = np.linalg.eigh(np.block([[m_tail @ m_tail.T, cross.T],
+                                            [cross, e_tail @ e_tail.T]]))
+    keep = evals > 2 * n * np.finfo(np.float64).eps * evals[-1]
+    root, evecs = np.sqrt(evals[keep]), evecs[:, keep]
+    used = np.einsum("ij,ij->j", m_tail, m_tail) + np.einsum("ij,ij->j", e_tail, e_tail)
+    pad = np.argsort(used)[: 2 * n - root.size]
+    overlap = (evecs / root).T @ np.vstack([m_tail[:, pad], e_tail[:, pad]])
+    hvals, hvecs = np.linalg.eigh(np.eye(pad.size) - overlap.T @ overlap)
+    # A unit vector nearly inside the rows' span cannot be normalized off it.
+    orth = hvecs[:, hvals > 0.5] / np.sqrt(hvals[hvals > 0.5])
+    zeros = np.zeros((n, orth.shape[1]))
+
+    def lift(coords: np.ndarray) -> np.ndarray:
+        extra = orth @ coords[root.size :]
+        tail = (evecs / root) @ (coords[: root.size] - overlap @ extra)
+        lifted = m_tail.T @ tail[:n] + e_tail.T @ tail[n:]
+        lifted[pad] += extra
+        return lifted
+
     return (
-        _ridged_gram(np.hstack([stats.m_rows[:, :r], upper[:, :n].T]), stats.ridge_term),
-        _ridged_gram(np.hstack([stats.e_rows[:, :r], upper[:, n:].T]), stats.ridge_term),
-        q,
+        _ridged_gram(np.hstack([stats.m_rows[:, :r], evecs[:n] * root, zeros]), stats.ridge_term),
+        _ridged_gram(np.hstack([stats.e_rows[:, :r], evecs[n:] * root, zeros]), stats.ridge_term),
+        lift,
     )
 
 
@@ -180,15 +203,15 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     Factors sigma_e = L L^T, eigendecomposes the whitened commonness
     covariance, and back-transforms.  With n pairs and 2n + r < d this
     runs on the k x k problem of ``_coupled_problem`` and lifts the
-    vectors back, without forming a d x d matrix; the subspace and
-    scores are those of the full problem.  Columns are normalized to
+    vectors back, without forming a d x d or d x k matrix; the subspace
+    and scores are those of the full problem.  Columns are normalized to
     unit length with the largest-magnitude component made positive, and
     the projected-space covariance inverses are computed from the
     W-projected statistics.
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
-    sigma_m, sigma_e, q = _coupled_problem(stats, r)
+    sigma_m, sigma_e, lift = _coupled_problem(stats, r)
     try:
         lower = np.linalg.cholesky(sigma_e)
     except np.linalg.LinAlgError:
@@ -207,7 +230,7 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     eigenvalues = evals[::-1][:r].copy()
     vecs = inv_lower.T @ top
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    w = vecs if q is None else np.vstack([vecs[:r], q @ vecs[r:]])
+    w = vecs if lift is None else np.vstack([vecs[:r], lift(vecs[r:])])
     signs = np.where(w[np.abs(w).argmax(axis=0), np.arange(r)] < 0, -1.0, 1.0)
     w, vecs = w * signs, vecs * signs
 

@@ -659,14 +659,14 @@ def save_descriptors(path, reps: Sequence[ImageRepresentation]) -> None:
     if len({rep.source_id for rep in reps}) != len(reps):
         raise ArtifactMismatch("descriptor rows repeat a source id, which the reader rejects")
     dim = reps[0].dim
-    matrix = np.vstack([rep.vector for rep in reps]).astype("<f4")
+    matrix = np.vstack([rep.vector for rep in reps]).astype("<f4", copy=False)
     footer = json.dumps(
         {"layout": _layout_to_json(layout), "source_ids": [rep.source_id for rep in reps]}
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(DESCRIPTOR_MAGIC)
         fh.write(struct.pack("<HII", DESCRIPTOR_VERSION, len(reps), dim))
-        fh.write(matrix.tobytes())
+        fh.write(matrix)
         fh.write(footer)
 
 
@@ -693,7 +693,7 @@ def load_descriptors(path) -> DescriptorSet:
     need = count * dim * 4
     if len(data) < start + need:
         raise CorruptFile(f"{path}: payload holds {len(data) - start} bytes, expected {need}")
-    matrix = np.frombuffer(data[start : start + need], dtype="<f4").reshape(count, dim)
+    matrix = np.frombuffer(memoryview(data)[start : start + need], dtype="<f4").reshape(count, dim)
     try:
         footer = json.loads(data[start + need :].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

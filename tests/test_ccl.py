@@ -248,14 +248,79 @@ def dense_oracle_model(stats, r):
     )
 
 
+def qr_span_basis(stats, r):
+    """Oracle basis of the reduced solve: the first r unit vectors, then Q of
+    the QR of the pair rows' remaining coordinates [M[:, r:]^T E[:, r:]^T].
+
+    Householder QR resolves row components that a Gram cannot, and always
+    gives 2n columns, so the basis has d x (2n + r) orthonormal columns.
+    """
+    d, n = stats.dim, stats.m_rows.shape[0]
+    q, _ = np.linalg.qr(np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]]).T)
+    basis = np.zeros((d, 2 * n + r))
+    basis[:r, :r] = np.eye(r)
+    basis[r:, r:] = q
+    return basis
+
+
+def qr_oracle_model(stats, r):
+    """Model from scipy's generalized eigensolver in the QR basis."""
+    basis = qr_span_basis(stats, r)
+    sigma_m = basis.T @ stats.sigma_m @ basis
+    sigma_e = basis.T @ stats.sigma_e @ basis
+    vals, vecs = scipy.linalg.eigh(sigma_m, sigma_e)
+    top = vecs[:, ::-1][:, :r]
+    proj_m = top.T @ sigma_m @ top
+    proj_e = top.T @ sigma_e @ top
+    return CclModel(
+        w=basis @ top, eigenvalues=vals[::-1][:r],
+        inv_sigma_m=np.linalg.inv(proj_m),
+        inv_sigma_e=np.linalg.inv(proj_e),
+        inv_sigma=np.linalg.inv(0.5 * (proj_m + proj_e)),
+        mean_x=stats.mean_x, mean_y=stats.mean_y,
+    )
+
+
 def fused_scores(model, probes_raw, gallery_raw):
     return score_matrix(
         model, project(model, gallery_raw, "B"), project(model, probes_raw, "A")
     )
 
 
+def span_pairs(rng, n, d, r, views):
+    pairs = make_pairs(rng, n=n, d=d, spread=0.5)
+    if views == "head":
+        head = np.arange(d) < r
+        return [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
+    if views == "same":
+        return [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
+    if views == "near":
+        # Rows in a 3-d span plus components 1e-5 of its scale, so G's
+        # eigenvalues span ten decades.
+        base = rng.normal(size=(3, d))
+        xs = rng.normal(size=(n, 3)) @ base + 1e-5 * rng.normal(size=(n, d))
+        ys = xs + 0.5 * rng.normal(size=(n, 3)) @ base + 1e-5 * rng.normal(size=(n, d))
+        return [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
+    if views == "siltp":
+        # Histograms: the tail has 6 used bins whose counts sum to one, so
+        # the centered tail rows have rank 5 and G drops 2n - 5 directions.
+        used = np.arange(d) < r
+        used[rng.choice(np.arange(r, d), size=6, replace=False)] = True
+        hists = rng.random(size=(2 * n, d)) * used
+        hists /= hists[:, r:].sum(axis=1, keepdims=True)
+        return [PairedSample(x=hists[i], y=hists[n + i]) for i in range(n)]
+    if views == "line":
+        # Tail rows all multiples of one vector that uses every tail
+        # coordinate: G has rank 1 and no tail column is zero.
+        line = rng.normal(size=d - r)
+        return [PairedSample(x=np.concatenate([p.x[:r], rng.normal() * line]),
+                             y=np.concatenate([p.y[:r], rng.normal() * line])) for p in pairs]
+    return pairs
+
+
 class TestSpanSolve:
-    """The solve in the span of the pairs against the dense d x d oracle.
+    """The solve in the span of the pairs against the dense d x d oracle
+    and the QR-basis oracle.
 
     Vectors inside the degenerate eigenvalue-1 block are not unique, so
     the comparison uses eigenvalues and scores, which that block does
@@ -275,42 +340,52 @@ class TestSpanSolve:
             pytest.param(6, 18, 5, "noisy", id="6-18-5"),
             # d <= 2n: the full matrices
             pytest.param(20, 30, 5, "noisy", id="20-30-5"),
-            # pair data only in the first r coordinates: the QR'd block and R are 0
+            # pair data only in the first r coordinates: G = 0, every tail
+            # direction of the basis is a padding unit vector
             pytest.param(6, 40, 5, "head", id="6-40-5-head"),
             # identical views: E = 0
             pytest.param(6, 40, 5, "same", id="6-40-5-same"),
+            # nearly dependent rows
+            pytest.param(6, 40, 5, "near", id="6-40-5-near"),
+            pytest.param(6, 40, 12, "near", id="6-40-12-near"),
+            # zero tail columns and rows of constant sum
+            pytest.param(6, 40, 5, "siltp", id="6-40-5-siltp"),
+            pytest.param(6, 40, 12, "siltp", id="6-40-12-siltp"),
+            # tail of rank 1 with no zero column; the top r reach into the
+            # eigenvalue-1 block
+            pytest.param(6, 40, 12, "line", id="6-40-12-line"),
         ],
     )
     def test_matches_dense_oracle(self, rng, n, d, r, views):
-        pairs = make_pairs(rng, n=n, d=d, spread=0.5)
-        if views == "head":
-            head = np.arange(d) < r
-            pairs = [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
-        elif views == "same":
-            pairs = [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
-        stats = accumulate_stats(pairs)
+        stats = accumulate_stats(span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
-        oracle = dense_oracle_model(stats, r)
         assert model.w.shape == (d, r)
-        assert np.allclose(model.eigenvalues, oracle.eigenvalues, rtol=1e-8)
         probes_raw = rng.normal(size=(7, d))
         gallery_raw = rng.normal(size=(9, d))
         got = fused_scores(model, probes_raw, gallery_raw)
-        ref = fused_scores(oracle, probes_raw, gallery_raw)
-        assert relative_error(got, ref) <= 1e-8
+        oracles = [dense_oracle_model(stats, r)]
+        if 2 * n + r < d:
+            oracles.append(qr_oracle_model(stats, r))
+        for oracle in oracles:
+            assert np.allclose(model.eigenvalues, oracle.eigenvalues, rtol=1e-8)
+            ref = fused_scores(oracle, probes_raw, gallery_raw)
+            assert relative_error(got, ref) <= 1e-8
 
     def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
         n, d, r = 6, 40, 5
-        stats = accumulate_stats(make_pairs(rng, n=n, d=d, spread=0.5))
-        sigma_m, sigma_e, q = _coupled_problem(stats, r)
-        basis = np.zeros((d, 2 * n + r))
-        basis[:r, :r] = np.eye(r)
-        basis[r:, r:] = q
-        assert np.allclose(basis.T @ basis, np.eye(2 * n + r), atol=1e-12)
-        for rows in (stats.m_rows, stats.e_rows):
-            assert relative_error(rows @ basis @ basis.T, rows) <= 1e-12
-        assert relative_error(sigma_m, basis.T @ stats.sigma_m @ basis) <= 1e-12
-        assert relative_error(sigma_e, basis.T @ stats.sigma_e @ basis) <= 1e-12
+        for views in ("noisy", "head", "siltp", "line"):
+            stats = accumulate_stats(span_pairs(rng, n, d, r, views))
+            sigma_m, sigma_e, lift = _coupled_problem(stats, r)
+            k = sigma_m.shape[0]
+            assert k == 2 * n + r
+            basis = np.zeros((d, k))
+            basis[:r, :r] = np.eye(r)
+            basis[r:, r:] = lift(np.eye(k - r))
+            assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
+            for rows in (stats.m_rows, stats.e_rows):
+                assert relative_error(rows @ basis @ basis.T, rows) <= 1e-12
+            assert relative_error(sigma_m, basis.T @ stats.sigma_m @ basis) <= 1e-12
+            assert relative_error(sigma_e, basis.T @ stats.sigma_e @ basis) <= 1e-12
 
     def test_no_ridge_beyond_span_rejected(self, rng):
         stats = accumulate_stats(make_pairs(rng, n=4, d=30), ridge=0.0)
@@ -345,10 +420,11 @@ class TestSpanSolve:
             tracemalloc.stop()
         assert model.w.shape == (d, r)
         # One d x (2n + r) float64 array takes 27.5 MiB.  The solve peaks
-        # at 59.5 MiB (mostly the QR's copies of the (d - r) x 2n block),
-        # and at 82.7 MiB when it builds and factors the padded d x k
-        # spanning matrix.
-        assert peak < 70 * 2**20
+        # at 47.6 MiB, mostly d x r arrays of 15.3 MiB: the lifted tail,
+        # w stacked from it and w's sign-fixed copy.  A QR of the
+        # (d - r) x 2n block raises the peak to 59.5 MiB, and building and
+        # factoring the padded d x k spanning matrix to 82.7 MiB.
+        assert peak < 55 * 2**20
 
 
 class TestProject:

@@ -501,6 +501,17 @@ class TestPersistence:
         save_descriptors(p2, load_descriptors(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_payload_is_written_and_read_in_place(self, tmp_path, palette):
+        reps = self.make_reps(palette)
+        path = tmp_path / "d.sgmd"
+        save_descriptors(path, reps)
+        payload = np.vstack([rep.vector for rep in reps]).astype("<f4").tobytes()
+        assert path.read_bytes()[14 : 14 + len(payload)] == payload
+        loaded = load_descriptors(path)
+        assert not loaded.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.matrix[0, 0] = 1.0
+
     def test_bad_magic_rejected(self, tmp_path, palette):
         path = tmp_path / "d.sgmd"
         save_descriptors(path, self.make_reps(palette))

@@ -40,3 +40,25 @@ def test_every_parameter_is_read(path):
 def test_guard_names_an_unread_parameter():
     source = "def build_maps(image, maps, epsilon0=1e-4):\n    return image, maps\n"
     assert unread_parameters(source, "descriptor") == ["descriptor.build_maps(epsilon0)"]
+
+
+def qr_calls(source: str, module: str) -> list[str]:
+    """``module:line`` for each use of a QR factorization."""
+    tree = ast.parse(source)
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "qr"]
+    found += [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and any(alias.name == "qr" for alias in node.names)]
+    return [f"{module}:{line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_qr_factorization(path):
+    """The reduced coupled solve has one path, the Gram factor; the QR basis
+    is the oracle in ``tests/test_ccl.py``."""
+    assert qr_calls(path.read_text(), path.stem) == []
+
+
+def test_guard_names_a_qr_call():
+    source = "import numpy as np\nfrom numpy.linalg import qr\n\nq, r = np.linalg.qr(a)\n"
+    assert qr_calls(source, "ccl") == ["ccl:2", "ccl:4"]
