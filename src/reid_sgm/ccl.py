@@ -28,6 +28,9 @@ from .errors import (
 
 DEFAULT_RIDGE = 1e-3
 DEFAULT_SUBSPACE_DIM = 100
+# A Gram resolves a direction to eps over its eigenvalue's share of the
+# largest; directions below this share go on to a Gram of their own.
+GRAM_SHARE = 1e-4
 
 MODEL_MAGIC = b"CCLM"
 MODEL_VERSION = 1
@@ -51,7 +54,7 @@ class CoupledStats:
     the rows of ``m_rows`` (M) and ``e_rows`` (E) with the centered
     m = x + y and e = x - y of each pair over sqrt(n).  Reading
     ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
-    does not when 2n + r < d, where it factors the rows' 2n x 2n Gram.
+    does not when 2n + r < d.
     """
 
     dim: int
@@ -148,19 +151,10 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
 def _coupled_problem(stats: CoupledStats, r: int):
     """The covariance pair to solve and the map that lifts its vectors.
 
-    With n pairs, both ridged covariances equal ridge_term * I off the
-    rows of M and E, so every direction there has eigenvalue 1.  When
-    2n + r < d the problem is solved exactly in an orthonormal basis of
-    at most 2n + r directions that holds the rows and r directions off
-    them: the first r unit vectors, then P^T V L^(-1/2) from the Gram
-    P P^T = V L V^T of the rows' other coordinates P = [M[:, r:]; E[:, r:]],
-    in which the rows read V L^(1/2).  Eigenpairs with L <= 2n eps max(L)
-    (centering nulls, row components below about sqrt(2n eps) of the
-    largest, which the Gram cannot resolve) give way to unit vectors at
-    the coordinates the rows use least, made orthogonal to the rows.
-    Returns the ridged Grams in that basis and the map that lifts solved
-    vectors' last k - r entries, or the full matrices and None when
-    2n + r >= d.
+    When 2n + r < d: the pair in an orthonormal basis of 2n + r
+    directions that holds the pair rows and r directions off them (see
+    the README's ``ccl``), and the map that lifts a solved vector's last
+    2n entries.  Otherwise the full matrices and None.
     """
     n = stats.m_rows.shape[0]
     if 2 * n + r >= stats.dim:
@@ -169,32 +163,57 @@ def _coupled_problem(stats: CoupledStats, r: int):
         raise NotPositiveDefinite(
             f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
         )
-    m_tail, e_tail = stats.m_rows[:, r:], stats.e_rows[:, r:]
-    cross = e_tail @ m_tail.T
-    evals, evecs = np.linalg.eigh(np.block([[m_tail @ m_tail.T, cross.T],
-                                            [cross, e_tail @ e_tail.T]]))
-    keep = evals > 2 * n * np.finfo(np.float64).eps * evals[-1]
-    root, evecs = np.sqrt(evals[keep]), evecs[:, keep]
-    used = np.einsum("ij,ij->j", m_tail, m_tail) + np.einsum("ij,ij->j", e_tail, e_tail)
-    pad = np.argsort(used)[: 2 * n - root.size]
-    overlap = (evecs / root).T @ np.vstack([m_tail[:, pad], e_tail[:, pad]])
-    hvals, hvecs = np.linalg.eigh(np.eye(pad.size) - overlap.T @ overlap)
-    # A unit vector nearly inside the rows' span cannot be normalized off it.
-    orth = hvecs[:, hvals > 0.5] / np.sqrt(hvals[hvals > 0.5])
-    zeros = np.zeros((n, orth.shape[1]))
+    tail = np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]])
+    # rows = left^T tail less parts in earlier blocks (left None: rows = tail).
+    rows, left, blocks, coords = tail, None, [], []
+    while rows.shape[0]:
+        if blocks:
+            # Twice is enough: a row that one pass halves gets a second, and
+            # one that the second halves too lies in the blocks' span.
+            once = _deflate(rows, blocks)
+            cut = np.linalg.norm(once, axis=1) < 0.5 * np.linalg.norm(rows, axis=1)
+            twice = _deflate(once[cut], blocks)
+            keep = np.linalg.norm(twice, axis=1) >= 0.5 * np.linalg.norm(once[cut], axis=1)
+            once[cut] = twice * keep[:, None]
+            rows = once
+        evals, evecs = np.linalg.eigh(rows @ rows.T)
+        if not evals[-1] > 0:
+            break
+        big = evals > GRAM_SHARE * evals[-1]
+        blocks.append((rows, evecs[:, big] / np.sqrt(evals[big])))
+        scaled, rest = evecs[:, big] * np.sqrt(evals[big]), evecs[:, ~big]
+        coords.append(scaled if left is None else left @ scaled)
+        rows, left = rest.T @ rows, rest if left is None else left @ rest
+    count = sum(t.shape[1] for _, t in blocks)
+    if count < 2 * n:
+        # Unit vectors at the 2n least-used coordinates, deflated: at least
+        # 2n - count eigenvalues of their Gram are 1.
+        units = np.zeros((2 * n, tail.shape[1]))
+        units[np.arange(2 * n), np.argsort(np.einsum("ij,ij->j", tail, tail))[: 2 * n]] = 1.0
+        units = _deflate(units, blocks)
+        evals, evecs = np.linalg.eigh(units @ units.T)
+        blocks.append((units, evecs[:, count:] / np.sqrt(evals[count:])))
+    coords = np.hstack(coords + [np.zeros((2 * n, 2 * n - count))])
 
-    def lift(coords: np.ndarray) -> np.ndarray:
-        extra = orth @ coords[root.size :]
-        tail = (evecs / root) @ (coords[: root.size] - overlap @ extra)
-        lifted = m_tail.T @ tail[:n] + e_tail.T @ tail[n:]
-        lifted[pad] += extra
+    def lift(vecs: np.ndarray) -> np.ndarray:
+        lifted = np.zeros((tail.shape[1], vecs.shape[1]))
+        parts = np.split(vecs, np.cumsum([t.shape[1] for _, t in blocks])[:-1])
+        for (b, t), part in zip(blocks, parts):
+            lifted += b.T @ (t @ part)
         return lifted
 
     return (
-        _ridged_gram(np.hstack([stats.m_rows[:, :r], evecs[:n] * root, zeros]), stats.ridge_term),
-        _ridged_gram(np.hstack([stats.e_rows[:, :r], evecs[n:] * root, zeros]), stats.ridge_term),
+        _ridged_gram(np.hstack([stats.m_rows[:, :r], coords[:n]]), stats.ridge_term),
+        _ridged_gram(np.hstack([stats.e_rows[:, :r], coords[n:]]), stats.ridge_term),
         lift,
     )
+
+
+def _deflate(rows: np.ndarray, blocks) -> np.ndarray:
+    """rows less their projections on the blocks' directions b^T t."""
+    for b, t in blocks:
+        rows = rows - (((rows @ b.T) @ t) @ t.T) @ b
+    return rows
 
 
 def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
@@ -231,7 +250,7 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     vecs = inv_lower.T @ top
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     w = vecs if lift is None else np.vstack([vecs[:r], lift(vecs[r:])])
-    signs = np.where(w[np.abs(w).argmax(axis=0), np.arange(r)] < 0, -1.0, 1.0)
+    signs = np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
     w, vecs = w * signs, vecs * signs
 
     proj_m = vecs.T @ sigma_m @ vecs

@@ -252,8 +252,9 @@ def qr_span_basis(stats, r):
     """Oracle basis of the reduced solve: the first r unit vectors, then Q of
     the QR of the pair rows' remaining coordinates [M[:, r:]^T E[:, r:]^T].
 
-    Householder QR resolves row components that a Gram cannot, and always
-    gives 2n columns, so the basis has d x (2n + r) orthonormal columns.
+    Householder QR resolves row components down to rounding in one pass,
+    and always gives 2n columns, so the basis has d x (2n + r) orthonormal
+    columns.
     """
     d, n = stats.dim, stats.m_rows.shape[0]
     q, _ = np.linalg.qr(np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]]).T)
@@ -294,16 +295,19 @@ def span_pairs(rng, n, d, r, views):
         return [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
     if views == "same":
         return [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
-    if views == "near":
-        # Rows in a 3-d span plus components 1e-5 of its scale, so G's
-        # eigenvalues span ten decades.
+    if views.startswith("near"):
+        # Rows in a 3-d span plus components of amplitude a (1e-5, or as
+        # "near:a" names it) against its scale: down to a = 1e-7 the tail
+        # Gram's eigenvalues span 14 decades or more, and below that its
+        # smallest fall under its rounding.
+        amp = float(views[5:]) if views != "near" else 1e-5
         base = rng.normal(size=(3, d))
-        xs = rng.normal(size=(n, 3)) @ base + 1e-5 * rng.normal(size=(n, d))
-        ys = xs + 0.5 * rng.normal(size=(n, 3)) @ base + 1e-5 * rng.normal(size=(n, d))
+        xs = rng.normal(size=(n, 3)) @ base + amp * rng.normal(size=(n, d))
+        ys = xs + 0.5 * rng.normal(size=(n, 3)) @ base + amp * rng.normal(size=(n, d))
         return [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
     if views == "siltp":
         # Histograms: the tail has 6 used bins whose counts sum to one, so
-        # the centered tail rows have rank 5 and G drops 2n - 5 directions.
+        # the centered tail rows have rank 5 and the basis needs padding.
         used = np.arange(d) < r
         used[rng.choice(np.arange(r, d), size=6, replace=False)] = True
         hists = rng.random(size=(2 * n, d)) * used
@@ -315,6 +319,19 @@ def span_pairs(rng, n, d, r, views):
         line = rng.normal(size=d - r)
         return [PairedSample(x=np.concatenate([p.x[:r], rng.normal() * line]),
                              y=np.concatenate([p.y[:r], rng.normal() * line])) for p in pairs]
+    if views == "spike":
+        # Views equal past the first r coordinates (E's tail is 0, so the
+        # basis needs padding), their tails mixing a line that uses every
+        # tail coordinate but the last, none near 0, with a small multiple
+        # of the last one's unit vector: the least-used coordinate's unit
+        # vector lies inside the rows' span.
+        line = 1.0 + rng.random(d - r)
+        line[-1] = 0.0
+        tails = [rng.normal() * line for _ in pairs]
+        for tail in tails:
+            tail[-1] = 1e-2 * rng.normal()
+        return [PairedSample(x=np.concatenate([p.x[:r], tail]), y=np.concatenate([p.y[:r], tail]))
+                for p, tail in zip(pairs, tails)]
     return pairs
 
 
@@ -345,21 +362,34 @@ class TestSpanSolve:
             pytest.param(6, 40, 5, "head", id="6-40-5-head"),
             # identical views: E = 0
             pytest.param(6, 40, 5, "same", id="6-40-5-same"),
-            # nearly dependent rows
+            # nearly dependent rows, down to components the tail Gram
+            # cannot resolve
             pytest.param(6, 40, 5, "near", id="6-40-5-near"),
             pytest.param(6, 40, 12, "near", id="6-40-12-near"),
+            pytest.param(6, 40, 5, "near:1e-6", id="6-40-5-near6"),
+            pytest.param(6, 40, 12, "near:1e-6", id="6-40-12-near6"),
+            pytest.param(6, 40, 5, "near:1e-7", id="6-40-5-near7"),
+            pytest.param(6, 40, 12, "near:1e-7", id="6-40-12-near7"),
+            pytest.param(6, 40, 5, "near:1e-9", id="6-40-5-near9"),
+            pytest.param(6, 40, 12, "near:1e-9", id="6-40-12-near9"),
             # zero tail columns and rows of constant sum
             pytest.param(6, 40, 5, "siltp", id="6-40-5-siltp"),
             pytest.param(6, 40, 12, "siltp", id="6-40-12-siltp"),
             # tail of rank 1 with no zero column; the top r reach into the
             # eigenvalue-1 block
             pytest.param(6, 40, 12, "line", id="6-40-12-line"),
+            # the least-used tail coordinate lies inside the rows' span
+            pytest.param(6, 40, 12, "spike", id="6-40-12-spike"),
         ],
     )
     def test_matches_dense_oracle(self, rng, n, d, r, views):
         stats = accumulate_stats(span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
         assert model.w.shape == (d, r)
+        # Each column solves the full problem, inside the eigenvalue-1 block too.
+        gain = stats.sigma_m @ model.w
+        resid = gain - stats.sigma_e @ model.w * model.eigenvalues
+        assert (np.linalg.norm(resid, axis=0) <= 1e-8 * np.linalg.norm(gain, axis=0)).all()
         probes_raw = rng.normal(size=(7, d))
         gallery_raw = rng.normal(size=(9, d))
         got = fused_scores(model, probes_raw, gallery_raw)
@@ -373,7 +403,7 @@ class TestSpanSolve:
 
     def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
         n, d, r = 6, 40, 5
-        for views in ("noisy", "head", "siltp", "line"):
+        for views in ("noisy", "head", "siltp", "line", "spike", "near:1e-7"):
             stats = accumulate_stats(span_pairs(rng, n, d, r, views))
             sigma_m, sigma_e, lift = _coupled_problem(stats, r)
             k = sigma_m.shape[0]
@@ -420,11 +450,11 @@ class TestSpanSolve:
             tracemalloc.stop()
         assert model.w.shape == (d, r)
         # One d x (2n + r) float64 array takes 27.5 MiB.  The solve peaks
-        # at 47.6 MiB, mostly d x r arrays of 15.3 MiB: the lifted tail,
-        # w stacked from it and w's sign-fixed copy.  A QR of the
-        # (d - r) x 2n block raises the peak to 59.5 MiB, and building and
-        # factoring the padded d x k spanning matrix to 82.7 MiB.
-        assert peak < 55 * 2**20
+        # at 44.8 MiB: the stacked tail of the pair rows (12.1 MiB) and two
+        # d x r arrays of 15.3 MiB, w and its sign-fixed copy.  A QR of
+        # the (d - r) x 2n block raises the peak to 59.5 MiB, and building
+        # and factoring the padded d x k spanning matrix to 82.7 MiB.
+        assert peak < 50 * 2**20
 
 
 class TestProject:

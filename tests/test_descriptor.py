@@ -493,6 +493,9 @@ class TestPersistence:
             assert a.vector.dtype == b.vector.dtype == np.float32
             assert a.layout == b.layout
             assert a.source_id == b.source_id
+        assert not loaded.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.matrix[0, 0] = 1.0
 
     def test_rewrite_is_bitwise_stable(self, tmp_path, palette):
         reps = self.make_reps(palette)
@@ -501,16 +504,24 @@ class TestPersistence:
         save_descriptors(p2, load_descriptors(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_payload_is_written_and_read_in_place(self, tmp_path, palette):
-        reps = self.make_reps(palette)
+    def test_payload_is_not_copied(self, tmp_path):
+        # Saving makes no copy of the stacked float32 matrix and loading
+        # none of the file's bytes: each peaks well under two matrices.
+        count, dim = 64, 8192
+        matrix = np.random.default_rng(0).random((count, dim), dtype=np.float32)
+        layout = (LayoutRecord(kind="SGM", space="RGB", view="whole", stripe=0, length=dim),)
+        reps = [ImageRepresentation(vector=row, layout=layout, source_id=f"img{i}")
+                for i, row in enumerate(matrix)]
         path = tmp_path / "d.sgmd"
-        save_descriptors(path, reps)
-        payload = np.vstack([rep.vector for rep in reps]).astype("<f4").tobytes()
-        assert path.read_bytes()[14 : 14 + len(payload)] == payload
-        loaded = load_descriptors(path)
-        assert not loaded.matrix.flags.writeable
-        with pytest.raises(ValueError):
-            loaded.matrix[0, 0] = 1.0
+        for step in (lambda: save_descriptors(path, reps), lambda: load_descriptors(path)):
+            tracemalloc.start()
+            try:
+                step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * matrix.nbytes
+        assert np.array_equal(load_descriptors(path).matrix, matrix)
 
     def test_bad_magic_rejected(self, tmp_path, palette):
         path = tmp_path / "d.sgmd"

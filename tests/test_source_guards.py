@@ -54,8 +54,8 @@ def qr_calls(source: str, module: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_qr_factorization(path):
-    """The reduced coupled solve has one path, the Gram factor; the QR basis
-    is the oracle in ``tests/test_ccl.py``."""
+    """The reduced coupled solve has one path, the pair rows' Grams; the QR
+    basis is the oracle in ``tests/test_ccl.py``."""
     assert qr_calls(path.read_text(), path.stem) == []
 
 
