@@ -54,7 +54,7 @@ class CoupledStats:
     the rows of ``m_rows`` (M) and ``e_rows`` (E) with the centered
     m = x + y and e = x - y of each pair over sqrt(n).  Reading
     ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
-    does not when 2n + r < d.
+    does not when 2n < d.
     """
 
     dim: int
@@ -132,14 +132,17 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
             raise DimensionMismatch(
                 f"pair for {p.person_id!r} has shapes {p.x.shape}/{p.y.shape}, expected ({dim},)"
             )
-    xs = np.vstack([p.x for p in pairs]).astype(np.float64)
-    ys = np.vstack([p.y for p in pairs]).astype(np.float64)
+    xs = np.vstack([p.x for p in pairs], dtype=np.float64)
+    ys = np.vstack([p.y for p in pairs], dtype=np.float64)
     n = len(pairs)
     mean_x = xs.mean(axis=0)
     mean_y = ys.mean(axis=0)
-    root_n = np.sqrt(n)
-    m_rows = ((xs - mean_x) + (ys - mean_y)) / root_n
-    e_rows = ((xs - mean_x) - (ys - mean_y)) / root_n
+    xs -= mean_x
+    ys -= mean_y
+    m_rows = xs + ys
+    e_rows = np.subtract(xs, ys, out=xs)
+    m_rows /= np.sqrt(n)
+    e_rows /= np.sqrt(n)
     scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * dim)
     return CoupledStats(
         dim=dim, mean_x=mean_x, mean_y=mean_y, pair_count=n,
@@ -148,24 +151,25 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
     )
 
 
-def _coupled_problem(stats: CoupledStats, r: int):
+def _coupled_problem(stats: CoupledStats):
     """The covariance pair to solve and the map that lifts its vectors.
 
-    When 2n + r < d: the pair in an orthonormal basis of 2n + r
-    directions that holds the pair rows and r directions off them (see
-    the README's ``ccl``), and the map that lifts a solved vector's last
-    2n entries.  Otherwise the full matrices and None.
+    When 2n < d: the pair in an orthonormal basis of the pair rows' span,
+    k <= 2n directions (see the README's ``ccl``), and ``lift(vecs,
+    pad)``, which maps k-vectors to d coordinates and fills the columns
+    ``pad`` (zero in vecs) with orthonormal directions off that span.
+    Otherwise the full matrices and None.
     """
     n = stats.m_rows.shape[0]
-    if 2 * n + r >= stats.dim:
+    if 2 * n >= stats.dim:
         return stats.sigma_m, stats.sigma_e, None
     if stats.ridge_term <= 0:
         raise NotPositiveDefinite(
             f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
         )
-    tail = np.vstack([stats.m_rows[:, r:], stats.e_rows[:, r:]])
-    # rows = left^T tail less parts in earlier blocks (left None: rows = tail).
-    rows, left, blocks, coords = tail, None, [], []
+    pair_rows = np.vstack([stats.m_rows, stats.e_rows])
+    # rows = left^T pair_rows less parts in earlier blocks (left None: all).
+    rows, left, blocks, coords = pair_rows, None, [], []
     while rows.shape[0]:
         if blocks:
             # Twice is enough: a row that one pass halves gets a second, and
@@ -184,27 +188,36 @@ def _coupled_problem(stats: CoupledStats, r: int):
         scaled, rest = evecs[:, big] * np.sqrt(evals[big]), evecs[:, ~big]
         coords.append(scaled if left is None else left @ scaled)
         rows, left = rest.T @ rows, rest if left is None else left @ rest
-    count = sum(t.shape[1] for _, t in blocks)
-    if count < 2 * n:
-        # Unit vectors at the 2n least-used coordinates, deflated: at least
-        # 2n - count eigenvalues of their Gram are 1.
-        units = np.zeros((2 * n, tail.shape[1]))
-        units[np.arange(2 * n), np.argsort(np.einsum("ij,ij->j", tail, tail))[: 2 * n]] = 1.0
-        units = _deflate(units, blocks)
-        evals, evecs = np.linalg.eigh(units @ units.T)
-        blocks.append((units, evecs[:, count:] / np.sqrt(evals[count:])))
-    coords = np.hstack(coords + [np.zeros((2 * n, 2 * n - count))])
+    coords = np.hstack(coords)
+    k = coords.shape[1]
 
-    def lift(vecs: np.ndarray) -> np.ndarray:
-        lifted = np.zeros((tail.shape[1], vecs.shape[1]))
+    def span(vecs: np.ndarray, at=slice(None)) -> np.ndarray:
+        """Rows ``at`` of the basis times vecs."""
         parts = np.split(vecs, np.cumsum([t.shape[1] for _, t in blocks])[:-1])
-        for (b, t), part in zip(blocks, parts):
-            lifted += b.T @ (t @ part)
+        terms = (b[:, at].T @ (t @ part) for (b, t), part in zip(blocks, parts))
+        lifted = next(terms)
+        for term in terms:
+            lifted += term
+        return lifted
+
+    def lift(vecs: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        if not pad.size:
+            return span(vecs)
+        # The first k + s unit vectors less their parts `near` in the span:
+        # at least s eigenvalues of their Gram I - near near^T are 1, and its
+        # top s eigenpairs combine them into s orthonormal directions.
+        at = slice(k + pad.size)
+        near = span(np.eye(k), at)
+        evals, evecs = np.linalg.eigh(np.eye(k + pad.size) - near @ near.T)
+        units = np.zeros((k + pad.size, vecs.shape[1]))
+        units[:, pad] = evecs[:, -pad.size :] / np.sqrt(evals[-pad.size :])
+        lifted = span(vecs - near.T @ units)
+        lifted[at] += units
         return lifted
 
     return (
-        _ridged_gram(np.hstack([stats.m_rows[:, :r], coords[:n]]), stats.ridge_term),
-        _ridged_gram(np.hstack([stats.e_rows[:, :r], coords[n:]]), stats.ridge_term),
+        _ridged_gram(coords[:n], stats.ridge_term),
+        _ridged_gram(coords[n:], stats.ridge_term),
         lift,
     )
 
@@ -220,43 +233,48 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     """Top-r generalized eigenvectors of (sigma_m, sigma_e) by whitening.
 
     Factors sigma_e = L L^T, eigendecomposes the whitened commonness
-    covariance, and back-transforms.  With n pairs and 2n + r < d this
-    runs on the k x k problem of ``_coupled_problem`` and lifts the
-    vectors back, without forming a d x d or d x k matrix; the subspace
-    and scores are those of the full problem.  Columns are normalized to
-    unit length with the largest-magnitude component made positive, and
-    the projected-space covariance inverses are computed from the
-    W-projected statistics.
+    covariance, and back-transforms.  With n pairs and 2n < d this runs on
+    the k x k problem of ``_coupled_problem`` (k <= 2n) and lifts the
+    vectors back, padding with eigenvalue-1 directions off the pair rows'
+    span when fewer than r eigenvalues exceed 1 (see the README's
+    ``ccl``); the subspace and scores are those of the full problem.
+    Columns are normalized to unit length with the largest-magnitude
+    component made positive, and the projected-space covariance inverses
+    are computed from the W-projected statistics.
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
-    sigma_m, sigma_e, lift = _coupled_problem(stats, r)
+    sigma_m, sigma_e, lift = _coupled_problem(stats)
     try:
         lower = np.linalg.cholesky(sigma_e)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("difference covariance is not positive-definite") from None
 
-    # numpy has no triangular solve, so the inverse of the Cholesky factor
-    # whitens and back-transforms.  Even at d = 1280 its extra cost over
-    # triangular solves is below the 0.2 s of CPU that loading scipy.linalg
-    # for them costs.
+    # numpy has no triangular solve; the Cholesky factor's inverse costs less
+    # than the 0.2 s of CPU that loading scipy.linalg for one would.
     inv_lower = np.linalg.inv(lower)
     whitened = inv_lower @ sigma_m @ inv_lower.T
     whitened = 0.5 * (whitened + whitened.T)
     evals, evecs = np.linalg.eigh(whitened)
 
-    top = evecs[:, ::-1][:, :r]
-    eigenvalues = evals[::-1][:r].copy()
-    vecs = inv_lower.T @ top
+    above = int(np.count_nonzero(evals > 1.0))
+    pad = np.arange(above, above + min(max(r - above, 0), stats.dim - evals.size))
+    kept = r - pad.size
+    vecs = inv_lower.T @ evecs[:, ::-1][:, :kept]
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    w = vecs if lift is None else np.vstack([vecs[:r], lift(vecs[r:])])
+    # The padding columns sit between the eigenvalues above 1 and the rest.
+    eigenvalues = np.insert(evals[::-1][:kept], np.full(pad.size, above), 1.0)
+    vecs = np.insert(vecs, np.full(pad.size, above), 0.0, axis=1)
+    w = vecs.copy() if lift is None else lift(vecs, pad)
     signs = np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
-    w, vecs = w * signs, vecs * signs
+    w *= signs
+    vecs *= signs
 
     proj_m = vecs.T @ sigma_m @ vecs
     proj_e = vecs.T @ sigma_e @ vecs
     proj_m = 0.5 * (proj_m + proj_m.T)
     proj_e = 0.5 * (proj_e + proj_e.T)
+    proj_m[pad, pad] = proj_e[pad, pad] = stats.ridge_term
     proj_avg = 0.5 * (proj_m + proj_e)
     return CclModel(
         w=w,

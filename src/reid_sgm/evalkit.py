@@ -141,7 +141,8 @@ def make_splits(
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     ids = manifest.person_ids()
     n = len(ids)
-    n_train = int(round(fraction * n))
+    # Halves round up, so the extra identity of an odd corpus trains.
+    n_train = math.floor(fraction * n + 0.5)
     if n_train < 1 or n_train >= n:
         side = "train" if n_train < 1 else "test"
         raise TooFewIdentities(f"{n} identities at train fraction {fraction} leave the {side} side empty")

@@ -149,6 +149,27 @@ class TestAccumulateStats:
         assert np.abs(a.sigma_m - b.sigma_m).max() <= 1e-12
         assert np.abs(a.sigma_e - b.sigma_e).max() <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_bits_match_the_direct_formula(self, rng, dtype):
+        # The centering runs in place; means, rows and ridge keep the bits
+        # of the formula with one centered copy per view and term.
+        n, d = 23, 37
+        xs = (100 * rng.normal(size=(n, d))).astype(dtype)
+        ys = (100 * rng.normal(size=(n, d))).astype(dtype)
+        inputs = xs.copy(), ys.copy()
+        stats = accumulate_stats([PairedSample(x=xs[i], y=ys[i]) for i in range(n)])
+        x64, y64 = xs.astype(np.float64), ys.astype(np.float64)
+        mean_x, mean_y = x64.mean(axis=0), y64.mean(axis=0)
+        m_rows = ((x64 - mean_x) + (y64 - mean_y)) / np.sqrt(n)
+        e_rows = ((x64 - mean_x) - (y64 - mean_y)) / np.sqrt(n)
+        scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * d)
+        for got, want in ((stats.mean_x, mean_x), (stats.mean_y, mean_y),
+                          (stats.m_rows, m_rows), (stats.e_rows, e_rows)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert stats.ridge_term == 1e-3 * scale
+        # The pairs' own arrays are left as they were.
+        assert np.array_equal(xs, inputs[0]) and np.array_equal(ys, inputs[1])
+
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
             accumulate_stats([PairedSample(x=np.zeros(2), y=np.zeros(2))])
@@ -249,8 +270,8 @@ def dense_oracle_model(stats, r):
 
 
 def qr_span_basis(stats, r):
-    """Oracle basis of the reduced solve: the first r unit vectors, then Q of
-    the QR of the pair rows' remaining coordinates [M[:, r:]^T E[:, r:]^T].
+    """Oracle basis that holds the pair rows' span: the first r unit vectors,
+    then Q of the QR of the rows' remaining coordinates [M[:, r:]^T E[:, r:]^T].
 
     Householder QR resolves row components down to rounding in one pass,
     and always gives 2n columns, so the basis has d x (2n + r) orthonormal
@@ -295,9 +316,15 @@ def span_pairs(rng, n, d, r, views):
         return [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
     if views == "same":
         return [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
+    if views == "faint":
+        # The first half of the coordinates at 1e-7 of the rest: there the
+        # basis rows are tiny, so the Gram that combines unit vectors into
+        # padding has eigenvalues within 1e-13 of 1 besides those equal to 1.
+        faint = np.where(np.arange(d) < d // 2, 1e-7, 1.0)
+        return [PairedSample(x=p.x * faint, y=p.y * faint) for p in pairs]
     if views.startswith("near"):
         # Rows in a 3-d span plus components of amplitude a (1e-5, or as
-        # "near:a" names it) against its scale: down to a = 1e-7 the tail
+        # "near:a" names it) against its scale: down to a = 1e-7 the rows'
         # Gram's eigenvalues span 14 decades or more, and below that its
         # smallest fall under its rounding.
         amp = float(views[5:]) if views != "near" else 1e-5
@@ -307,7 +334,7 @@ def span_pairs(rng, n, d, r, views):
         return [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
     if views == "siltp":
         # Histograms: the tail has 6 used bins whose counts sum to one, so
-        # the centered tail rows have rank 5 and the basis needs padding.
+        # the centered tail rows have rank 5 and k < 2n.
         used = np.arange(d) < r
         used[rng.choice(np.arange(r, d), size=6, replace=False)] = True
         hists = rng.random(size=(2 * n, d)) * used
@@ -315,16 +342,15 @@ def span_pairs(rng, n, d, r, views):
         return [PairedSample(x=hists[i], y=hists[n + i]) for i in range(n)]
     if views == "line":
         # Tail rows all multiples of one vector that uses every tail
-        # coordinate: G has rank 1 and no tail column is zero.
+        # coordinate: the tail has rank 1 and no zero column.
         line = rng.normal(size=d - r)
         return [PairedSample(x=np.concatenate([p.x[:r], rng.normal() * line]),
                              y=np.concatenate([p.y[:r], rng.normal() * line])) for p in pairs]
     if views == "spike":
-        # Views equal past the first r coordinates (E's tail is 0, so the
-        # basis needs padding), their tails mixing a line that uses every
-        # tail coordinate but the last, none near 0, with a small multiple
-        # of the last one's unit vector: the least-used coordinate's unit
-        # vector lies inside the rows' span.
+        # Views equal past the first r coordinates (E's tail is 0), their
+        # tails mixing a line that uses every tail coordinate but the last,
+        # none near 0, with a small multiple of the last one's unit vector:
+        # the least-used coordinate's unit vector lies inside the rows' span.
         line = 1.0 + rng.random(d - r)
         line[-1] = 0.0
         tails = [rng.normal() * line for _ in pairs]
@@ -351,21 +377,30 @@ class TestSpanSolve:
             pytest.param(6, 40, 5, "noisy", id="6-40-5"),
             # r > 2n: the top r reach into the eigenvalue-1 block
             pytest.param(3, 40, 10, "noisy", id="3-40-10"),
-            # r > 2n and k = 2n + r = d - 1
+            # r > 2n and d = 2n + r + 1
             pytest.param(3, 19, 12, "noisy", id="3-19-12"),
-            # r < 2n and k = 2n + r = d - 1
+            # r < 2n and d = 2n + r + 1
             pytest.param(6, 18, 5, "noisy", id="6-18-5"),
+            # full-rank rows with fewer than r eigenvalues above 1 and r < 2n:
+            # padding follows them, and at d = 2n + 2 it runs out and the
+            # eigenvalues below 1 follow it
+            pytest.param(6, 40, 8, "noisy", id="6-40-8"),
+            pytest.param(6, 14, 10, "noisy", id="6-14-10"),
             # d <= 2n: the full matrices
             pytest.param(20, 30, 5, "noisy", id="20-30-5"),
-            # pair data only in the first r coordinates: G = 0, every tail
-            # direction of the basis is a padding unit vector
+            # pair data only in the first r coordinates: k <= r, and most of
+            # the first k + s unit vectors, which the padding combines, lie
+            # in the rows' span
             pytest.param(6, 40, 5, "head", id="6-40-5-head"),
             # identical views: E = 0
             pytest.param(6, 40, 5, "same", id="6-40-5-same"),
-            # nearly dependent rows, down to components the tail Gram
-            # cannot resolve
+            # padding built where the basis rows are tiny
+            pytest.param(6, 40, 10, "faint", id="6-40-10-faint"),
+            # nearly dependent rows, down to components one Gram of the
+            # rows cannot resolve
             pytest.param(6, 40, 5, "near", id="6-40-5-near"),
             pytest.param(6, 40, 12, "near", id="6-40-12-near"),
+            pytest.param(6, 40, 14, "near", id="6-40-14-near"),
             pytest.param(6, 40, 5, "near:1e-6", id="6-40-5-near6"),
             pytest.param(6, 40, 12, "near:1e-6", id="6-40-12-near6"),
             pytest.param(6, 40, 5, "near:1e-7", id="6-40-5-near7"),
@@ -402,20 +437,52 @@ class TestSpanSolve:
             assert relative_error(got, ref) <= 1e-8
 
     def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
-        n, d, r = 6, 40, 5
+        n, d = 6, 40
         for views in ("noisy", "head", "siltp", "line", "spike", "near:1e-7"):
-            stats = accumulate_stats(span_pairs(rng, n, d, r, views))
-            sigma_m, sigma_e, lift = _coupled_problem(stats, r)
+            stats = accumulate_stats(span_pairs(rng, n, d, 5, views))
+            sigma_m, sigma_e, lift = _coupled_problem(stats)
             k = sigma_m.shape[0]
-            assert k == 2 * n + r
-            basis = np.zeros((d, k))
-            basis[:r, :r] = np.eye(r)
-            basis[r:, r:] = lift(np.eye(k - r))
+            assert k <= 2 * n
+            basis = lift(np.eye(k), np.arange(0))
+            assert basis.shape == (d, k)
             assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
             for rows in (stats.m_rows, stats.e_rows):
                 assert relative_error(rows @ basis @ basis.T, rows) <= 1e-12
             assert relative_error(sigma_m, basis.T @ stats.sigma_m @ basis) <= 1e-12
             assert relative_error(sigma_e, basis.T @ stats.sigma_e @ basis) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, d, r, views",
+        [
+            pytest.param(6, 40, 8, "noisy", id="6-40-8"),
+            pytest.param(6, 14, 10, "noisy", id="6-14-10"),
+            pytest.param(6, 40, 14, "near", id="6-40-14-near"),
+            pytest.param(6, 40, 12, "spike", id="6-40-12-spike"),
+            pytest.param(6, 40, 5, "head", id="6-40-5-head"),
+            pytest.param(6, 40, 10, "faint", id="6-40-10-faint"),
+        ],
+    )
+    def test_padding_lies_off_the_rows_between_the_eigenvalues(self, rng, n, d, r, views):
+        # Directions in the rows' span can have eigenvalue 1 to rounding, so
+        # the padding columns are found by position, not by value.
+        stats = accumulate_stats(span_pairs(rng, n, d, r, views))
+        model = solve_subspace(stats, r)
+        k = _coupled_problem(stats)[0].shape[0]
+        above = int(np.count_nonzero(model.eigenvalues > 1.0))
+        pad = np.zeros(r, dtype=bool)
+        pad[above : above + min(r - above, d - k)] = True
+        assert pad.any()
+        assert (model.eigenvalues[pad] == 1.0).all()
+        assert (np.diff(model.eigenvalues) <= 0).all()
+        padding = model.w[:, pad]
+        assert np.allclose(padding.T @ padding, np.eye(pad.sum()), atol=1e-12)
+        for rows in (stats.m_rows, stats.e_rows):
+            assert np.abs(rows @ padding).max() <= 1e-12 * np.abs(rows).max()
+        inverses = (model.inv_sigma_m, model.inv_sigma_e, model.inv_sigma)
+        for inv in inverses:
+            assert np.allclose(inv[np.ix_(pad, pad)], np.eye(pad.sum()) / stats.ridge_term,
+                               rtol=1e-12)
+            assert not inv[np.ix_(pad, ~pad)].any()
 
     def test_no_ridge_beyond_span_rejected(self, rng):
         stats = accumulate_stats(make_pairs(rng, n=4, d=30), ridge=0.0)
@@ -450,10 +517,10 @@ class TestSpanSolve:
             tracemalloc.stop()
         assert model.w.shape == (d, r)
         # One d x (2n + r) float64 array takes 27.5 MiB.  The solve peaks
-        # at 44.8 MiB: the stacked tail of the pair rows (12.1 MiB) and two
-        # d x r arrays of 15.3 MiB, w and its sign-fixed copy.  A QR of
-        # the (d - r) x 2n block raises the peak to 59.5 MiB, and building
-        # and factoring the padded d x k spanning matrix to 82.7 MiB.
+        # at 44.0 MiB: the stacked pair rows (12.2 MiB) and two d x r
+        # arrays of 15.3 MiB, w and one level's term of the lift.  Here 60
+        # of the top 100 are padding; building them as a d x (k + s) array
+        # of unit vectors and factoring it would add 21 MiB or more.
         assert peak < 50 * 2**20
 
 

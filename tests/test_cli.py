@@ -1009,7 +1009,7 @@ def test_every_subcommand_reads_each_of_its_arguments():
 
 def test_importing_the_cli_loads_no_scipy(corpus, descriptors, model, tmp_path):
     # No stage needs scipy: importing the CLI, training on a reduced problem
-    # (2n + r < d) and solving a dense one (2n + r >= d) load none of it.
+    # (2n < d) and solving a dense one (2n >= d) load none of it.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
                                                                     os.environ.get("PYTHONPATH")])))
@@ -1035,7 +1035,7 @@ def test_importing_the_cli_loads_no_scipy(corpus, descriptors, model, tmp_path):
                             text=True, timeout=120, check=True)
     lines = result.stdout.strip().splitlines()
     dim, pairs = map(int, re.search(r"d=(\d+) r=20 pairs=(\d+)", result.stdout).groups())
-    assert 2 * pairs + 20 < dim  # the reduced branch
+    assert 2 * pairs < dim  # the reduced branch
     assert lines[0] == lines[-3] == lines[-1] == "[]"
     assert lines[-2] == "(10, 3) True"
     assert out.read_bytes() == model.read_bytes()

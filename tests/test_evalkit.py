@@ -96,6 +96,11 @@ class TestSplits:
         assert len(split.test_ids) == 316
         assert not set(split.train_ids) & set(split.test_ids)
 
+    @pytest.mark.parametrize("n_ids, n_train", [(5, 3), (7, 4), (9, 5), (11, 6)])
+    def test_odd_corpus_half_rounds_up(self, n_ids, n_train):
+        split = make_splits(toy_manifest(n_ids), 0.5, 1, seed=4)[0]
+        assert (len(split.train_ids), len(split.test_ids)) == (n_train, n_ids - n_train)
+
     def test_deterministic(self):
         manifest = toy_manifest(50)
         a = make_splits(manifest, 0.5, 3, seed=11)
