@@ -20,17 +20,16 @@ import numpy as np
 
 from reid_sgm import (
     ExtractionConfig,
-    PairedSample,
     accumulate_stats,
     cmc_single_shot,
     default_palette,
-    evaluate_single_shot,
     extract_sgm,
     load_image,
     load_mask,
     make_splits,
     project,
     report,
+    score_matrix,
     solve_subspace,
     synth_dataset,
 )
@@ -69,20 +68,23 @@ path_a = {e.person_id: e.image_path for e in manifest.rows("A")}
 path_b = {e.person_id: e.image_path for e in manifest.rows("B")}
 
 
+def view_matrix(features, paths, ids):
+    """One row per identity, in ``ids`` order: row-aligned across cameras."""
+    return np.vstack([features[paths[p]] for p in ids])
+
+
 def curve_with_subspace(features):
-    pairs = [
-        PairedSample(x=features[path_a[p]], y=features[path_b[p]], person_id=p)
-        for p in split.train_ids
-    ]
-    model = solve_subspace(accumulate_stats(pairs), RANK)
-    probes = np.vstack([project(model, features[path_a[p]], "A") for p in split.test_ids])
-    gallery = np.vstack([project(model, features[path_b[p]], "B") for p in split.test_ids])
-    return evaluate_single_shot(model, probes, split.test_ids, gallery, split.test_ids)
+    xs = view_matrix(features, path_a, split.train_ids)
+    ys = view_matrix(features, path_b, split.train_ids)
+    model = solve_subspace(accumulate_stats(xs, ys), RANK)
+    probes = project(model, view_matrix(features, path_a, split.test_ids), "A")
+    gallery = project(model, view_matrix(features, path_b, split.test_ids), "B")
+    return cmc_single_shot(score_matrix(model, gallery, probes), split.test_ids, split.test_ids)
 
 
 def curve_without_learning(features):
-    probes = np.vstack([features[path_a[p]] for p in split.test_ids])
-    gallery = np.vstack([features[path_b[p]] for p in split.test_ids])
+    probes = view_matrix(features, path_a, split.test_ids)
+    gallery = view_matrix(features, path_b, split.test_ids)
     dist2 = ((probes[:, None, :] - gallery[None, :, :]) ** 2).sum(axis=2)
     return cmc_single_shot(-dist2, split.test_ids, split.test_ids)
 

@@ -10,12 +10,10 @@ with CMC curves.  See the demos/ scripts for guided tours.
 from .ccl import (
     CclModel,
     CoupledStats,
-    PairedSample,
     accumulate_stats,
     load_models,
     project,
     save_models,
-    score,
     score_matrix,
     solve_subspace,
 )
@@ -44,7 +42,6 @@ from .evalkit import (
     SynthSpec,
     cmc_multi_shot,
     cmc_single_shot,
-    evaluate_single_shot,
     load_manifest,
     make_splits,
     report,

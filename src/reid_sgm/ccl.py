@@ -1,12 +1,12 @@
 """Cross-view coupled subspace learning and similarity scoring.
 
-Matched cross-camera pairs (x, y) define the coupled variables
-m = x + y (commonness) and e = x - y (difference).  The projection W
-maximizes the ratio of the intra-personal commonness variance to the
-intra-personal difference variance, which reduces to a generalized
-eigenproblem solved here by Cholesky whitening.  Similarity of two
-projected vectors combines quadratic forms of m and e under the
-projected-space covariance inverses.
+Matched cross-camera pairs (x, y), as two row-aligned view matrices,
+define the coupled variables m = x + y (commonness) and e = x - y
+(difference).  The projection W maximizes the ratio of the
+intra-personal commonness variance to the intra-personal difference
+variance, which reduces to a generalized eigenproblem solved here by
+Cholesky whitening.  ``score_matrix`` combines quadratic forms of m and
+e under the projected-space covariance inverses.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ MODEL_MAGIC = b"CCLM"
 MODEL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """One matched cross-camera pair; x from camera A, y from camera B."""
-
-    x: np.ndarray
-    y: np.ndarray
-    person_id: str = ""
-
-
 @dataclass(frozen=True, kw_only=True)
 class CoupledStats:
     """Means and ridged intra-personal covariances of the coupled variables.
@@ -60,7 +51,6 @@ class CoupledStats:
     dim: int
     mean_x: np.ndarray
     mean_y: np.ndarray
-    pair_count: int
     m_rows: np.ndarray
     e_rows: np.ndarray
     ridge_term: float
@@ -111,30 +101,28 @@ class CclModel:
         return int(self.w.shape[1])
 
 
-def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) -> CoupledStats:
+def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
     """Estimate coupled covariances from matched pairs.
 
-    Both views are centered on their own training mean, which makes m
-    and e zero-centered.  Each covariance receives a ridge of
+    ``xs`` and ``ys`` are row-aligned (n, d) matrices, row i of each one
+    pair (x from camera A, y from camera B).  Both views are centered on
+    their own training mean, in float64 copies, which makes m and e
+    zero-centered.  Each covariance receives a ridge of
     ``ridge * s * I`` where s is the mean diagonal of the averaged
     coupled covariance; the shared scale keeps the difference side
     positive-definite even when every pair matches exactly.  The
     covariances stay factored (see ``CoupledStats``), so memory is
     O(n d) rather than O(d^2).
     """
-    if len(pairs) < 2:
-        raise TooFewPairs(f"need at least 2 pairs, got {len(pairs)}")
+    xs = np.array(xs, dtype=np.float64)
+    ys = np.array(ys, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape != ys.shape:
+        raise DimensionMismatch(f"views must be (n, d) and alike, got {xs.shape}/{ys.shape}")
+    n, dim = xs.shape
+    if n < 2:
+        raise TooFewPairs(f"need at least 2 pairs, got {n}")
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
-    dim = pairs[0].x.shape[0]
-    for p in pairs:
-        if p.x.shape != (dim,) or p.y.shape != (dim,):
-            raise DimensionMismatch(
-                f"pair for {p.person_id!r} has shapes {p.x.shape}/{p.y.shape}, expected ({dim},)"
-            )
-    xs = np.vstack([p.x for p in pairs], dtype=np.float64)
-    ys = np.vstack([p.y for p in pairs], dtype=np.float64)
-    n = len(pairs)
     mean_x = xs.mean(axis=0)
     mean_y = ys.mean(axis=0)
     xs -= mean_x
@@ -145,7 +133,7 @@ def accumulate_stats(pairs: list[PairedSample], ridge: float = DEFAULT_RIDGE) ->
     e_rows /= np.sqrt(n)
     scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * dim)
     return CoupledStats(
-        dim=dim, mean_x=mean_x, mean_y=mean_y, pair_count=n,
+        dim=dim, mean_x=mean_x, mean_y=mean_y,
         m_rows=m_rows, e_rows=e_rows,
         ridge_term=ridge * scale if ridge > 0 and scale > 0 else 0.0,
     )
@@ -310,35 +298,14 @@ def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
     return (rep - mean) @ model.w
 
 
-def score(model: CclModel, px: np.ndarray, py: np.ndarray) -> float:
-    """Similarity of two projected vectors; higher means more alike.
-
-    The commonness m = px + py is rewarded and the difference
-    e = px - py penalized through the projected covariance inverses.
-    Symmetric in its arguments.
-    """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    if px.shape != (model.rank,) or py.shape != (model.rank,):
-        raise DimensionMismatch(
-            f"projected vectors must have dim {model.rank}, got {px.shape} and {py.shape}"
-        )
-    gain_m = model.inv_sigma - model.inv_sigma_m
-    cost_e = model.inv_sigma_e - model.inv_sigma
-    m = px + py
-    e = px - py
-    return float(m @ (gain_m @ m) - e @ (cost_e @ e))
-
-
 def score_matrix(model: CclModel, gallery, probes) -> np.ndarray:
     """All-pairs similarity; rows are probes, columns gallery entries.
 
-    Expands ``score`` as p^T A p + g^T A g + 2 p^T B g with
-    A = gain - cost and B = gain + cost, which takes two GEMMs and two
-    row-wise quadratic forms instead of one small product per entry.
-    Entries agree with individual ``score`` calls to 1e-12 of the
-    largest score, not bit for bit, since the terms are summed in
-    another order.
+    The commonness m = p + g is rewarded through gain = inv_sigma -
+    inv_sigma_m and the difference e = p - g penalized through cost =
+    inv_sigma_e - inv_sigma: m^T gain m - e^T cost e, expanded as
+    p^T A p + g^T A g + 2 p^T B g with A = gain - cost and B = gain + cost,
+    so the matrix takes two GEMMs and two row-wise quadratic forms.
     """
     gallery = np.asarray(gallery, dtype=np.float64)
     probes = np.asarray(probes, dtype=np.float64)
@@ -375,14 +342,14 @@ def save_models(path, models: dict[str, CclModel]) -> None:
     """
     if not models:
         raise ValueError("nothing to save")
+    for kind in models:
+        if len(kind.encode("utf-8")) > 16:
+            raise ValueError(f"kind tag too long: {kind!r}")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HH", MODEL_VERSION, len(models)))
         for kind, model in models.items():
-            tag = kind.encode("utf-8")
-            if len(tag) > 16:
-                raise ValueError(f"kind tag too long: {kind!r}")
-            fh.write(tag.ljust(16))
+            fh.write(kind.encode("utf-8").ljust(16))
             fh.write(struct.pack("<II", model.dim, model.rank))
             _write_array(fh, model.mean_x)
             _write_array(fh, model.mean_y)

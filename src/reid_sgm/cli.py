@@ -126,11 +126,7 @@ def _parse_spaces(raw: str):
 
 
 def _parse_features(raw: str):
-    kinds = tuple(part.strip().upper() for part in raw.split(","))
-    for kind in kinds:
-        if kind not in descriptor.FEATURE_KINDS:
-            raise ValueError(f"unknown feature kind {kind!r}")
-    return kinds
+    return tuple(part.strip().upper() for part in raw.split(","))
 
 
 def _parse_ranks(raw: str):
@@ -257,12 +253,11 @@ def cmd_train(args) -> int:
     for camera, groups in by_person.items():
         for entry, row in zip(*_gather(manifest, reps, camera, split.train_ids)):
             groups.setdefault(entry.person_id, []).append(row)
-    pair_rows = [
-        (ra, rb, pid)
-        for pid in split.train_ids
-        for ra in by_person["A"].get(pid, [])
-        for rb in by_person["B"].get(pid, [])
-    ]
+    # Every matched (A, B) image pair of the split, as row-aligned index arrays.
+    a_rows, b_rows = np.array([
+        (ra, rb) for pid in split.train_ids
+        for ra in by_person["A"][pid] for rb in by_person["B"][pid]
+    ], dtype=np.intp).T
 
     layout = reps.layout
     kinds = dict.fromkeys(rec.kind for rec in layout) if args.per_feature else ["ALL"]
@@ -270,22 +265,20 @@ def cmd_train(args) -> int:
     for kind in kinds:
         offset, length = _block_span(layout, kind)
         block = reps.matrix[:, offset : offset + length]
-        pairs = [ccl.PairedSample(x=block[ra], y=block[rb], person_id=pid)
-                 for ra, rb, pid in pair_rows]
         r_eff = min(args.r, length)
         if r_eff < args.r:
             print(
                 f"warning: {kind}: requested r={args.r} clamped to feature dim {length}",
                 file=sys.stderr,
             )
-        stats = ccl.accumulate_stats(pairs, ridge=args.ridge)
+        stats = ccl.accumulate_stats(block[a_rows], block[b_rows], ridge=args.ridge)
         models[kind] = ccl.solve_subspace(stats, r_eff)
         head = ", ".join("%.4g" % v for v in models[kind].eigenvalues[:5])
-        print(f"{kind}: d={length} r={r_eff} pairs={len(pairs)} "
+        print(f"{kind}: d={length} r={r_eff} pairs={len(a_rows)} "
               f"eigenvalues [{head}{', ...' if r_eff > 5 else ''}]")
 
     ccl.save_models(args.out, models)
-    print(f"trained on {len(pair_rows)} pairs from {len(split.train_ids)} identities -> {args.out}")
+    print(f"trained on {len(a_rows)} pairs from {len(split.train_ids)} identities -> {args.out}")
     return EXIT_OK
 
 
@@ -317,6 +310,9 @@ def _fused_scores(models, probes, gallery):
 
 
 def cmd_eval(args) -> int:
+    for flag, value in (("--splits", args.splits), ("--ranks", min(args.ranks))):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     reps = descriptor.load_descriptors(args.descriptors)
     models = ccl.load_models(args.model)
     manifest = evalkit.load_manifest(args.manifest)

@@ -88,6 +88,13 @@ class ExtractionConfig:
         for kind in self.features:
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
+        # A repeated kind or space would extract its block twice.
+        for name, tags in (("features", self.features), ("spaces", [s.value for s in self.spaces])):
+            if not tags:
+                raise ValueError(f"{name}: none given")
+            repeats = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
+            if repeats:
+                raise ValueError(f"{name}: {repeats[0]!r} is repeated")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Evaluation harness: manifests, splits, CMC curves, synthetic corpora.
 
 A dataset is described by a CSV manifest of (person, camera, image,
-mask) rows.  Splits partition identities, evaluation ranks gallery
-entries by similarity and accumulates cumulative matching rates, and a
-seeded generator paints two-camera corpora so the whole pipeline can be
-exercised end to end without any restricted dataset.
+mask) rows.  Splits partition identities, evaluation ranks the gallery
+entries of a probe-by-gallery score matrix (``ccl.score_matrix``) and
+accumulates cumulative matching rates, and a seeded generator paints
+two-camera corpora so the whole pipeline can be exercised end to end
+without any restricted dataset.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ccl
 from .errors import IoFailure, ProtocolViolation, TooFewIdentities, UnsupportedFormat
 from .imaging import write_pgm, write_ppm
 from .sgm import ColorNamePalette, default_palette
@@ -210,14 +210,6 @@ def cmc_multi_shot(scores: np.ndarray, probe_ids, gallery_ids) -> np.ndarray:
     curve has one entry per distinct gallery identity.
     """
     return _identity_cmc(scores, list(probe_ids), list(gallery_ids))
-
-
-def evaluate_single_shot(
-    model: ccl.CclModel, probes, probe_ids, gallery, gallery_ids
-) -> np.ndarray:
-    """Score projected probe/gallery sets with one model and run CMC."""
-    scores = ccl.score_matrix(model, gallery, probes)
-    return cmc_single_shot(scores, probe_ids, gallery_ids)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import reid_sgm as rs
-from reid_sgm.ccl import PairedSample, accumulate_stats, solve_subspace
+from reid_sgm.ccl import accumulate_stats, score_matrix, solve_subspace
 from reid_sgm.descriptor import ExtractionConfig, extract_sgm, load_descriptors, save_descriptors
 from reid_sgm.errors import CorruptFile, UnsupportedFormat
 from reid_sgm.evalkit import SynthSpec, cmc_single_shot, make_splits, synth_dataset
@@ -146,17 +146,17 @@ def test_score_algebra():
         mean_x=np.zeros(2),
         mean_y=np.zeros(2),
     )
-    px = np.array([1.0, 0.0])
-    assert abs(rs.score(model, px, px) - 2.0 / 3.0) <= 1e-12
+    px = np.array([[1.0, 0.0]])
+    assert abs(score_matrix(model, px, px)[0, 0] - 2.0 / 3.0) <= 1e-12
 
     rng = np.random.default_rng(3)
     from test_ccl import hand_model, random_spd
 
     sym_model = hand_model(random_spd(rng, 4), random_spd(rng, 4), random_spd(rng, 4))
-    for _ in range(100):
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        fwd, rev = rs.score(sym_model, a, b), rs.score(sym_model, b, a)
-        assert abs(fwd - rev) <= 1e-12 * max(1.0, abs(fwd))
+    a, b = rng.normal(size=(100, 2, 4)).transpose(1, 0, 2)
+    # Probes a against gallery b, and b against a: the same pairs, transposed.
+    fwd, rev = score_matrix(sym_model, b, a), score_matrix(sym_model, a, b).T
+    assert (np.abs(fwd - rev) <= 1e-12 * np.maximum(1.0, np.abs(fwd))).all()
 
 
 # Pinned from the oracle run of the generator at seed 202 (rank-1 values
@@ -179,14 +179,12 @@ def _extract_corpus(manifest, config, palette):
 def _rank1_with_ccl(manifest, reps, split, r=50):
     rows_a = {e.person_id: e.image_path for e in manifest.rows("A")}
     rows_b = {e.person_id: e.image_path for e in manifest.rows("B")}
-    pairs = [
-        PairedSample(x=reps[rows_a[p]], y=reps[rows_b[p]], person_id=p)
-        for p in split.train_ids
-    ]
-    model = solve_subspace(accumulate_stats(pairs), r)
+    xs = np.vstack([reps[rows_a[p]] for p in split.train_ids])
+    ys = np.vstack([reps[rows_b[p]] for p in split.train_ids])
+    model = solve_subspace(accumulate_stats(xs, ys), r)
     probes = rs.project(model, np.vstack([reps[rows_a[p]] for p in split.test_ids]), "A")
     gallery = rs.project(model, np.vstack([reps[rows_b[p]] for p in split.test_ids]), "B")
-    curve = rs.evaluate_single_shot(model, probes, split.test_ids, gallery, split.test_ids)
+    curve = cmc_single_shot(score_matrix(model, gallery, probes), split.test_ids, split.test_ids)
     return curve[0]
 
 
@@ -271,9 +269,8 @@ def test_persistence_round_trip(tmp_path, palette):
 
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(30, 8))
-    pairs = [PairedSample(x=xs[i], y=xs[i] + 0.1 * rng.normal(size=8), person_id=str(i))
-             for i in range(30)]
-    model = solve_subspace(accumulate_stats(pairs), 4)
+    ys = xs + 0.1 * rng.normal(size=(30, 8))
+    model = solve_subspace(accumulate_stats(xs, ys), 4)
     mpath = tmp_path / "m.cclm"
     rs.save_models(mpath, {"SGM": model})
     relo = rs.load_models(mpath)["SGM"]

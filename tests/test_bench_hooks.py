@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from reid_sgm import descriptor
+from reid_sgm import ccl, cli, descriptor
 from reid_sgm.descriptor import ExtractionConfig, distinct_colors, extract_features
+from reid_sgm.evalkit import SynthSpec, make_splits, synth_dataset
 from reid_sgm.imaging import RasterImage
 
 from conftest import make_image, make_mask
@@ -82,3 +83,29 @@ def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
                      ExtractionConfig(features=("SGM", "CH", "SILTP")))
     assert fits == [8]
     assert sum(rows) == 8 * m
+
+
+def test_pair_counter_counts_each_kinds_training_pairs(monkeypatch, tmp_path):
+    """``ccl.pairs`` sums ``len(args[0])`` over ``accumulate_stats`` calls, as
+    ``traced_cli.py`` wraps it: ``train`` passes the A view's rows first, by
+    position, one call per kind with one row per matched image pair."""
+    manifest = synth_dataset(SynthSpec(n_ids=6, images_per_view=2, width=18, height=48,
+                                       seed=4), tmp_path / "corpus")
+    descriptors = tmp_path / "d.sgmd"
+    assert cli.main(["extract", str(tmp_path / "corpus" / "manifest.csv"), "--out",
+                     str(descriptors), "--features", "SGM,CH,SILTP"]) == 0
+    counts = []
+    real = ccl.accumulate_stats
+
+    def accumulate_stats(*args, **kwargs):
+        counts.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ccl, "accumulate_stats", accumulate_stats)
+    assert cli.main(["train", str(descriptors), str(tmp_path / "corpus" / "manifest.csv"),
+                     "--out", str(tmp_path / "m.cclm"), "--r", "5", "--seed", "3"]) == 0
+    train_ids = make_splits(manifest, 0.5, 1, 3)[0].train_ids
+    pairs = sum(len(manifest.rows("A", [pid])) * len(manifest.rows("B", [pid]))
+                for pid in train_ids)
+    assert pairs == 4 * len(train_ids)
+    assert counts == [pairs] * 3

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from reid_sgm.ccl import (
     CclModel,
     CoupledStats,
-    PairedSample,
     accumulate_stats,
     load_models,
     project,
     save_models,
-    score,
     score_matrix,
     solve_subspace,
     _coupled_problem,
@@ -32,9 +30,10 @@ from reid_sgm.errors import (
 
 
 def make_pairs(rng, n=30, d=6, spread=0.3):
+    """Row-aligned views (xs, ys) of n matched pairs."""
     xs = rng.normal(size=(n, d))
     ys = xs + spread * rng.normal(size=(n, d))
-    return [PairedSample(x=xs[i], y=ys[i], person_id=str(i)) for i in range(n)]
+    return xs, ys
 
 
 def random_spd(rng, d, scale=1.0):
@@ -54,7 +53,6 @@ def stats_from_matrices(sigma_m, sigma_e):
         dim=d,
         mean_x=np.zeros(d),
         mean_y=np.zeros(d),
-        pair_count=d,
         m_rows=_factor_rows(sigma_m),
         e_rows=_factor_rows(sigma_e),
         ridge_term=0.0,
@@ -67,6 +65,27 @@ def _factor_rows(sigma):
 
 
 SCORE_RTOL = 1e-12
+
+
+def score(model, px, py):
+    """Oracle for one ``score_matrix`` entry: the coupled similarity of one
+    projected probe px and gallery vector py, higher meaning more alike.
+
+    The commonness m = px + py is rewarded and the difference
+    e = px - py penalized through the projected covariance inverses.
+    Symmetric in its arguments.
+    """
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    if px.shape != (model.rank,) or py.shape != (model.rank,):
+        raise DimensionMismatch(
+            f"projected vectors must have dim {model.rank}, got {px.shape} and {py.shape}"
+        )
+    gain_m = model.inv_sigma - model.inv_sigma_m
+    cost_e = model.inv_sigma_e - model.inv_sigma
+    m = px + py
+    e = px - py
+    return float(m @ (gain_m @ m) - e @ (cost_e @ e))
 
 
 def looped_score_matrix(model, gallery, probes):
@@ -100,8 +119,7 @@ def hand_model(inv_m, inv_e, inv_avg):
 class TestAccumulateStats:
     def test_identical_views_leave_only_ridge_on_difference(self, rng):
         xs = rng.normal(size=(25, 4))
-        pairs = [PairedSample(x=xs[i], y=xs[i].copy(), person_id=str(i)) for i in range(25)]
-        stats = accumulate_stats(pairs, ridge=1e-3)
+        stats = accumulate_stats(xs, xs.copy(), ridge=1e-3)
         xc = xs - xs.mean(axis=0)
         cov_x = (xc.T @ xc) / len(xs)
         scale = np.trace(4.0 * cov_x) / (2.0 * 4)
@@ -110,11 +128,9 @@ class TestAccumulateStats:
         assert np.allclose(stats.sigma_m, 4.0 * cov_x + expected_e, atol=1e-12)
 
     def test_two_pairs_match_hand_computation(self):
-        pairs = [
-            PairedSample(x=np.array([1.0, 0.0]), y=np.array([0.0, 1.0]), person_id="p"),
-            PairedSample(x=np.array([3.0, 2.0]), y=np.array([2.0, 3.0]), person_id="q"),
-        ]
-        stats = accumulate_stats(pairs, ridge=0.0)
+        xs = np.array([[1.0, 0.0], [3.0, 2.0]])
+        ys = np.array([[0.0, 1.0], [2.0, 3.0]])
+        stats = accumulate_stats(xs, ys, ridge=0.0)
         # centered xs: (-1,-1),(1,1); centered ys: (-1,-1),(1,1)
         # m: (-2,-2),(2,2); e: (0,0),(0,0)
         assert np.allclose(stats.mean_x, [2.0, 1.0])
@@ -123,29 +139,29 @@ class TestAccumulateStats:
         assert np.allclose(stats.sigma_e, 0.0)
 
     def test_naive_covariance_oracle(self, rng):
-        pairs = make_pairs(rng, n=12, d=3)
-        stats = accumulate_stats(pairs, ridge=0.0)
-        mean_x = sum(p.x for p in pairs) / len(pairs)
-        mean_y = sum(p.y for p in pairs) / len(pairs)
+        xs, ys = make_pairs(rng, n=12, d=3)
+        stats = accumulate_stats(xs, ys, ridge=0.0)
+        mean_x = sum(xs) / len(xs)
+        mean_y = sum(ys) / len(ys)
         sm = np.zeros((3, 3))
         se = np.zeros((3, 3))
-        for p in pairs:
-            m = (p.x - mean_x) + (p.y - mean_y)
-            e = (p.x - mean_x) - (p.y - mean_y)
+        for x, y in zip(xs, ys):
+            m = (x - mean_x) + (y - mean_y)
+            e = (x - mean_x) - (y - mean_y)
             sm += np.outer(m, m)
             se += np.outer(e, e)
-        assert np.allclose(stats.sigma_m, sm / len(pairs), atol=1e-12)
-        assert np.allclose(stats.sigma_e, se / len(pairs), atol=1e-12)
+        assert np.allclose(stats.sigma_m, sm / len(xs), atol=1e-12)
+        assert np.allclose(stats.sigma_e, se / len(xs), atol=1e-12)
 
     def test_symmetric_outputs(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=40, d=8))
+        stats = accumulate_stats(*make_pairs(rng, n=40, d=8))
         assert np.abs(stats.sigma_m - stats.sigma_m.T).max() <= 1e-12
         assert np.abs(stats.sigma_e - stats.sigma_e.T).max() <= 1e-12
 
     def test_pair_order_independence(self, rng):
-        pairs = make_pairs(rng, n=50, d=5)
-        a = accumulate_stats(pairs)
-        b = accumulate_stats(pairs[::-1])
+        xs, ys = make_pairs(rng, n=50, d=5)
+        a = accumulate_stats(xs, ys)
+        b = accumulate_stats(xs[::-1], ys[::-1])
         assert np.abs(a.sigma_m - b.sigma_m).max() <= 1e-12
         assert np.abs(a.sigma_e - b.sigma_e).max() <= 1e-12
 
@@ -157,7 +173,7 @@ class TestAccumulateStats:
         xs = (100 * rng.normal(size=(n, d))).astype(dtype)
         ys = (100 * rng.normal(size=(n, d))).astype(dtype)
         inputs = xs.copy(), ys.copy()
-        stats = accumulate_stats([PairedSample(x=xs[i], y=ys[i]) for i in range(n)])
+        stats = accumulate_stats(xs, ys)
         x64, y64 = xs.astype(np.float64), ys.astype(np.float64)
         mean_x, mean_y = x64.mean(axis=0), y64.mean(axis=0)
         m_rows = ((x64 - mean_x) + (y64 - mean_y)) / np.sqrt(n)
@@ -167,20 +183,18 @@ class TestAccumulateStats:
                           (stats.m_rows, m_rows), (stats.e_rows, e_rows)):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert stats.ridge_term == 1e-3 * scale
-        # The pairs' own arrays are left as they were.
+        # The caller's view matrices are left as they were.
         assert np.array_equal(xs, inputs[0]) and np.array_equal(ys, inputs[1])
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
-            accumulate_stats([PairedSample(x=np.zeros(2), y=np.zeros(2))])
+            accumulate_stats(np.zeros((1, 2)), np.zeros((1, 2)))
 
-    def test_dimension_mismatch(self, rng):
-        pairs = [
-            PairedSample(x=np.zeros(3), y=np.zeros(3), person_id="a"),
-            PairedSample(x=np.zeros(4), y=np.zeros(4), person_id="b"),
-        ]
-        with pytest.raises(DimensionMismatch):
-            accumulate_stats(pairs)
+    def test_dimension_mismatch(self):
+        # Views of different widths, a row with no partner, one vector.
+        for x_shape, y_shape in (((2, 3), (2, 4)), ((2, 3), (3, 3)), ((3,), (3,))):
+            with pytest.raises(DimensionMismatch):
+                accumulate_stats(np.zeros(x_shape), np.zeros(y_shape))
 
 
 class TestSolveSubspace:
@@ -217,7 +231,7 @@ class TestSolveSubspace:
                     assert angle <= 1e-6
 
     def test_residual_and_rayleigh_ordering(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=60, d=10))
+        stats = accumulate_stats(*make_pairs(rng, n=60, d=10))
         model = solve_subspace(stats, 6)
         prev = np.inf
         for i in range(6):
@@ -232,7 +246,7 @@ class TestSolveSubspace:
             prev = rayleigh
 
     def test_columns_unit_norm_and_sign_fixed(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=40, d=7))
+        stats = accumulate_stats(*make_pairs(rng, n=40, d=7))
         model = solve_subspace(stats, 4)
         norms = np.linalg.norm(model.w, axis=0)
         assert np.allclose(norms, 1.0, rtol=1e-12)
@@ -241,7 +255,7 @@ class TestSolveSubspace:
             assert model.w[lead, i] > 0
 
     def test_rank_too_large(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=20, d=4))
+        stats = accumulate_stats(*make_pairs(rng, n=20, d=4))
         with pytest.raises(RankTooLarge):
             solve_subspace(stats, 5)
         with pytest.raises(RankTooLarge):
@@ -310,18 +324,19 @@ def fused_scores(model, probes_raw, gallery_raw):
 
 
 def span_pairs(rng, n, d, r, views):
-    pairs = make_pairs(rng, n=n, d=d, spread=0.5)
+    """Row-aligned views (xs, ys) of n pairs of the named kind."""
+    xs, ys = make_pairs(rng, n=n, d=d, spread=0.5)
     if views == "head":
         head = np.arange(d) < r
-        return [PairedSample(x=p.x * head, y=p.y * head) for p in pairs]
+        return xs * head, ys * head
     if views == "same":
-        return [PairedSample(x=p.x, y=p.x.copy()) for p in pairs]
+        return xs, xs.copy()
     if views == "faint":
         # The first half of the coordinates at 1e-7 of the rest: there the
         # basis rows are tiny, so the Gram that combines unit vectors into
         # padding has eigenvalues within 1e-13 of 1 besides those equal to 1.
         faint = np.where(np.arange(d) < d // 2, 1e-7, 1.0)
-        return [PairedSample(x=p.x * faint, y=p.y * faint) for p in pairs]
+        return xs * faint, ys * faint
     if views.startswith("near"):
         # Rows in a 3-d span plus components of amplitude a (1e-5, or as
         # "near:a" names it) against its scale: down to a = 1e-7 the rows'
@@ -331,7 +346,7 @@ def span_pairs(rng, n, d, r, views):
         base = rng.normal(size=(3, d))
         xs = rng.normal(size=(n, 3)) @ base + amp * rng.normal(size=(n, d))
         ys = xs + 0.5 * rng.normal(size=(n, 3)) @ base + amp * rng.normal(size=(n, d))
-        return [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
+        return xs, ys
     if views == "siltp":
         # Histograms: the tail has 6 used bins whose counts sum to one, so
         # the centered tail rows have rank 5 and k < 2n.
@@ -339,13 +354,14 @@ def span_pairs(rng, n, d, r, views):
         used[rng.choice(np.arange(r, d), size=6, replace=False)] = True
         hists = rng.random(size=(2 * n, d)) * used
         hists /= hists[:, r:].sum(axis=1, keepdims=True)
-        return [PairedSample(x=hists[i], y=hists[n + i]) for i in range(n)]
+        return hists[:n], hists[n:]
     if views == "line":
         # Tail rows all multiples of one vector that uses every tail
         # coordinate: the tail has rank 1 and no zero column.
         line = rng.normal(size=d - r)
-        return [PairedSample(x=np.concatenate([p.x[:r], rng.normal() * line]),
-                             y=np.concatenate([p.y[:r], rng.normal() * line])) for p in pairs]
+        coefs = rng.normal(size=(n, 2))
+        return (np.hstack([xs[:, :r], np.outer(coefs[:, 0], line)]),
+                np.hstack([ys[:, :r], np.outer(coefs[:, 1], line)]))
     if views == "spike":
         # Views equal past the first r coordinates (E's tail is 0), their
         # tails mixing a line that uses every tail coordinate but the last,
@@ -353,12 +369,10 @@ def span_pairs(rng, n, d, r, views):
         # the least-used coordinate's unit vector lies inside the rows' span.
         line = 1.0 + rng.random(d - r)
         line[-1] = 0.0
-        tails = [rng.normal() * line for _ in pairs]
-        for tail in tails:
-            tail[-1] = 1e-2 * rng.normal()
-        return [PairedSample(x=np.concatenate([p.x[:r], tail]), y=np.concatenate([p.y[:r], tail]))
-                for p, tail in zip(pairs, tails)]
-    return pairs
+        tails = np.outer(rng.normal(size=n), line)
+        tails[:, -1] = 1e-2 * rng.normal(size=n)
+        return np.hstack([xs[:, :r], tails]), np.hstack([ys[:, :r], tails])
+    return xs, ys
 
 
 class TestSpanSolve:
@@ -418,7 +432,7 @@ class TestSpanSolve:
         ],
     )
     def test_matches_dense_oracle(self, rng, n, d, r, views):
-        stats = accumulate_stats(span_pairs(rng, n, d, r, views))
+        stats = accumulate_stats(*span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
         assert model.w.shape == (d, r)
         # Each column solves the full problem, inside the eigenvalue-1 block too.
@@ -439,7 +453,7 @@ class TestSpanSolve:
     def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
         n, d = 6, 40
         for views in ("noisy", "head", "siltp", "line", "spike", "near:1e-7"):
-            stats = accumulate_stats(span_pairs(rng, n, d, 5, views))
+            stats = accumulate_stats(*span_pairs(rng, n, d, 5, views))
             sigma_m, sigma_e, lift = _coupled_problem(stats)
             k = sigma_m.shape[0]
             assert k <= 2 * n
@@ -465,7 +479,7 @@ class TestSpanSolve:
     def test_padding_lies_off_the_rows_between_the_eigenvalues(self, rng, n, d, r, views):
         # Directions in the rows' span can have eigenvalue 1 to rounding, so
         # the padding columns are found by position, not by value.
-        stats = accumulate_stats(span_pairs(rng, n, d, r, views))
+        stats = accumulate_stats(*span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
         k = _coupled_problem(stats)[0].shape[0]
         above = int(np.count_nonzero(model.eigenvalues > 1.0))
@@ -485,7 +499,7 @@ class TestSpanSolve:
             assert not inv[np.ix_(pad, ~pad)].any()
 
     def test_no_ridge_beyond_span_rejected(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=4, d=30), ridge=0.0)
+        stats = accumulate_stats(*make_pairs(rng, n=4, d=30), ridge=0.0)
         with pytest.raises(NotPositiveDefinite):
             solve_subspace(stats, 3)
 
@@ -493,10 +507,9 @@ class TestSpanSolve:
         d, n, r = 20000, 8, 10
         xs = rng.normal(size=(n, d))
         ys = xs + 0.3 * rng.normal(size=(n, d))
-        pairs = [PairedSample(x=xs[i], y=ys[i]) for i in range(n)]
         tracemalloc.start()
         try:
-            model = solve_subspace(accumulate_stats(pairs), r)
+            model = solve_subspace(accumulate_stats(xs, ys), r)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -508,7 +521,7 @@ class TestSpanSolve:
         d, n, r = 20000, 40, 100
         xs = rng.normal(size=(n, d))
         ys = xs + 0.3 * rng.normal(size=(n, d))
-        stats = accumulate_stats([PairedSample(x=xs[i], y=ys[i]) for i in range(n)])
+        stats = accumulate_stats(xs, ys)
         tracemalloc.start()
         try:
             model = solve_subspace(stats, r)
@@ -526,7 +539,7 @@ class TestSpanSolve:
 
 class TestProject:
     def test_mean_goes_to_zero(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=30, d=5))
+        stats = accumulate_stats(*make_pairs(rng, n=30, d=5))
         model = solve_subspace(stats, 3)
         assert np.allclose(project(model, model.mean_x, "A"), 0.0)
         assert np.allclose(project(model, model.mean_y, "B"), 0.0)
@@ -545,7 +558,7 @@ class TestProject:
         assert np.linalg.norm(out) == pytest.approx(5.0)
 
     def test_triple_loop_oracle(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=30, d=6))
+        stats = accumulate_stats(*make_pairs(rng, n=30, d=6))
         model = solve_subspace(stats, 4)
         rep = rng.normal(size=6)
         out = project(model, rep, "B")
@@ -556,19 +569,19 @@ class TestProject:
         assert np.allclose(out, ref, atol=1e-12)
 
     def test_batch_shape(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=30, d=6))
+        stats = accumulate_stats(*make_pairs(rng, n=30, d=6))
         model = solve_subspace(stats, 4)
         batch = project(model, rng.normal(size=(9, 6)), "A")
         assert batch.shape == (9, 4)
 
     def test_dimension_mismatch(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=30, d=6))
+        stats = accumulate_stats(*make_pairs(rng, n=30, d=6))
         model = solve_subspace(stats, 4)
         with pytest.raises(DimensionMismatch):
             project(model, np.zeros(5), "A")
 
     def test_bad_view(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=30, d=6))
+        stats = accumulate_stats(*make_pairs(rng, n=30, d=6))
         model = solve_subspace(stats, 2)
         with pytest.raises(ValueError):
             project(model, np.zeros(6), "C")
@@ -650,11 +663,7 @@ class TestScalingInvariance:
         probes_raw = xs + 0.4 * rng.normal(size=(n, d))
 
         def top_match(scale):
-            pairs = [
-                PairedSample(x=scale * xs[i], y=scale * ys[i], person_id=str(i))
-                for i in range(n)
-            ]
-            stats = accumulate_stats(pairs)
+            stats = accumulate_stats(scale * xs, scale * ys)
             model = solve_subspace(stats, r)
             probes = project(model, scale * probes_raw, "A")
             gallery = project(model, scale * ys, "B")
@@ -667,7 +676,7 @@ class TestScalingInvariance:
 
 class TestModelPersistence:
     def make_models(self, rng):
-        stats = accumulate_stats(make_pairs(rng, n=40, d=6))
+        stats = accumulate_stats(*make_pairs(rng, n=40, d=6))
         main = solve_subspace(stats, 4)
         other = solve_subspace(stats, 2)
         return {"SGM": main, "CH": other}
@@ -689,8 +698,9 @@ class TestModelPersistence:
         path = tmp_path / "m.cclm"
         save_models(path, models)
         loaded = load_models(path)["SGM"]
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        assert score(models["SGM"], a, b) == score(loaded, a, b)
+        gallery, probes = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+        assert np.array_equal(score_matrix(models["SGM"], gallery, probes),
+                              score_matrix(loaded, gallery, probes))
 
     def test_bad_magic(self, tmp_path, rng):
         path = tmp_path / "m.cclm"
@@ -700,6 +710,16 @@ class TestModelPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedFormat):
             load_models(path)
+
+    def test_long_kind_tag_leaves_no_file(self, tmp_path, rng):
+        # Every tag is checked before the file is opened: a good model ahead
+        # of the long tag must not leave a partial file behind.
+        models = self.make_models(rng)
+        models["X" * 17] = models["CH"]
+        path = tmp_path / "m.cclm"
+        with pytest.raises(ValueError, match="kind tag too long"):
+            save_models(path, models)
+        assert not path.exists()
 
     def test_truncation(self, tmp_path, rng):
         path = tmp_path / "m.cclm"

@@ -273,6 +273,21 @@ class TestExtract:
         assert load_models(out)["SGM"].rank == 7
 
 
+    @pytest.mark.parametrize("key, value, repeat", [
+        ("features", "SGM,CH,SGM", "SGM"),
+        ("spaces", "RGB,RGB", "RGB"),
+    ])
+    def test_repeated_kind_or_space_is_usage_error(self, corpus, tmp_path, capsys, key, value,
+                                                   repeat):
+        # Each would extract a duplicated block; from a flag or a config file alike.
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "repeat.sgmd"
+        for extra in ([f"--{key}", value], ["--config", str(cfg)]):
+            assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out), *extra]) == 1
+            assert f"{key}: {repeat!r} is repeated" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_epsilon0_is_usage_error(self, corpus, tmp_path, capsys, value):
         out = tmp_path / "eps.sgmd"
@@ -375,6 +390,19 @@ class TestEval:
         assert code == 0
         assert out.read_text().splitlines()[0] == "1,2"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--splits", "0", "--splits must be >= 1, got 0"),
+        ("--ranks", "1,0,5", "--ranks must be >= 1, got 0"),
+        ("--ranks", "-3", "--ranks must be >= 1, got -3"),
+    ])
+    def test_bad_splits_or_ranks_rejected_before_loading(self, tmp_path, capsys, flag, value,
+                                                         message):
+        # None of the three inputs exists: the flag is checked before any is read.
+        missing = [str(tmp_path / name) for name in ("d.sgmd", "m.cclm", "manifest.csv")]
+        assert main(["eval", *missing, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_single_split_matches_library_call(self, corpus, descriptors, model, capsys):
         import reid_sgm as rs
 
@@ -395,9 +423,8 @@ class TestEval:
             b = manifest.rows(camera="B", ids=[pid])[0]
             probes.append(rs.project(mdl, reps[a.image_path].vector.astype(np.float64), "A"))
             gallery.append(rs.project(mdl, reps[b.image_path].vector.astype(np.float64), "B"))
-        curve = rs.evaluate_single_shot(
-            mdl, np.vstack(probes), split.test_ids, np.vstack(gallery), split.test_ids
-        )
+        scores = rs.score_matrix(mdl, np.vstack(gallery), np.vstack(probes))
+        curve = rs.cmc_single_shot(scores, split.test_ids, split.test_ids)
         # the CSV prints rates with six decimals
         assert cli_rate == "%.6f" % curve[0]
 
@@ -1024,8 +1051,8 @@ def test_importing_the_cli_loads_no_scipy(corpus, descriptors, model, tmp_path):
         "assert cli.main(sys.argv[1:]) == 0\n"
         "loaded()\n"
         "rng = np.random.default_rng(5)\n"
-        "pairs = [ccl.PairedSample(rng.normal(size=10), rng.normal(size=10)) for _ in range(8)]\n"
-        "dense = ccl.solve_subspace(ccl.accumulate_stats(pairs), 3)\n"
+        "xs, ys = rng.normal(size=(8, 2, 10)).transpose(1, 0, 2)\n"
+        "dense = ccl.solve_subspace(ccl.accumulate_stats(xs, ys), 3)\n"
         "print(dense.w.shape, np.isfinite(dense.w).all())\n"
         "loaded()\n"
     )

@@ -327,6 +327,18 @@ class TestExtractSgm:
         assert np.array_equal(rep_shared.vector, rep_direct.vector)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("features", ("SGM", "CH", "SGM"), "features: 'SGM' is repeated"),
+    ("spaces", (ColorSpace.HSV, ColorSpace.RGB, ColorSpace.HSV), "spaces: 'HSV' is repeated"),
+    ("features", (), "features: none given"),
+    ("spaces", (), "spaces: none given"),
+])
+def test_config_rejects_repeated_or_missing_kinds_and_spaces(field, value, message):
+    # A repeat would extract its block twice; an empty tuple, no block.
+    with pytest.raises(ValueError, match=message):
+        ExtractionConfig(**{field: value})
+
+
 class TestColorHistogram:
     def test_uniform_image_single_bin(self, palette):
         img = solid_image(8, 30, (10, 10, 10))

@@ -1,8 +1,10 @@
-"""Every function of the package reads each of its parameters.
+"""Structural checks on the package source, parsed with ``ast``.
 
-A parameter that no code reads is an option a caller can pass and the
-function silently ignores.  The check parses each module of
-``src/reid_sgm`` with ``ast``; ``self`` and ``cls`` are exempt.
+Every function of the package reads each of its parameters: a parameter
+that no code reads is an option a caller can pass and the function
+silently ignores (``self`` and ``cls`` are exempt).  No module uses a QR
+factorization, and each module imports exactly the package modules
+pinned in ``PACKAGE_IMPORTS``.
 """
 
 import ast
@@ -62,3 +64,48 @@ def test_no_qr_factorization(path):
 def test_guard_names_a_qr_call():
     source = "import numpy as np\nfrom numpy.linalg import qr\n\nq, r = np.linalg.qr(a)\n"
     assert qr_calls(source, "ccl") == ["ccl:2", "ccl:4"]
+
+
+# The package modules each module imports.  A new cross-module import is a
+# deliberate edit here: evalkit scores nothing itself, so it needs no ccl.
+PACKAGE_IMPORTS = {
+    "__init__": {"ccl", "descriptor", "evalkit", "imaging", "sgm"},
+    "ccl": {"errors"},
+    "cli": {"ccl", "descriptor", "errors", "evalkit", "imaging", "sgm"},
+    "descriptor": {"errors", "imaging", "sgm"},
+    "errors": set(),
+    "evalkit": {"errors", "imaging", "sgm"},
+    "imaging": {"errors"},
+    "sgm": {"errors", "imaging"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of the package modules a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "reid_sgm"):
+                found.update(alias.name for alias in node.names)
+            elif module.startswith((".", "reid_sgm.")):
+                found.add(module.lstrip(".").removeprefix("reid_sgm.").split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("reid_sgm."))
+    return found
+
+
+def test_every_module_has_pinned_imports():
+    assert sorted(PACKAGE_IMPORTS) == sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_package_imports_are_pinned(path):
+    assert package_imports(path.read_text()) == PACKAGE_IMPORTS[path.stem]
+
+
+def test_guard_names_each_import_form():
+    source = ("from . import ccl, sgm\nfrom .errors import CorruptFile\n"
+              "from reid_sgm.imaging import convert\nimport reid_sgm.evalkit\nimport numpy\n")
+    assert package_imports(source) == {"ccl", "sgm", "errors", "imaging", "evalkit"}
