@@ -59,7 +59,7 @@ print()
 
 # Full extraction: (view, space, stripe, name) concatenation.
 config = ExtractionConfig()
-rep = extract_sgm(image, mask, config, palette=palette, source_id=entry.image_path)
+rep = extract_sgm(image, mask, config, palette=palette)
 print("SGM representation:", rep.dim, "dims =",
       "16 names x 10 stripes x 4 spaces x 2 views")
 by_view = {}
@@ -68,13 +68,10 @@ for rec in rep.layout:
 print("  per view:", by_view)
 
 # Complementary features share the stripe geometry.
-ch = extract_color_histogram(image, mask, config, source_id=entry.image_path)
-siltp = extract_siltp(image, mask, config, source_id=entry.image_path)
+ch = extract_color_histogram(image, mask, config)
+siltp = extract_siltp(image, mask, config)
 print("color histograms:", ch.dim, "dims; texture patterns:", siltp.dim, "dims")
 
-fused = extract_features(
-    image, mask,
-    ExtractionConfig(features=("SGM", "CH", "SILTP")),
-    palette=palette, source_id=entry.image_path,
-)
+fused = extract_features(image, mask, ExtractionConfig(features=("SGM", "CH", "SILTP")),
+                         palette=palette)
 print("fused:", fused.dim, "dims in", len(fused.layout), "layout records")

@@ -50,8 +50,7 @@ def extract_all(config):
     for entry in manifest.entries:
         image = load_image(entry.image_path)
         mask = load_mask(entry.mask_path, image)
-        rep = extract_sgm(image, mask, config, palette=palette,
-                          source_id=entry.image_path)
+        rep = extract_sgm(image, mask, config, palette=palette)
         reps[entry.image_path] = rep.vector.astype(np.float64)
     per_image = (time.perf_counter() - start) / len(manifest.entries)
     print(f"  extracted {len(reps)} x {rep.dim} dims, {per_image * 1e3:.0f} ms/image")

@@ -345,6 +345,8 @@ def save_models(path, models: dict[str, CclModel]) -> None:
     for kind in models:
         if len(kind.encode("utf-8")) > 16:
             raise ValueError(f"kind tag too long: {kind!r}")
+        if kind.endswith(" "):  # the reader strips the padding spaces
+            raise ValueError(f"kind tag ends in a space: {kind!r}")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<HH", MODEL_VERSION, len(models)))

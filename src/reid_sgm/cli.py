@@ -179,6 +179,12 @@ def cmd_extract(args) -> int:
             print(f"error: {line}", file=sys.stderr)
         print(f"error: {len(failures)} file(s) failed to load", file=sys.stderr)
         return EXIT_DATA
+    # A row's layout depends only on the config and on whether it has a mask.
+    by_mask = {row.mask is not None: row.entry.image_path for row in rows}
+    if len(by_mask) > 1:
+        out_path.unlink(missing_ok=True)
+        raise ArtifactMismatch(f"{by_mask[True]} has a mask but {by_mask[False]} has none; "
+                               "give every image a mask or pass --no-mask")
 
     shared_models = None
     if args.global_fit:
@@ -188,10 +194,8 @@ def cmd_extract(args) -> int:
 
     def one(row: _LoadedRow):
         start = time.perf_counter()
-        rep = descriptor.extract_features(
-            row.image, row.mask, config, palette=palette,
-            source_id=row.entry.image_path, shared_models=shared_models,
-        )
+        rep = descriptor.extract_features(row.image, row.mask, config, palette=palette,
+                                          shared_models=shared_models)
         return rep, time.perf_counter() - start
 
     def collect(results) -> list:
@@ -210,18 +214,22 @@ def cmd_extract(args) -> int:
                 results = collect(pool.map(one, rows))
         else:
             results = collect(map(one, rows))
-        reps = [rep for rep, _ in results]
+        descriptors = descriptor.DescriptorSet(
+            matrix=np.vstack([rep.vector for rep, _ in results]),
+            layout=results[0][0].layout,
+            source_ids=tuple(row.entry.image_path for row in rows),
+        )
         times = np.array([t for _, t in results])
-        descriptor.save_descriptors(out_path, reps)
+        descriptor.save_descriptors(out_path, descriptors)
         if args.csv:
-            descriptor.export_csv(args.csv, reps)
+            descriptor.export_csv(args.csv, descriptors)
     except Exception:
         out_path.unlink(missing_ok=True)
         if args.csv:
             Path(args.csv).unlink(missing_ok=True)
         raise
     print(
-        f"extracted {len(reps)} representations of dim {reps[0].dim} -> {out_path} "
+        f"extracted {len(rows)} representations of dim {descriptors.matrix.shape[1]} -> {out_path} "
         f"(per-image mean {times.mean() * 1e3:.1f} ms, p95 {np.percentile(times, 95) * 1e3:.1f} ms)"
     )
     return EXIT_OK

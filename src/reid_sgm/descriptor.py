@@ -5,8 +5,8 @@ map is max-pooled over non-overlapping 3x3 patches, and every
 horizontal stripe is sum-pooled and sum-normalized into a 16-vector.
 Concatenating the stripes over (view, space) yields the final
 descriptor.  Complementary per-stripe color histograms and local
-ternary texture histograms are available for fusion, and descriptor
-sets can be persisted to a compact binary file or exported as CSV.
+ternary texture histograms are available for fusion, and a run's rows
+form one ``DescriptorSet``, saved to a compact binary file or as CSV.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     CorruptFile,
     DimensionMismatch,
     EmptyStripe,
-    SourceMismatch,
     StackTooSmall,
     UnsupportedFormat,
 )
@@ -95,6 +94,8 @@ class ExtractionConfig:
             repeats = [tag for i, tag in enumerate(tags) if tag in tags[:i]]
             if repeats:
                 raise ValueError(f"{name}: {repeats[0]!r} is repeated")
+        if not 0.0 < self.epsilon0 < np.inf:
+            raise ValueError(f"epsilon0 must be positive and finite, got {self.epsilon0}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class LayoutRecord:
 
 @dataclass(frozen=True)
 class ImageRepresentation:
-    """Concatenated per-stripe descriptor vector plus provenance.
+    """One image's concatenated per-stripe descriptor vector.
 
     ``vector`` is float32 (the storage dtype); ``layout`` records the
     ordered segments the vector concatenates.
@@ -122,14 +123,6 @@ class ImageRepresentation:
 
     vector: np.ndarray
     layout: tuple[LayoutRecord, ...]
-    source_id: str = ""
-
-    def __post_init__(self):
-        total = sum(rec.length for rec in self.layout)
-        if total != self.vector.shape[0]:
-            raise ArtifactMismatch(
-                f"layout covers {total} components but vector has {self.vector.shape[0]}"
-            )
 
     @property
     def dim(self) -> int:
@@ -137,25 +130,30 @@ class ImageRepresentation:
 
 
 @dataclass(frozen=True, eq=False)
-class DescriptorSet(Sequence):
-    """A descriptor file's (count, dim) float32 matrix, the layout all rows
-    share and each row's source id.  An integer index yields the row as an
-    ``ImageRepresentation`` whose vector views the matrix."""
+class DescriptorSet:
+    """Image rows as one (count, dim) float32 matrix, the layout all rows
+    share and each row's source id.  The constructor checks that there is
+    at least one row, that the layout covers dim and that the source ids
+    are distinct strings, one per row (``ArtifactMismatch``)."""
 
     matrix: np.ndarray
     layout: tuple[LayoutRecord, ...]
     source_ids: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.source_ids)
-
-    def __getitem__(self, i: int) -> ImageRepresentation:
-        return ImageRepresentation(vector=self.matrix[i], layout=self.layout,
-                                   source_id=self.source_ids[i])
+    def __post_init__(self):
+        count, dim = self.matrix.shape
+        if count == 0:
+            raise ArtifactMismatch("descriptor set holds no rows")
+        if sum(rec.length for rec in self.layout) != dim:
+            raise ArtifactMismatch(f"descriptor set layout does not cover dim {dim}")
+        if len(self.source_ids) != count or not all(isinstance(s, str) for s in self.source_ids):
+            raise ArtifactMismatch(f"descriptor set needs {count} string source ids, one per row")
+        if len(set(self.source_ids)) != count:
+            raise ArtifactMismatch("descriptor set repeats a source id")
 
     def rows(self, ids) -> list[int]:
         """Row index of each source id; ``ArtifactMismatch`` if one has no row."""
-        index = dict(zip(self.source_ids, range(len(self))))
+        index = {sid: i for i, sid in enumerate(self.source_ids)}
         missing = [sid for sid in ids if sid not in index]
         if missing:
             root = os.path.dirname(os.path.commonprefix(self.source_ids))
@@ -366,8 +364,8 @@ def _layout(kind: str, spaces: tuple, stripes: int, foreground: bool) -> tuple[L
 
 
 def _stripe_histograms(kind: str, codes: list, bins: int, image: RasterImage,
-                       mask: ForegroundMask | None, config: ExtractionConfig,
-                       source_id: str) -> ImageRepresentation:
+                       mask: ForegroundMask | None,
+                       config: ExtractionConfig) -> ImageRepresentation:
     """Sum-normalized per-stripe histograms of each view and code array.
 
     ``codes`` holds one int64 (pixels, c) array per layout space, its rows
@@ -400,7 +398,7 @@ def _stripe_histograms(kind: str, codes: list, bins: int, image: RasterImage,
             segments.append(hist / hist.sum(axis=1, keepdims=True))
     vector = np.concatenate(segments, axis=None).astype(np.float32)
     layout = _layout(kind, config.spaces, stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
+    return ImageRepresentation(vector=vector, layout=layout)
 
 
 def _convert_all(image: RasterImage, config: ExtractionConfig) -> tuple[dict, dict | None]:
@@ -430,7 +428,6 @@ def extract_sgm(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-    source_id: str = "",
     shared_models: dict | None = None,
     grids: dict | None = None,
     colors: dict | None = None,
@@ -484,7 +481,7 @@ def extract_sgm(
     repeats = len(views) if config.euclidean else 1
     vector = np.concatenate([values] * repeats, axis=None).astype(np.float32)
     layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout, source_id=source_id)
+    return ImageRepresentation(vector=vector, layout=layout)
 
 
 def fit_shared_models(
@@ -529,7 +526,6 @@ def extract_color_histogram(
     image: RasterImage,
     mask: ForegroundMask | None,
     config: ExtractionConfig,
-    source_id: str = "",
     grids: dict | None = None,
 ) -> ImageRepresentation:
     """Per-stripe marginal color histograms, 16 bins per channel.
@@ -543,7 +539,7 @@ def extract_color_histogram(
         grids, _ = _convert_all(image, config)
     codes = [np.minimum((grids[space].points * CH_BINS).astype(np.int64), CH_BINS - 1)
              for space in config.spaces]
-    return _stripe_histograms("CH", codes, 3 * CH_BINS, image, mask, config, source_id)
+    return _stripe_histograms("CH", codes, 3 * CH_BINS, image, mask, config)
 
 
 def siltp_codes(gray: np.ndarray, tau: float = SILTP_TAU) -> np.ndarray:
@@ -577,25 +573,18 @@ def extract_siltp(
     image: RasterImage,
     mask: ForegroundMask | None,
     config: ExtractionConfig,
-    source_id: str = "",
 ) -> ImageRepresentation:
     """Per-stripe ternary-pattern texture histograms on the gray image."""
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
     codes = [siltp_codes(gray).reshape(-1, 1)]
-    return _stripe_histograms("SILTP", codes, SILTP_CODES, image, mask, config, source_id)
+    return _stripe_histograms("SILTP", codes, SILTP_CODES, image, mask, config)
 
 
 def fuse(reps: list[ImageRepresentation]) -> ImageRepresentation:
-    """Concatenate representations of the same source image, in order."""
-    if not reps:
-        raise ValueError("nothing to fuse")
-    source = reps[0].source_id
-    for rep in reps[1:]:
-        if rep.source_id != source:
-            raise SourceMismatch(f"cannot fuse {rep.source_id!r} into {source!r}")
+    """Concatenate one image's representations, in order."""
     vector = np.concatenate([rep.vector for rep in reps])
     layout = tuple(rec for rep in reps for rec in rep.layout)
-    return ImageRepresentation(vector=vector, layout=layout, source_id=source)
+    return ImageRepresentation(vector=vector, layout=layout)
 
 
 def extract_features(
@@ -603,7 +592,6 @@ def extract_features(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-    source_id: str = "",
     shared_models: dict | None = None,
 ) -> ImageRepresentation:
     """Extract and fuse every feature kind requested by the config."""
@@ -614,16 +602,12 @@ def extract_features(
     parts = []
     for kind in config.features:
         if kind == "SGM":
-            parts.append(
-                extract_sgm(image, mask, config, palette=palette, source_id=source_id,
-                            shared_models=shared_models, grids=grids, colors=colors)
-            )
+            parts.append(extract_sgm(image, mask, config, palette=palette,
+                                     shared_models=shared_models, grids=grids, colors=colors))
         elif kind == "CH":
-            parts.append(
-                extract_color_histogram(image, mask, config, source_id=source_id, grids=grids)
-            )
+            parts.append(extract_color_histogram(image, mask, config, grids=grids))
         else:
-            parts.append(extract_siltp(image, mask, config, source_id=source_id))
+            parts.append(extract_siltp(image, mask, config))
     return parts[0] if len(parts) == 1 else fuse(parts)
 
 
@@ -645,44 +629,40 @@ def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"malformed layout footer: {exc}") from None
     for rec in layout:
+        if rec.kind not in FEATURE_KINDS:
+            raise CorruptFile(f"malformed layout footer: unknown feature kind {rec.kind!r}")
+        if not isinstance(rec.view, str) or not isinstance(rec.space, (str, type(None))):
+            raise CorruptFile(
+                f"malformed layout footer: {rec.kind} record has a non-string view or space")
         if rec.length < 1:
             raise CorruptFile(f"malformed layout footer: {rec.kind} record has length {rec.length}")
     return layout
 
 
-def save_descriptors(path, reps: Sequence[ImageRepresentation]) -> None:
-    """Write a sequence of representations to the binary descriptor format.
+def save_descriptors(path, descriptors: DescriptorSet) -> None:
+    """Write a descriptor set to the binary descriptor format.
 
     Layout: magic ``SGMD``, version u16, count u32, dim u32 (all
     little-endian), count*dim float32 values row-major, then a JSON text
-    footer holding the shared layout and the per-row source ids.  All
-    rows must share one layout and have distinct source ids.
+    footer holding the shared layout and the per-row source ids.
     """
-    if not reps:
-        raise ValueError("nothing to save")
-    layout = reps[0].layout
-    if any(rep.layout != layout for rep in reps):
-        raise ArtifactMismatch("descriptor rows disagree on layout")
-    if len({rep.source_id for rep in reps}) != len(reps):
-        raise ArtifactMismatch("descriptor rows repeat a source id, which the reader rejects")
-    dim = reps[0].dim
-    matrix = np.vstack([rep.vector for rep in reps]).astype("<f4", copy=False)
+    count, dim = descriptors.matrix.shape
     footer = json.dumps(
-        {"layout": _layout_to_json(layout), "source_ids": [rep.source_id for rep in reps]}
+        {"layout": _layout_to_json(descriptors.layout), "source_ids": list(descriptors.source_ids)}
     ).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(DESCRIPTOR_MAGIC)
-        fh.write(struct.pack("<HII", DESCRIPTOR_VERSION, len(reps), dim))
-        fh.write(matrix)
+        fh.write(struct.pack("<HII", DESCRIPTOR_VERSION, count, dim))
+        fh.write(np.ascontiguousarray(descriptors.matrix, dtype="<f4"))
         fh.write(footer)
 
 
 def load_descriptors(path) -> DescriptorSet:
     """Read back a descriptor file written by ``save_descriptors``.
 
-    A file with no rows, a footer that is not an object of lists, a
-    repeated source id or a non-finite value is rejected as
-    ``CorruptFile``; the values are returned unchanged, read-only.
+    A footer that is not an object of lists, a malformed layout record, a
+    set that ``DescriptorSet`` rejects or a non-finite value is rejected
+    as ``CorruptFile``; the values are returned unchanged, read-only.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -694,8 +674,6 @@ def load_descriptors(path) -> DescriptorSet:
     version, count, dim = struct.unpack("<HII", data[4 : 4 + header])
     if version != DESCRIPTOR_VERSION:
         raise UnsupportedFormat(f"{path}: unsupported version {version}")
-    if count == 0:
-        raise CorruptFile(f"{path}: holds no rows")
     start = 4 + header
     need = count * dim * 4
     if len(data) < start + need:
@@ -711,35 +689,29 @@ def load_descriptors(path) -> DescriptorSet:
     source_ids = footer.get("source_ids", [])
     if not isinstance(layout_records, list) or not isinstance(source_ids, list):
         raise CorruptFile(f"{path}: footer layout and source_ids must be lists")
-    layout = _layout_from_json(layout_records)
-    if len(source_ids) != count:
-        raise CorruptFile(f"{path}: footer lists {len(source_ids)} ids for {count} rows")
-    if sum(rec.length for rec in layout) != dim:
-        raise CorruptFile(f"{path}: layout does not cover dim {dim}")
-    if not all(isinstance(sid, str) for sid in source_ids):
-        raise CorruptFile(f"{path}: footer holds a source id that is not a string")
-    if len(set(source_ids)) != count:
-        raise CorruptFile(f"{path}: footer repeats a source id")
+    try:
+        descriptors = DescriptorSet(matrix=matrix, layout=_layout_from_json(layout_records),
+                                    source_ids=tuple(source_ids))
+    except ArtifactMismatch as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise CorruptFile(f"{path}: row {bad} ({source_ids[bad]!r}) holds non-finite values")
-    return DescriptorSet(matrix=matrix, layout=layout, source_ids=tuple(source_ids))
+    return descriptors
 
 
-def export_csv(path, reps: Sequence[ImageRepresentation]) -> None:
+def export_csv(path, descriptors: DescriptorSet) -> None:
     """Write one CSV row per image; the header names every component.
 
     A source id holding a comma, a quote or a line break is quoted.
     """
-    if not reps:
-        raise ValueError("nothing to export")
-    layout = reps[0].layout
     columns = ["source_id"]
-    for rec in layout:
+    for rec in descriptors.layout:
         prefix = rec.path()
         columns.extend(f"{prefix}/c{i:02d}" for i in range(rec.length))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([rep.source_id, *("%.9g" % v for v in rep.vector)] for rep in reps)
+        writer.writerows([sid, *("%.9g" % v for v in row)]
+                         for sid, row in zip(descriptors.source_ids, descriptors.matrix))

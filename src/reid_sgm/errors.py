@@ -37,10 +37,6 @@ class EmptyStripe(ReidSgmError):
     """A stripe covers no cells of the (pooled) map stack."""
 
 
-class SourceMismatch(ReidSgmError):
-    """Representations being fused come from different source images."""
-
-
 class TooFewPairs(ReidSgmError):
     """Not enough training pairs to estimate the coupled statistics."""
 

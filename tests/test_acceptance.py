@@ -13,7 +13,13 @@ import scipy.linalg
 
 import reid_sgm as rs
 from reid_sgm.ccl import accumulate_stats, score_matrix, solve_subspace
-from reid_sgm.descriptor import ExtractionConfig, extract_sgm, load_descriptors, save_descriptors
+from reid_sgm.descriptor import (
+    DescriptorSet,
+    ExtractionConfig,
+    extract_sgm,
+    load_descriptors,
+    save_descriptors,
+)
 from reid_sgm.errors import CorruptFile, UnsupportedFormat
 from reid_sgm.evalkit import SynthSpec, cmc_single_shot, make_splits, synth_dataset
 from reid_sgm.imaging import ColorSpace, load_image, load_mask
@@ -171,7 +177,7 @@ def _extract_corpus(manifest, config, palette):
     for entry in manifest.entries:
         img = load_image(entry.image_path)
         mask = load_mask(entry.mask_path, img)
-        rep = extract_sgm(img, mask, config, palette=palette, source_id=entry.image_path)
+        rep = extract_sgm(img, mask, config, palette=palette)
         reps[entry.image_path] = rep.vector.astype(np.float64)
     return reps
 
@@ -255,17 +261,15 @@ def test_persistence_round_trip(tmp_path, palette):
     """Artifacts reload bitwise; corrupted magic and dims are rejected."""
     start = time.perf_counter()
     config = ExtractionConfig(spaces=(ColorSpace.RGB, ColorSpace.HSV))
-    reps = [
-        extract_sgm(make_image(12, 33, seed=50 + i), None, config,
-                    palette=palette, source_id=f"img{i}")
-        for i in range(4)
-    ]
+    reps = [extract_sgm(make_image(12, 33, seed=50 + i), None, config, palette=palette)
+            for i in range(4)]
+    saved = DescriptorSet(matrix=np.vstack([rep.vector for rep in reps]), layout=reps[0].layout,
+                          source_ids=tuple(f"img{i}" for i in range(4)))
     dpath = tmp_path / "d.sgmd"
-    save_descriptors(dpath, reps)
+    save_descriptors(dpath, saved)
     loaded = load_descriptors(dpath)
-    for a, b in zip(reps, loaded):
-        assert np.array_equal(a.vector, b.vector)
-        assert a.layout == b.layout and a.source_id == b.source_id
+    assert np.array_equal(saved.matrix, loaded.matrix)
+    assert saved.layout == loaded.layout and saved.source_ids == loaded.source_ids
 
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(30, 8))

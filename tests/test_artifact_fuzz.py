@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reid_sgm.ccl import CclModel, load_models, save_models
 from reid_sgm.descriptor import (
+    DescriptorSet,
     ExtractionConfig,
     extract_features,
     load_descriptors,
@@ -45,12 +46,11 @@ def artifacts(tmp_path_factory, palette):
     config = ExtractionConfig(features=("SGM", "CH", "SILTP"), stripes=2)
     image = make_image(9, 12, seed=0)
     mask = make_mask(9, 12, border=2)
-    reps = [
-        extract_features(make_image(9, 12, seed=i), mask, config, palette=palette,
-                         source_id=f"img{i}")
-        for i in range(2)
-    ]
-    save_descriptors(root / "d.sgmd", reps)
+    reps = [extract_features(make_image(9, 12, seed=i), mask, config, palette=palette)
+            for i in range(2)]
+    save_descriptors(root / "d.sgmd", DescriptorSet(
+        matrix=np.vstack([rep.vector for rep in reps]), layout=reps[0].layout,
+        source_ids=("img0", "img1")))
     save_models(root / "m.cclm", small_models())
     write_ppm(root / "i.ppm", image.pixels)
     write_pgm(root / "m.pgm", mask.values * 255)

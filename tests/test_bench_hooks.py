@@ -2,24 +2,28 @@
 
 ``perfbench/traced_cli.py`` replaces module attributes by name with
 ``rec.wrap(module, "attr", ...)``, and ``perfbench/timed_cli.py`` wraps
-``descriptor.extract_features``.  A renamed function would only fail in
-a traced benchmark run; this test fails at once instead.
+``descriptor.extract_features``; ``perfbench/run.py`` reads one timing line
+per image from ``extract --verbose``.  A renamed function or a changed
+extraction loop would only fail in a benchmark run; these tests fail at
+once instead.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 from reid_sgm import ccl, cli, descriptor
 from reid_sgm.descriptor import ExtractionConfig, distinct_colors, extract_features
-from reid_sgm.evalkit import SynthSpec, make_splits, synth_dataset
+from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
 from reid_sgm.imaging import RasterImage
 
 from conftest import make_image, make_mask
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+RUN = TRACED_CLI.with_name("run.py")
 
 
 def wrapped_attributes():
@@ -52,6 +56,42 @@ def test_traced_hooks_exist():
 
 def test_timed_hook_exists():
     assert callable(descriptor.extract_features)
+
+
+def verbose_time_pattern():
+    """The ``VERBOSE_TIME = re.compile(...)`` regex of ``perfbench/run.py``."""
+    tree = ast.parse(RUN.read_text(), filename=str(RUN))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["VERBOSE_TIME"]):
+            return re.compile(node.value.args[0].value)
+    raise AssertionError(f"{RUN} assigns no VERBOSE_TIME")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_timed_extract_calls_the_hook_and_prints_once_per_image(monkeypatch, tmp_path, capsys,
+                                                                threads):
+    """``extract --verbose``, with ``descriptor.extract_features`` wrapped as
+    ``timed_cli.py`` wraps it, calls the wrapper once per image and prints one
+    line per image, in manifest order, that ``run.py``'s pattern reads."""
+    synth_dataset(SynthSpec(n_ids=3, width=18, height=48, seed=2), tmp_path / "corpus")
+    manifest = tmp_path / "corpus" / "manifest.csv"
+    calls = []
+    real = descriptor.extract_features
+
+    def extract_features(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(descriptor, "extract_features", extract_features)
+    assert cli.main(["extract", str(manifest), "--out", str(tmp_path / "d.sgmd"), "--features",
+                     "SGM,CH,SILTP", "--threads", str(threads), "--verbose"]) == 0
+    pattern = verbose_time_pattern()
+    timed = [line for line in capsys.readouterr().out.splitlines() if pattern.search(line)]
+    paths = [entry.image_path for entry in load_manifest(manifest).entries]
+    assert len(calls) == len(paths) == 6
+    assert [line.split(": dim=")[0] for line in timed] == paths
+    assert len(pattern.findall("\n".join(timed))) == len(paths)
 
 
 @pytest.mark.parametrize("levels", [256, 4])

@@ -721,6 +721,16 @@ class TestModelPersistence:
             save_models(path, models)
         assert not path.exists()
 
+    @pytest.mark.parametrize("tags", [("CH ",), ("SGM", "SGM ")])
+    def test_tag_ending_in_a_space_leaves_no_file(self, tmp_path, rng, tags):
+        # The reader strips the padding: "CH " would load as "CH", and "SGM"
+        # beside "SGM " would be read back as a repeated kind.
+        model = self.make_models(rng)["SGM"]
+        path = tmp_path / "m.cclm"
+        with pytest.raises(ValueError, match="kind tag ends in a space"):
+            save_models(path, dict.fromkeys(tags, model))
+        assert not path.exists()
+
     def test_truncation(self, tmp_path, rng):
         path = tmp_path / "m.cclm"
         save_models(path, self.make_models(rng))

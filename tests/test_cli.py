@@ -132,10 +132,8 @@ class TestSynth:
 
 class TestExtract:
     def test_descriptor_contents(self, descriptors):
-        reps = load_descriptors(descriptors)
-        assert len(reps) == 24
-        # two views x two spaces x ten stripes x sixteen names
-        assert reps[0].dim == 640
+        # 24 images; two views x two spaces x ten stripes x sixteen names
+        assert load_descriptors(descriptors).matrix.shape == (24, 640)
 
     def test_rerun_bitwise_identical(self, corpus, descriptors, tmp_path):
         again = tmp_path / "again.sgmd"
@@ -186,9 +184,7 @@ class TestExtract:
                 fh.write(f"{e.person_id},{e.camera},{e.image_path},{e.mask_path}\n")
         out = tmp_path / "two.sgmd"
         assert main(["extract", str(small), "--out", str(out)]) == 0
-        reps = load_descriptors(out)
-        assert len(reps) == 2
-        assert reps[0].dim == 1280
+        assert load_descriptors(out).matrix.shape == (2, 1280)
 
     def test_threaded_verbose_lines_are_whole_and_in_manifest_order(
         self, corpus, tmp_path, capsys
@@ -226,8 +222,7 @@ class TestExtract:
             "--spaces", "RGB", "--global-fit",
         ])
         assert code == 0
-        reps = load_descriptors(out)
-        assert reps[0].dim == 320
+        assert load_descriptors(out).matrix.shape[1] == 320
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cli.cfg"
@@ -235,13 +230,12 @@ class TestExtract:
         out = tmp_path / "cfg.sgmd"
         assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
                      "--config", str(cfg)]) == 0
-        reps = load_descriptors(out)
-        assert reps[0].dim == 320  # one space, two views
+        assert load_descriptors(out).matrix.shape[1] == 320  # one space, two views
         # command line wins over the file
         out2 = tmp_path / "cfg2.sgmd"
         assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out2),
                      "--config", str(cfg), "--spaces", "RGB,HSV"]) == 0
-        assert load_descriptors(out2)[0].dim == 640
+        assert load_descriptors(out2).matrix.shape[1] == 640
 
     def test_repeated_config_key_is_usage_error(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -296,6 +290,17 @@ class TestExtract:
         assert code == 1
         assert f"epsilon0 must be positive and finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("features", ["SGM", "CH"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_epsilon0_rejected_before_loading(self, tmp_path, capsys, value, features):
+        # The manifest does not exist, so the value is checked before anything
+        # is read; CH fits no model and rejects it all the same.
+        code = main(["extract", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "e.sgmd"),
+                     "--epsilon0", value, "--features", features])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"epsilon0 must be positive and finite, got {float(value)}" in err
 
 
 class TestTrain:
@@ -414,15 +419,16 @@ class TestEval:
         cli_rate = capsys.readouterr().out.strip().splitlines()[1]
 
         manifest = load_manifest(corpus / "manifest.csv")
-        reps = {r.source_id: r for r in load_descriptors(descriptors)}
+        reps = load_descriptors(descriptors)
         mdl = load_models(model)["SGM"]
         split = rs.make_splits(manifest, 0.5, 1, 9)[0]
         probes, gallery = [], []
         for pid in split.test_ids:
             a = manifest.rows(camera="A", ids=[pid])[0]
             b = manifest.rows(camera="B", ids=[pid])[0]
-            probes.append(rs.project(mdl, reps[a.image_path].vector.astype(np.float64), "A"))
-            gallery.append(rs.project(mdl, reps[b.image_path].vector.astype(np.float64), "B"))
+            ra, rb = reps.rows([a.image_path, b.image_path])
+            probes.append(rs.project(mdl, reps.matrix[ra].astype(np.float64), "A"))
+            gallery.append(rs.project(mdl, reps.matrix[rb].astype(np.float64), "B"))
         scores = rs.score_matrix(mdl, np.vstack(gallery), np.vstack(probes))
         curve = rs.cmc_single_shot(scores, split.test_ids, split.test_ids)
         # the CSV prints rates with six decimals
@@ -461,7 +467,7 @@ class TestMalformedDescriptors:
     """Each defect ends in exit 2 from the reader, never a traceback or a report."""
 
     @staticmethod
-    def rewrite(descriptors, tmp_path, count=None, values=None, source_ids=None):
+    def rewrite(descriptors, tmp_path, count=None, values=None, source_ids=None, layout=None):
         data = descriptors.read_bytes()
         _, rows, dim = struct.unpack("<HII", data[4:14])
         matrix = np.frombuffer(data[14 : 14 + 4 * rows * dim], dtype="<f4").reshape(rows, dim)
@@ -473,6 +479,8 @@ class TestMalformedDescriptors:
             matrix = values(matrix.copy())
         if source_ids is not None:
             footer["source_ids"] = source_ids(footer["source_ids"])
+        if layout is not None:
+            footer["layout"] = layout(footer["layout"])
         path = tmp_path / "bad.sgmd"
         path.write_bytes(
             data[:6] + struct.pack("<II", len(matrix), dim)
@@ -539,6 +547,28 @@ class TestMalformedDescriptors:
         assert code == 2
         assert "repeats a source id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", 5, "unknown feature kind 5"),
+        ("kind", "X" * 20, f"unknown feature kind {'X' * 20!r}"),
+        ("view", 1, "SGM record has a non-string view or space"),
+        ("space", ["RGB"], "SGM record has a non-string view or space"),
+    ])
+    def test_layout_field_of_wrong_type(self, corpus, descriptors, tmp_path, capsys, field,
+                                        value, message):
+        # Rejected at load: train fits nothing and writes no model.
+        def edit(layout):
+            layout[0][field] = value
+            return layout
+
+        path = self.rewrite(descriptors, tmp_path, layout=edit)
+        out = tmp_path / "m.cclm"
+        code = main(["train", str(path), str(corpus / "manifest.csv"), "--out", str(out),
+                     "--r", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"malformed layout footer: {message}" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestMalformedModels:
     """Each ``.cclm`` defect ends in exit 2 from the reader (``CorruptFile``)."""
@@ -599,8 +629,7 @@ class TestFeatureFusion:
         ])
         assert code == 0
         capsys.readouterr()
-        reps = load_descriptors(desc)
-        assert reps[0].dim == 640 + 1920 + 1620
+        assert load_descriptors(desc).matrix.shape[1] == 640 + 1920 + 1620
 
         mdl = tmp_path / "fused.cclm"
         code = main([
@@ -638,7 +667,7 @@ class TestFeatureFusion:
         ]) == 0
         models = load_models(mdl)
         assert list(models) == ["ALL"]
-        assert models["ALL"].dim == load_descriptors(desc)[0].dim
+        assert models["ALL"].dim == load_descriptors(desc).matrix.shape[1]
 
 
 class TestMasklessManifests:
@@ -651,14 +680,33 @@ class TestMasklessManifests:
                 fh.write(f"{e.person_id},{e.camera},{e.image_path},\n")
         out = tmp_path / "nomask.sgmd"
         assert main(["extract", str(stripped), "--out", str(out)]) == 0
-        assert load_descriptors(out)[0].dim == 640
+        assert load_descriptors(out).matrix.shape[1] == 640
+
+    def test_partial_masks_rejected_before_any_extraction(self, corpus, tmp_path, capsys,
+                                                          monkeypatch):
+        entries = load_manifest(corpus / "manifest.csv").entries
+        partial = tmp_path / "partial.csv"
+        with open(partial, "w") as fh:
+            fh.write("person_id,camera,image_path,mask_path\n")
+            for i, e in enumerate(entries):
+                mask = "" if i == 3 else e.mask_path
+                fh.write(f"{e.person_id},{e.camera},{e.image_path},{mask}\n")
+        out = tmp_path / "partial.sgmd"
+        out.write_bytes(b"stale")
+        calls = []
+        for name in ("fit_shared_models", "extract_features"):
+            monkeypatch.setattr(cli.descriptor, name, lambda *args, **kwargs: calls.append(args))
+        assert main(["extract", str(partial), "--out", str(out), "--global-fit"]) == 2
+        err = capsys.readouterr().err
+        assert f"{entries[-1].image_path} has a mask but {entries[3].image_path} has none" in err
+        assert calls == [] and not out.exists()
 
     def test_no_mask_flag_drops_foreground_view(self, corpus, tmp_path):
         out = tmp_path / "flag.sgmd"
         assert main([
             "extract", str(corpus / "manifest.csv"), "--out", str(out), "--no-mask",
         ]) == 0
-        assert load_descriptors(out)[0].dim == 640
+        assert load_descriptors(out).matrix.shape[1] == 640
 
 
 class TestMultiShot:
@@ -674,7 +722,7 @@ class TestMultiShot:
             "extract", str(corpus / "manifest.csv"), "--out", str(desc),
             "--spaces", "RGB",
         ]) == 0
-        assert len(load_descriptors(desc)) == 32
+        assert load_descriptors(desc).matrix.shape[0] == 32
         mdl = tmp_path / "m.cclm"
         assert main([
             "train", str(desc), str(corpus / "manifest.csv"),

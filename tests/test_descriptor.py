@@ -15,13 +15,13 @@ from reid_sgm.errors import (
     CorruptFile,
     DimensionMismatch,
     EmptyStripe,
-    SourceMismatch,
     StackTooSmall,
     UnsupportedFormat,
 )
 from reid_sgm import descriptor
 from reid_sgm.descriptor import (
     DISTINCT_COLOR_SHARE,
+    DescriptorSet,
     ExtractionConfig,
     ImageRepresentation,
     LayoutRecord,
@@ -450,26 +450,11 @@ class TestFuse:
                     vector=np.zeros(100, dtype=np.float32),
                     layout=(LayoutRecord(kind=kind, space=None, view="projected",
                                          stripe=0, length=100),),
-                    source_id="img",
                 )
             )
         fused = fuse(made)
         assert fused.dim == 300
         assert [rec.kind for rec in fused.layout] == ["SGM", "CH", "SILTP"]
-
-    def test_source_mismatch(self):
-        a = ImageRepresentation(
-            vector=np.zeros(4, dtype=np.float32),
-            layout=(LayoutRecord("SGM", None, "whole", 0, 4),),
-            source_id="a",
-        )
-        b = ImageRepresentation(
-            vector=np.zeros(4, dtype=np.float32),
-            layout=(LayoutRecord("SGM", None, "whole", 0, 4),),
-            source_id="b",
-        )
-        with pytest.raises(SourceMismatch):
-            fuse([a, b])
 
     def test_feature_span(self, palette):
         img = make_image(48, 128, seed=23)
@@ -484,48 +469,43 @@ class TestFuse:
 
 
 class TestPersistence:
-    def make_reps(self, palette, n=3):
+    def make_set(self, palette, n=3):
         config = ExtractionConfig(spaces=(ColorSpace.RGB, ColorSpace.HSV))
-        reps = []
-        for i in range(n):
-            img = make_image(12, 33, seed=30 + i)
-            reps.append(
-                extract_sgm(img, None, config, palette=palette, source_id=f"img{i}")
-            )
-        return reps
+        reps = [extract_sgm(make_image(12, 33, seed=30 + i), None, config, palette=palette)
+                for i in range(n)]
+        return DescriptorSet(matrix=np.vstack([rep.vector for rep in reps]),
+                             layout=reps[0].layout, source_ids=tuple(f"img{i}" for i in range(n)))
 
     def test_roundtrip_bitwise(self, tmp_path, palette):
-        reps = self.make_reps(palette)
+        saved = self.make_set(palette)
         path = tmp_path / "d.sgmd"
-        save_descriptors(path, reps)
+        save_descriptors(path, saved)
         loaded = load_descriptors(path)
-        assert len(loaded) == len(reps)
-        for a, b in zip(reps, loaded):
-            assert np.array_equal(a.vector, b.vector)
-            assert a.vector.dtype == b.vector.dtype == np.float32
-            assert a.layout == b.layout
-            assert a.source_id == b.source_id
+        assert loaded.matrix.shape == saved.matrix.shape
+        assert np.array_equal(saved.matrix, loaded.matrix)
+        assert saved.matrix.dtype == loaded.matrix.dtype == np.float32
+        assert saved.layout == loaded.layout
+        assert saved.source_ids == loaded.source_ids
         assert not loaded.matrix.flags.writeable
         with pytest.raises(ValueError):
             loaded.matrix[0, 0] = 1.0
 
     def test_rewrite_is_bitwise_stable(self, tmp_path, palette):
-        reps = self.make_reps(palette)
         p1, p2 = tmp_path / "a.sgmd", tmp_path / "b.sgmd"
-        save_descriptors(p1, reps)
+        save_descriptors(p1, self.make_set(palette))
         save_descriptors(p2, load_descriptors(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_payload_is_not_copied(self, tmp_path):
-        # Saving makes no copy of the stacked float32 matrix and loading
-        # none of the file's bytes: each peaks well under two matrices.
+        # Saving makes no copy of the float32 matrix and loading none of
+        # the file's bytes: each peaks well under two matrices.
         count, dim = 64, 8192
         matrix = np.random.default_rng(0).random((count, dim), dtype=np.float32)
         layout = (LayoutRecord(kind="SGM", space="RGB", view="whole", stripe=0, length=dim),)
-        reps = [ImageRepresentation(vector=row, layout=layout, source_id=f"img{i}")
-                for i, row in enumerate(matrix)]
+        descriptors = DescriptorSet(matrix=matrix, layout=layout,
+                                    source_ids=tuple(f"img{i}" for i in range(count)))
         path = tmp_path / "d.sgmd"
-        for step in (lambda: save_descriptors(path, reps), lambda: load_descriptors(path)):
+        for step in (lambda: save_descriptors(path, descriptors), lambda: load_descriptors(path)):
             tracemalloc.start()
             try:
                 step()
@@ -537,7 +517,7 @@ class TestPersistence:
 
     def test_bad_magic_rejected(self, tmp_path, palette):
         path = tmp_path / "d.sgmd"
-        save_descriptors(path, self.make_reps(palette))
+        save_descriptors(path, self.make_set(palette))
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
@@ -546,49 +526,55 @@ class TestPersistence:
 
     def test_truncated_payload_rejected(self, tmp_path, palette):
         path = tmp_path / "d.sgmd"
-        save_descriptors(path, self.make_reps(palette))
+        save_descriptors(path, self.make_set(palette))
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CorruptFile):
             load_descriptors(path)
 
-    def test_mixed_layouts_rejected(self, tmp_path, palette):
-        img = make_image(12, 33, seed=40)
-        a = extract_sgm(img, None, ExtractionConfig(), palette=palette)
-        b = extract_sgm(img, make_mask(12, 33), ExtractionConfig(), palette=palette)
-        with pytest.raises(ArtifactMismatch):
-            save_descriptors(tmp_path / "d.sgmd", [a, b])
+    def test_repeated_source_id_rejected(self, palette):
+        good = self.make_set(palette)
+        with pytest.raises(ArtifactMismatch, match="repeats a source id"):
+            DescriptorSet(matrix=good.matrix, layout=good.layout,
+                          source_ids=("img0", "img1", "img0"))
 
-    def test_repeated_source_id_rejected(self, tmp_path, palette):
-        reps = self.make_reps(palette, n=2)
-        with pytest.raises(ArtifactMismatch):
-            save_descriptors(tmp_path / "d.sgmd", [reps[0], reps[1], reps[0]])
+    @pytest.mark.parametrize("change, message", [
+        (lambda m, lay, ids: (m[:0], lay, ()), "holds no rows"),
+        (lambda m, lay, ids: (m, lay[:-1], ids), "layout does not cover dim"),
+        (lambda m, lay, ids: (m, lay, ids[:-1]), "needs 3 string source ids"),
+        (lambda m, lay, ids: (m, lay, (*ids[:-1], 7)), "needs 3 string source ids"),
+    ])
+    def test_set_checks_its_invariants(self, palette, change, message):
+        good = self.make_set(palette)
+        matrix, layout, ids = change(good.matrix, good.layout, good.source_ids)
+        with pytest.raises(ArtifactMismatch, match=message):
+            DescriptorSet(matrix=matrix, layout=layout, source_ids=ids)
 
     def test_csv_export(self, tmp_path, palette):
-        reps = self.make_reps(palette, n=2)
+        descriptors = self.make_set(palette, n=2)
         path = tmp_path / "d.csv"
-        export_csv(path, reps)
+        export_csv(path, descriptors)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
         assert header[0] == "source_id"
-        assert len(header) == 1 + reps[0].dim
+        assert len(header) == 1 + descriptors.matrix.shape[1]
         assert header[1].startswith("SGM/RGB/whole/stripe00/")
         row = lines[1].split(",")
         assert row[0] == "img0"
-        assert np.allclose([float(v) for v in row[1:]], reps[0].vector, rtol=1e-6)
+        first = descriptors.matrix[0]
+        assert np.allclose([float(v) for v in row[1:]], first, rtol=1e-6)
         # A plain id is written unquoted, each value as %.9g.
-        assert lines[1] == "img0," + ",".join("%.9g" % v for v in reps[0].vector)
+        assert lines[1] == "img0," + ",".join("%.9g" % v for v in first)
 
     def test_csv_export_quotes_a_source_id(self, tmp_path, palette):
-        rep = self.make_reps(palette, n=1)[0]
+        one = self.make_set(palette, n=1)
         odd = 'c,1/"cam A"/0.ppm'
         path = tmp_path / "d.csv"
-        export_csv(path, [ImageRepresentation(vector=rep.vector, layout=rep.layout,
-                                              source_id=odd)])
+        export_csv(path, DescriptorSet(matrix=one.matrix, layout=one.layout, source_ids=(odd,)))
         with open(path, newline="", encoding="utf-8") as fh:
             header, row = list(csv.reader(fh))
-        assert len(header) == len(row) == 1 + rep.dim
+        assert len(header) == len(row) == 1 + one.matrix.shape[1]
         assert row[0] == odd
 
 
@@ -935,7 +921,7 @@ class TestExtractFeaturesOracle:
             if case == "shared_models":
                 shared = fit_shared_models([(image, view_mask)], config, palette)
             rep = extract_features(image, view_mask, config, palette=palette,
-                                   source_id="x", shared_models=shared)
+                                   shared_models=shared)
             parts = {
                 "SGM": (per_view_convert_sgm(image, view_mask, config, palette, shared),
                         sgm_layout(view_mask, config)),
@@ -953,7 +939,7 @@ class TestExtractFeaturesOracle:
         assert (distinct_colors(image) is not None) == distinct
         mask = make_mask(17, 40, border=3)
         config = ExtractionConfig(features=("SGM", "CH"), k=4, stripes=6)
-        rep = extract_features(image, mask, config, palette=palette, source_id="x")
+        rep = extract_features(image, mask, config, palette=palette)
         expected = np.concatenate([per_view_convert_sgm(image, mask, config, palette),
                                    per_stripe_color_histogram(image, mask, config)[0]])
         assert_bitwise_equal(rep.vector, expected)
