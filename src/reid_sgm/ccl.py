@@ -5,8 +5,8 @@ define the coupled variables m = x + y (commonness) and e = x - y
 (difference).  The projection W maximizes the ratio of the
 intra-personal commonness variance to the intra-personal difference
 variance, which reduces to a generalized eigenproblem solved here by
-Cholesky whitening.  ``score_matrix`` combines quadratic forms of m and
-e under the projected-space covariance inverses.
+whitening (see ``solve_subspace``).  ``score_matrix`` combines quadratic
+forms of m and e under the projected-space covariance inverses.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class CoupledStats:
 
     The covariances stay factored as ``sigma_m = M^T M + ridge_term * I``
     and ``sigma_e = E^T E + ridge_term * I``: ``accumulate_stats`` fills
-    the rows of ``m_rows`` (M) and ``e_rows`` (E) with the centered
-    m = x + y and e = x - y of each pair over sqrt(n).  Reading
+    ``pair_rows`` = [M; E] with the centered m = x + y and e = x - y of
+    each pair over sqrt(n) (the views ``m_rows`` and ``e_rows``).  Reading
     ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
     does not when 2n < d.
     """
@@ -51,9 +51,16 @@ class CoupledStats:
     dim: int
     mean_x: np.ndarray
     mean_y: np.ndarray
-    m_rows: np.ndarray
-    e_rows: np.ndarray
+    pair_rows: np.ndarray
     ridge_term: float
+
+    @property
+    def m_rows(self) -> np.ndarray:
+        return self.pair_rows[: self.pair_rows.shape[0] // 2]
+
+    @property
+    def e_rows(self) -> np.ndarray:
+        return self.pair_rows[self.pair_rows.shape[0] // 2 :]
 
     @property
     def sigma_m(self) -> np.ndarray:
@@ -66,8 +73,8 @@ class CoupledStats:
         return _ridged_gram(self.e_rows, self.ridge_term)
 
 
-def _ridged_gram(rows: np.ndarray, ridge_term: float) -> np.ndarray:
-    """rows^T rows + ridge_term * I, symmetrized."""
+def _ridged_gram(rows: np.ndarray, ridge_term) -> np.ndarray:
+    """rows^T rows + ridge_term (scalar or per column) on the diagonal, symmetrized."""
     gram = rows.T @ rows
     gram = 0.5 * (gram + gram.T)
     gram.flat[:: gram.shape[0] + 1] += ridge_term
@@ -114,8 +121,8 @@ def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
     covariances stay factored (see ``CoupledStats``), so memory is
     O(n d) rather than O(d^2).
     """
-    xs = np.array(xs, dtype=np.float64)
-    ys = np.array(ys, dtype=np.float64)
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
     if xs.ndim != 2 or xs.shape != ys.shape:
         raise DimensionMismatch(f"views must be (n, d) and alike, got {xs.shape}/{ys.shape}")
     n, dim = xs.shape
@@ -123,41 +130,43 @@ def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
         raise TooFewPairs(f"need at least 2 pairs, got {n}")
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
-    mean_x = xs.mean(axis=0)
+    # The x view is centered in the top half, which then becomes m = x + y.
+    pair_rows = np.empty((2 * n, dim))
+    m_rows, e_rows = pair_rows[:n], pair_rows[n:]
+    m_rows[...] = xs
+    ys = np.array(ys, dtype=np.float64)
+    mean_x = m_rows.mean(axis=0)
     mean_y = ys.mean(axis=0)
-    xs -= mean_x
+    m_rows -= mean_x
     ys -= mean_y
-    m_rows = xs + ys
-    e_rows = np.subtract(xs, ys, out=xs)
-    m_rows /= np.sqrt(n)
-    e_rows /= np.sqrt(n)
+    np.subtract(m_rows, ys, out=e_rows)
+    m_rows += ys
+    pair_rows /= np.sqrt(n)
     scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * dim)
     return CoupledStats(
-        dim=dim, mean_x=mean_x, mean_y=mean_y,
-        m_rows=m_rows, e_rows=e_rows,
+        dim=dim, mean_x=mean_x, mean_y=mean_y, pair_rows=pair_rows,
         ridge_term=ridge * scale if ridge > 0 and scale > 0 else 0.0,
     )
 
 
 def _coupled_problem(stats: CoupledStats):
-    """The covariance pair to solve and the map that lifts its vectors.
+    """The pair rows' coordinates to solve in and the map that lifts vectors.
 
-    When 2n < d: the pair in an orthonormal basis of the pair rows' span,
-    k <= 2n directions (see the README's ``ccl``), and ``lift(vecs,
-    pad)``, which maps k-vectors to d coordinates and fills the columns
-    ``pad`` (zero in vecs) with orthonormal directions off that span.
-    Otherwise the full matrices and None.
+    When 2n < d: the rows' coordinates C in an orthonormal basis of their
+    span, k <= 2n orthogonal columns (see the README's ``ccl``), and
+    ``lift(vecs, pad)``, which maps k-vectors to d coordinates and fills
+    the columns ``pad`` (zero in vecs) with orthonormal directions off
+    that span.  Otherwise the pair rows themselves and None.
     """
     n = stats.m_rows.shape[0]
     if 2 * n >= stats.dim:
-        return stats.sigma_m, stats.sigma_e, None
+        return stats.pair_rows, None
     if stats.ridge_term <= 0:
         raise NotPositiveDefinite(
             f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
         )
-    pair_rows = np.vstack([stats.m_rows, stats.e_rows])
     # rows = left^T pair_rows less parts in earlier blocks (left None: all).
-    rows, left, blocks, coords = pair_rows, None, [], []
+    rows, left, blocks, coords = stats.pair_rows, None, [], []
     while rows.shape[0]:
         if blocks:
             # Twice is enough: a row that one pass halves gets a second, and
@@ -203,11 +212,7 @@ def _coupled_problem(stats: CoupledStats):
         lifted[at] += units
         return lifted
 
-    return (
-        _ridged_gram(coords[:n], stats.ridge_term),
-        _ridged_gram(coords[n:], stats.ridge_term),
-        lift,
-    )
+    return coords, lift
 
 
 def _deflate(rows: np.ndarray, blocks) -> np.ndarray:
@@ -220,67 +225,60 @@ def _deflate(rows: np.ndarray, blocks) -> np.ndarray:
 def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     """Top-r generalized eigenvectors of (sigma_m, sigma_e) by whitening.
 
-    Factors sigma_e = L L^T, eigendecomposes the whitened commonness
-    covariance, and back-transforms.  With n pairs and 2n < d this runs on
-    the k x k problem of ``_coupled_problem`` (k <= 2n) and lifts the
-    vectors back, padding with eigenvalue-1 directions off the pair rows'
-    span when fewer than r eigenvalues exceed 1 (see the README's
-    ``ccl``); the subspace and scores are those of the full problem.
-    Columns are normalized to unit length with the largest-magnitude
-    component made positive, and the projected-space covariance inverses
-    are computed from the W-projected statistics.
+    With n pairs and 2n < d the k x k problem in the coordinates C of
+    ``_coupled_problem`` is whitened by the diagonal D = C^T C + 2
+    ridge_term I = sigma_m + sigma_e: D^-1/2 sigma_m D^-1/2 has eigenvalues
+    theta / (1 + theta), and its eigenvectors times D^-1/2 are lifted back,
+    padded with eigenvalue-1 directions off the pair rows' span when fewer
+    than r eigenvalues exceed 1 (see the README's ``ccl``).  Otherwise
+    sigma_e's Cholesky factor whitens.  The unit columns, largest component
+    positive, are orthogonal under both covariances, so with a = diag(W^T
+    sigma_m W) and b = diag(W^T sigma_e W) the eigenvalues are a / b and
+    the projected-space inverses diag(1 / a), diag(1 / b), diag(2 / (a + b)).
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
-    sigma_m, sigma_e, lift = _coupled_problem(stats)
-    try:
-        lower = np.linalg.cholesky(sigma_e)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("difference covariance is not positive-definite") from None
+    coords, lift = _coupled_problem(stats)
+    n = coords.shape[0] // 2
+    if lift is None:
+        try:
+            lower = np.linalg.cholesky(stats.sigma_e)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("difference covariance is not positive-definite") from None
+        # numpy has no triangular solve; the Cholesky factor's inverse costs
+        # less than the 0.2 s of CPU that loading scipy.linalg for one would.
+        inv_lower = np.linalg.inv(lower)
+        whitened = inv_lower @ stats.sigma_m @ inv_lower.T
+        evals, evecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
+        above = int(np.count_nonzero(evals > 1.0))
+        vecs = inv_lower.T @ evecs[:, ::-1][:, :r]
+    else:
+        scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", coords, coords) + 2.0 * stats.ridge_term)
+        evals, evecs = np.linalg.eigh(_ridged_gram(coords[:n] * scale, stats.ridge_term * scale**2))
+        above = int(np.count_nonzero(evals > 0.5))  # theta > 1
+        vecs = scale[:, None] * evecs[:, ::-1][:, :r]
 
-    # numpy has no triangular solve; the Cholesky factor's inverse costs less
-    # than the 0.2 s of CPU that loading scipy.linalg for one would.
-    inv_lower = np.linalg.inv(lower)
-    whitened = inv_lower @ sigma_m @ inv_lower.T
-    whitened = 0.5 * (whitened + whitened.T)
-    evals, evecs = np.linalg.eigh(whitened)
-
-    above = int(np.count_nonzero(evals > 1.0))
     pad = np.arange(above, above + min(max(r - above, 0), stats.dim - evals.size))
-    kept = r - pad.size
-    vecs = inv_lower.T @ evecs[:, ::-1][:, :kept]
+    vecs = vecs[:, : r - pad.size]
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    # The padding columns sit between the eigenvalues above 1 and the rest.
-    eigenvalues = np.insert(evals[::-1][:kept], np.full(pad.size, above), 1.0)
+    # The padding columns sit between the eigenvalues above 1 and the rest;
+    # on them both projected variances are the ridge.
     vecs = np.insert(vecs, np.full(pad.size, above), 0.0, axis=1)
-    w = vecs.copy() if lift is None else lift(vecs, pad)
-    signs = np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
-    w *= signs
-    vecs *= signs
-
-    proj_m = vecs.T @ sigma_m @ vecs
-    proj_e = vecs.T @ sigma_e @ vecs
-    proj_m = 0.5 * (proj_m + proj_m.T)
-    proj_e = 0.5 * (proj_e + proj_e.T)
-    proj_m[pad, pad] = proj_e[pad, pad] = stats.ridge_term
-    proj_avg = 0.5 * (proj_m + proj_e)
+    a, b = (np.einsum("ij,ij->j", part, part) + stats.ridge_term
+            for part in (coords[:n] @ vecs, coords[n:] @ vecs))
+    if not np.all((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)):
+        raise NotPositiveDefinite("projected covariance is singular")
+    w = vecs if lift is None else lift(vecs, pad)
+    w *= np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
     return CclModel(
         w=w,
-        eigenvalues=eigenvalues,
-        inv_sigma_m=_symmetric_inverse(proj_m),
-        inv_sigma_e=_symmetric_inverse(proj_e),
-        inv_sigma=_symmetric_inverse(proj_avg),
+        eigenvalues=a / b,
+        inv_sigma_m=np.diag(1.0 / a),
+        inv_sigma_e=np.diag(1.0 / b),
+        inv_sigma=np.diag(2.0 / (a + b)),
         mean_x=stats.mean_x.copy(),
         mean_y=stats.mean_y.copy(),
     )
-
-
-def _symmetric_inverse(matrix: np.ndarray) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("projected covariance is singular") from None
-    return 0.5 * (inv + inv.T)
 
 
 def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
@@ -292,10 +290,10 @@ def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
     if view not in ("A", "B"):
         raise ValueError(f"view must be 'A' or 'B', got {view!r}")
     mean = model.mean_x if view == "A" else model.mean_y
-    rep = np.asarray(rep, dtype=np.float64)
+    rep = np.asarray(rep)
     if rep.shape[-1] != model.dim:
         raise DimensionMismatch(f"representation has dim {rep.shape[-1]}, model expects {model.dim}")
-    return (rep - mean) @ model.w
+    return np.subtract(rep, mean, dtype=np.float64) @ model.w
 
 
 def score_matrix(model: CclModel, gallery, probes) -> np.ndarray:

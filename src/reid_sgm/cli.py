@@ -147,7 +147,16 @@ class _LoadedRow:
     mask: imaging.ForegroundMask | None
 
 
-def _load_rows(manifest: evalkit.DatasetManifest, use_mask: bool):
+def _load_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool):
+    """The manifest's images and masks, or a data error before any extraction."""
+    if not manifest.entries:
+        raise IoFailure(f"{manifest_path}: manifest lists no images")
+    first_row: dict[str, int] = {}
+    for number, entry in enumerate(manifest.entries, 1):
+        earlier = first_row.setdefault(entry.image_path, number)
+        if earlier != number:
+            raise IoFailure(f"{manifest_path}: data rows {earlier} and {number} "
+                            f"both list {entry.image_path}")
     rows = []
     failures = []
     for entry in manifest.entries:
@@ -159,33 +168,20 @@ def _load_rows(manifest: evalkit.DatasetManifest, use_mask: bool):
             rows.append(_LoadedRow(entry=entry, image=image, mask=mask))
         except (ReidSgmError, OSError) as exc:
             failures.append(f"{entry.image_path}: {exc}")
-    return rows, failures
-
-
-def cmd_extract(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {args.threads}")
-    config = _extraction_config(args)
-    palette = sgm.load_palette(args.palette) if args.palette else sgm.default_palette()
-    out_path = Path(args.out)
-    manifest = evalkit.load_manifest(args.manifest, validate=False)
-    if not manifest.entries:
-        raise IoFailure(f"{args.manifest}: manifest lists no images")
-
-    rows, failures = _load_rows(manifest, config.use_mask)
     if failures:
-        out_path.unlink(missing_ok=True)
         for line in failures:
             print(f"error: {line}", file=sys.stderr)
-        print(f"error: {len(failures)} file(s) failed to load", file=sys.stderr)
-        return EXIT_DATA
+        raise IoFailure(f"{len(failures)} file(s) failed to load")
     # A row's layout depends only on the config and on whether it has a mask.
     by_mask = {row.mask is not None: row.entry.image_path for row in rows}
     if len(by_mask) > 1:
-        out_path.unlink(missing_ok=True)
         raise ArtifactMismatch(f"{by_mask[True]} has a mask but {by_mask[False]} has none; "
                                "give every image a mask or pass --no-mask")
+    return rows
 
+
+def _extract_rows(rows: list[_LoadedRow], config, palette, args):
+    """The rows' descriptors, in manifest order, and each one's extraction time."""
     shared_models = None
     if args.global_fit:
         shared_models = descriptor.fit_shared_models(
@@ -208,18 +204,31 @@ def cmd_extract(args) -> int:
             out.append((rep, elapsed))
         return out
 
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            results = collect(pool.map(one, rows))
+    else:
+        results = collect(map(one, rows))
+    descriptors = descriptor.DescriptorSet(
+        matrix=np.vstack([rep.vector for rep, _ in results]),
+        layout=results[0][0].layout,
+        source_ids=tuple(row.entry.image_path for row in rows),
+    )
+    return descriptors, np.array([t for _, t in results])
+
+
+def cmd_extract(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
+    config = _extraction_config(args)
+    palette = sgm.load_palette(args.palette) if args.palette else sgm.default_palette()
+    out_path = Path(args.out)
+    manifest = evalkit.load_manifest(args.manifest, validate=False)
+    # Once the manifest is read, a failed run removes --out and --csv, so a
+    # file from an earlier run cannot pass for this one's.
     try:
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = collect(pool.map(one, rows))
-        else:
-            results = collect(map(one, rows))
-        descriptors = descriptor.DescriptorSet(
-            matrix=np.vstack([rep.vector for rep, _ in results]),
-            layout=results[0][0].layout,
-            source_ids=tuple(row.entry.image_path for row in rows),
-        )
-        times = np.array([t for _, t in results])
+        rows = _load_rows(args.manifest, manifest, config.use_mask)
+        descriptors, times = _extract_rows(rows, config, palette, args)
         descriptor.save_descriptors(out_path, descriptors)
         if args.csv:
             descriptor.export_csv(args.csv, descriptors)

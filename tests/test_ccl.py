@@ -53,8 +53,7 @@ def stats_from_matrices(sigma_m, sigma_e):
         dim=d,
         mean_x=np.zeros(d),
         mean_y=np.zeros(d),
-        m_rows=_factor_rows(sigma_m),
-        e_rows=_factor_rows(sigma_e),
+        pair_rows=np.vstack([_factor_rows(sigma_m), _factor_rows(sigma_e)]),
         ridge_term=0.0,
     )
 
@@ -266,6 +265,13 @@ class TestSolveSubspace:
         with pytest.raises(NotPositiveDefinite):
             solve_subspace(stats, 2)
 
+    def test_singular_projected_covariance_rejected(self, rng):
+        # M = 0 and no ridge: every projected commonness variance is 0, so
+        # the model would hold an infinite inverse.
+        stats = stats_from_matrices(np.zeros((5, 5)), random_spd(rng, 5))
+        with pytest.raises(NotPositiveDefinite, match="projected covariance is singular"):
+            solve_subspace(stats, 2)
+
 
 def dense_oracle_model(stats, r):
     """Model from scipy's dense generalized eigensolver on the d x d stats."""
@@ -454,16 +460,52 @@ class TestSpanSolve:
         n, d = 6, 40
         for views in ("noisy", "head", "siltp", "line", "spike", "near:1e-7"):
             stats = accumulate_stats(*span_pairs(rng, n, d, 5, views))
-            sigma_m, sigma_e, lift = _coupled_problem(stats)
-            k = sigma_m.shape[0]
-            assert k <= 2 * n
+            coords, lift = _coupled_problem(stats)
+            k = coords.shape[1]
+            assert coords.shape[0] == 2 * n and k <= 2 * n
             basis = lift(np.eye(k), np.arange(0))
             assert basis.shape == (d, k)
             assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
             for rows in (stats.m_rows, stats.e_rows):
                 assert relative_error(rows @ basis @ basis.T, rows) <= 1e-12
-            assert relative_error(sigma_m, basis.T @ stats.sigma_m @ basis) <= 1e-12
-            assert relative_error(sigma_e, basis.T @ stats.sigma_e @ basis) <= 1e-12
+            ridge = stats.ridge_term * np.eye(k)
+            for part, sigma in ((coords[:n], stats.sigma_m), (coords[n:], stats.sigma_e)):
+                assert relative_error(part.T @ part + ridge, basis.T @ sigma @ basis) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "views",
+        ["noisy", "head", "same", "faint", "near", "near:1e-6", "near:1e-7", "near:1e-9",
+         "siltp", "line", "spike"],
+    )
+    def test_reduced_coordinates_have_orthogonal_columns(self, rng, views):
+        # The reduced solve whitens by diag(C^T C) + 2 ridge_term, which is
+        # sigma_m + sigma_e only while C^T C is diagonal.
+        n = 6
+        for r in (5, 12):
+            stats = accumulate_stats(*span_pairs(rng, n, 40, r, views))
+            coords, _ = _coupled_problem(stats)
+            gram = coords.T @ coords
+            norms = np.sqrt(np.diag(gram))
+            off = gram - np.diag(np.diag(gram))
+            assert (np.abs(off) <= 1e-12 * np.outer(norms, norms)).all()
+
+    @pytest.mark.parametrize(
+        "n, d, r, views",
+        [
+            pytest.param(6, 40, 5, "noisy", id="6-40-5"),
+            pytest.param(6, 40, 14, "near", id="6-40-14-near"),
+            pytest.param(6, 40, 12, "spike", id="6-40-12-spike"),
+            pytest.param(20, 30, 5, "noisy", id="20-30-5"),
+        ],
+    )
+    def test_model_inverses_are_diagonal(self, rng, n, d, r, views):
+        stats = accumulate_stats(*span_pairs(rng, n, d, r, views))
+        model = solve_subspace(stats, r)
+        for inv in (model.inv_sigma_m, model.inv_sigma_e, model.inv_sigma):
+            assert not (inv - np.diag(np.diag(inv))).any()
+        for inv, sigma in ((model.inv_sigma_m, stats.sigma_m), (model.inv_sigma_e, stats.sigma_e)):
+            proj = model.w.T @ sigma @ model.w
+            assert relative_error(np.diag(1.0 / np.diag(inv)), proj) <= 1e-9
 
     @pytest.mark.parametrize(
         "n, d, r, views",
@@ -481,7 +523,7 @@ class TestSpanSolve:
         # the padding columns are found by position, not by value.
         stats = accumulate_stats(*span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
-        k = _coupled_problem(stats)[0].shape[0]
+        k = _coupled_problem(stats)[0].shape[1]
         above = int(np.count_nonzero(model.eigenvalues > 1.0))
         pad = np.zeros(r, dtype=bool)
         pad[above : above + min(r - above, d - k)] = True
@@ -530,11 +572,22 @@ class TestSpanSolve:
             tracemalloc.stop()
         assert model.w.shape == (d, r)
         # One d x (2n + r) float64 array takes 27.5 MiB.  The solve peaks
-        # at 44.0 MiB: the stacked pair rows (12.2 MiB) and two d x r
-        # arrays of 15.3 MiB, w and one level's term of the lift.  Here 60
-        # of the top 100 are padding; building them as a d x (k + s) array
-        # of unit vectors and factoring it would add 21 MiB or more.
-        assert peak < 50 * 2**20
+        # at 31.4 MiB: two d x r arrays of 15.3 MiB, w and one level's term
+        # of the lift; the pair rows are read where ``accumulate_stats``
+        # stacked them.  Here 61 of the top 100 are padding; building them
+        # as a d x (k + s) array of unit vectors and factoring it would
+        # add 21 MiB or more.
+        assert peak < 40 * 2**20
+
+    def test_reduced_solve_factors_and_inverts_nothing(self, rng, monkeypatch):
+        stats = accumulate_stats(*span_pairs(rng, 6, 40, 12, "noisy"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reduced solve called a factorization or an inverse")
+
+        for name in ("cholesky", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert solve_subspace(stats, 12).w.shape == (40, 12)
 
 
 class TestProject:

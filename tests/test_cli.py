@@ -160,11 +160,14 @@ class TestExtract:
             "p0,A,missing_file.ppm,\n"
             "p0,B,also_missing.ppm,\n"
         )
-        out = tmp_path / "d.sgmd"
-        assert main(["extract", str(manifest), "--out", str(out)]) == 2
+        out, csv_out = tmp_path / "d.sgmd", tmp_path / "d.csv"
+        out.write_bytes(b"stale")
+        csv_out.write_text("stale")
+        assert main(["extract", str(manifest), "--out", str(out), "--csv", str(csv_out)]) == 2
         err = capsys.readouterr().err
         assert "missing_file.ppm" in err
-        assert not out.exists()
+        assert "error: 2 file(s) failed to load" in err
+        assert not out.exists() and not csv_out.exists()
 
     def test_empty_manifest_exits_2_and_names_it(self, tmp_path, capsys):
         manifest = tmp_path / "empty.csv"
@@ -691,15 +694,36 @@ class TestMasklessManifests:
             for i, e in enumerate(entries):
                 mask = "" if i == 3 else e.mask_path
                 fh.write(f"{e.person_id},{e.camera},{e.image_path},{mask}\n")
-        out = tmp_path / "partial.sgmd"
+        out, csv_out = tmp_path / "partial.sgmd", tmp_path / "partial_desc.csv"
         out.write_bytes(b"stale")
+        csv_out.write_text("stale")
         calls = []
         for name in ("fit_shared_models", "extract_features"):
             monkeypatch.setattr(cli.descriptor, name, lambda *args, **kwargs: calls.append(args))
-        assert main(["extract", str(partial), "--out", str(out), "--global-fit"]) == 2
+        assert main(["extract", str(partial), "--out", str(out), "--csv", str(csv_out),
+                     "--global-fit"]) == 2
         err = capsys.readouterr().err
         assert f"{entries[-1].image_path} has a mask but {entries[3].image_path} has none" in err
-        assert calls == [] and not out.exists()
+        assert calls == [] and not out.exists() and not csv_out.exists()
+
+    def test_repeated_image_rejected_before_any_loading(self, corpus, tmp_path, capsys,
+                                                        monkeypatch):
+        entries = load_manifest(corpus / "manifest.csv").entries
+        repeated = tmp_path / "repeated.csv"
+        with open(repeated, "w") as fh:
+            fh.write("person_id,camera,image_path,mask_path\n")
+            for e in (*entries, entries[2]):
+                fh.write(f"{e.person_id},{e.camera},{e.image_path},{e.mask_path or ''}\n")
+        out, csv_out = tmp_path / "repeated.sgmd", tmp_path / "repeated_desc.csv"
+        out.write_bytes(b"stale")
+        csv_out.write_text("stale")
+        calls = []
+        monkeypatch.setattr(cli.imaging, "load_image", lambda *args: calls.append(args))
+        assert main(["extract", str(repeated), "--out", str(out), "--csv", str(csv_out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"{repeated}: data rows 3 and {len(entries) + 1} both list "
+                f"{entries[2].image_path}") in err
+        assert calls == [] and not out.exists() and not csv_out.exists()
 
     def test_no_mask_flag_drops_foreground_view(self, corpus, tmp_path):
         out = tmp_path / "flag.sgmd"
