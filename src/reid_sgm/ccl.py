@@ -12,6 +12,7 @@ forms of m and e under the projected-space covariance inverses.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -113,9 +114,9 @@ def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
 
     ``xs`` and ``ys`` are row-aligned (n, d) matrices, row i of each one
     pair (x from camera A, y from camera B).  Both views are centered on
-    their own training mean, in float64 copies, which makes m and e
-    zero-centered.  Each covariance receives a ridge of
-    ``ridge * s * I`` where s is the mean diagonal of the averaged
+    their own training mean, in its half of the float64 ``pair_rows``,
+    which makes m and e zero-centered.  Each covariance receives a ridge
+    of ``ridge * s * I`` where s is the mean diagonal of the averaged
     coupled covariance; the shared scale keeps the difference side
     positive-definite even when every pair matches exactly.  The
     covariances stay factored (see ``CoupledStats``), so memory is
@@ -130,17 +131,22 @@ def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
         raise TooFewPairs(f"need at least 2 pairs, got {n}")
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
-    # The x view is centered in the top half, which then becomes m = x + y.
+    # Each view is centered in its own half; then, a block of rows at a
+    # time, the top half becomes m = x + y and the bottom e = x - y.
     pair_rows = np.empty((2 * n, dim))
     m_rows, e_rows = pair_rows[:n], pair_rows[n:]
     m_rows[...] = xs
-    ys = np.array(ys, dtype=np.float64)
+    e_rows[...] = ys
     mean_x = m_rows.mean(axis=0)
-    mean_y = ys.mean(axis=0)
+    mean_y = e_rows.mean(axis=0)
     m_rows -= mean_x
-    ys -= mean_y
-    np.subtract(m_rows, ys, out=e_rows)
-    m_rows += ys
+    e_rows -= mean_y
+    step = max(1, (1 << 16) // dim)  # rows per block: a 512 KiB temporary
+    for at in range(0, n, step):
+        x, y = m_rows[at : at + step], e_rows[at : at + step]
+        diff = x - y
+        x += y
+        y[...] = diff
     pair_rows /= np.sqrt(n)
     scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * dim)
     return CoupledStats(
@@ -364,12 +370,14 @@ def load_models(path) -> dict[str, CclModel]:
     """Read back a model file written by ``save_models``.
 
     A kind tag that is not UTF-8, a repeated kind, a non-finite value or
-    bytes after the last record are rejected as ``CorruptFile``.
+    bytes after the last record are rejected as ``CorruptFile``.  Every
+    array is a writable view of the one buffer the file is read into.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
     if data[:4] != MODEL_MAGIC:
-        raise UnsupportedFormat(f"{path}: bad magic {data[:4]!r}, expected {MODEL_MAGIC!r}")
+        raise UnsupportedFormat(f"{path}: bad magic {bytes(data[:4])!r}, expected {MODEL_MAGIC!r}")
     if len(data) < 8:
         raise CorruptFile(f"{path}: truncated header")
     version, count = struct.unpack("<HH", data[4:8])
@@ -383,11 +391,11 @@ def load_models(path) -> dict[str, CclModel]:
         need = n_floats * 8
         if len(data) < offset + need:
             raise CorruptFile(f"{path}: truncated payload")
-        arr = np.frombuffer(data[offset : offset + need], dtype="<f8").reshape(shape)
+        arr = np.frombuffer(data, dtype="<f8", count=n_floats, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise CorruptFile(f"{path}: model {kind!r} holds non-finite values")
         offset += need
-        return arr.copy()
+        return arr
 
     for _ in range(count):
         if len(data) < offset + 24:

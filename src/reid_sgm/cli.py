@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +140,9 @@ def _extraction_config(args) -> descriptor.ExtractionConfig:
     )
 
 
-@dataclass
-class _LoadedRow:
-    entry: evalkit.ManifestEntry
-    image: imaging.RasterImage
-    mask: imaging.ForegroundMask | None
-
-
 def _load_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool):
-    """The manifest's images and masks, or a data error before any extraction."""
+    """The manifest's entries, or a data error found from the manifest alone;
+    nothing is decoded here, as ``_extract_rows`` loads each row on its turn."""
     if not manifest.entries:
         raise IoFailure(f"{manifest_path}: manifest lists no images")
     first_row: dict[str, int] = {}
@@ -157,64 +151,84 @@ def _load_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool)
         if earlier != number:
             raise IoFailure(f"{manifest_path}: data rows {earlier} and {number} "
                             f"both list {entry.image_path}")
-    rows = []
-    failures = []
-    for entry in manifest.entries:
+    # A row's layout depends only on the config and on whether it has a mask.
+    by_mask = {bool(entry.mask_path): entry.image_path for entry in manifest.entries}
+    if use_mask and len(by_mask) > 1:
+        raise ArtifactMismatch(f"{by_mask[True]} has a mask but {by_mask[False]} has none; "
+                               "give every image a mask or pass --no-mask")
+    return manifest.entries
+
+
+def _extract_rows(entries, config, palette, args):
+    """The entries' descriptors, in manifest order, and each one's extraction
+    time.  The worker that extracts a row loads it, and its vector goes into
+    one (count, dim) matrix; once a load fails, no row starts extracting and
+    the rest are only loaded, so that every file that fails is named."""
+    errors: dict[int, str] = {}  # row -> error line of a file that failed to load
+
+    def load(row: int):
+        """The row's (image, mask), or None once its error line is in ``errors``."""
+        entry = entries[row]
         try:
             image = imaging.load_image(entry.image_path)
             mask = None
-            if use_mask and entry.mask_path:
+            if config.use_mask and entry.mask_path:
                 mask = imaging.load_mask(entry.mask_path, image)
-            rows.append(_LoadedRow(entry=entry, image=image, mask=mask))
+            return image, mask
         except (ReidSgmError, OSError) as exc:
-            failures.append(f"{entry.image_path}: {exc}")
-    if failures:
-        for line in failures:
-            print(f"error: {line}", file=sys.stderr)
-        raise IoFailure(f"{len(failures)} file(s) failed to load")
-    # A row's layout depends only on the config and on whether it has a mask.
-    by_mask = {row.mask is not None: row.entry.image_path for row in rows}
-    if len(by_mask) > 1:
-        raise ArtifactMismatch(f"{by_mask[True]} has a mask but {by_mask[False]} has none; "
-                               "give every image a mask or pass --no-mask")
-    return rows
+            errors[row] = f"{entry.image_path}: {exc}"
+            return None
 
+    def raise_errors():
+        if errors:
+            for row in sorted(errors):
+                print(f"error: {errors[row]}", file=sys.stderr)
+            raise IoFailure(f"{len(errors)} file(s) failed to load")
 
-def _extract_rows(rows: list[_LoadedRow], config, palette, args):
-    """The rows' descriptors, in manifest order, and each one's extraction time."""
+    rows = range(len(entries))
     shared_models = None
     if args.global_fit:
-        shared_models = descriptor.fit_shared_models(
-            ((row.image, row.mask) for row in rows), config, palette
-        )
+        # The fit needs every image before the first extraction, so this
+        # path decodes each image twice.
+        def corpus():
+            for loaded in map(load, rows):
+                if not errors:  # else this load or an earlier one failed
+                    yield loaded
+            raise_errors()
 
-    def one(row: _LoadedRow):
+        shared_models = descriptor.fit_shared_models(corpus(), config, palette)
+
+    def one(row: int):
+        loaded = load(row)
+        if errors:  # this load or another one failed
+            return None
         start = time.perf_counter()
-        rep = descriptor.extract_features(row.image, row.mask, config, palette=palette,
+        rep = descriptor.extract_features(*loaded, config, palette=palette,
                                           shared_models=shared_models)
         return rep, time.perf_counter() - start
 
-    def collect(results) -> list:
+    def collect(results):
         # Workers only time their image; lines are printed here, one
         # thread in manifest order, so concurrent prints cannot interleave.
-        out = []
-        for row, (rep, elapsed) in zip(rows, results):
+        matrix, times = None, np.zeros(len(entries))
+        for row, result in zip(rows, results):
+            if result is None:
+                continue
+            rep, times[row] = result
             if args.verbose:
-                print(f"{row.entry.image_path}: dim={rep.dim} {elapsed * 1e3:.1f} ms")
-            out.append((rep, elapsed))
-        return out
+                print(f"{entries[row].image_path}: dim={rep.dim} {times[row] * 1e3:.1f} ms")
+            if matrix is None:
+                matrix = np.empty((len(entries), rep.dim), dtype=np.float32)
+                layout = rep.layout
+            matrix[row] = rep.vector
+        raise_errors()
+        source_ids = tuple(entry.image_path for entry in entries)
+        return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids), times
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = collect(pool.map(one, rows))
-    else:
-        results = collect(map(one, rows))
-    descriptors = descriptor.DescriptorSet(
-        matrix=np.vstack([rep.vector for rep, _ in results]),
-        layout=results[0][0].layout,
-        source_ids=tuple(row.entry.image_path for row in rows),
-    )
-    return descriptors, np.array([t for _, t in results])
+            return collect(pool.map(one, rows))
+    return collect(map(one, rows))
 
 
 def cmd_extract(args) -> int:
@@ -227,8 +241,8 @@ def cmd_extract(args) -> int:
     # Once the manifest is read, a failed run removes --out and --csv, so a
     # file from an earlier run cannot pass for this one's.
     try:
-        rows = _load_rows(args.manifest, manifest, config.use_mask)
-        descriptors, times = _extract_rows(rows, config, palette, args)
+        entries = _load_rows(args.manifest, manifest, config.use_mask)
+        descriptors, times = _extract_rows(entries, config, palette, args)
         descriptor.save_descriptors(out_path, descriptors)
         if args.csv:
             descriptor.export_csv(args.csv, descriptors)
@@ -237,8 +251,9 @@ def cmd_extract(args) -> int:
         if args.csv:
             Path(args.csv).unlink(missing_ok=True)
         raise
+    count, dim = descriptors.matrix.shape
     print(
-        f"extracted {len(rows)} representations of dim {descriptors.matrix.shape[1]} -> {out_path} "
+        f"extracted {count} representations of dim {dim} -> {out_path} "
         f"(per-image mean {times.mean() * 1e3:.1f} ms, p95 {np.percentile(times, 95) * 1e3:.1f} ms)"
     )
     return EXIT_OK
@@ -412,7 +427,8 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     path = Path(args.path)
-    head = path.read_bytes()[:8]
+    with open(path, "rb") as fh:
+        head = fh.read(8)
     if head.startswith(descriptor.DESCRIPTOR_MAGIC):
         reps = descriptor.load_descriptors(path)
         count, dim = reps.matrix.shape
@@ -434,7 +450,7 @@ def cmd_inspect(args) -> int:
         img = imaging.load_image(path)
         print(f"image (P6): {img.width}x{img.height}")
     elif head.startswith(b"P5"):
-        mask = imaging._load_pgm(path.read_bytes())
+        mask = imaging.load_mask(path)
         print(f"mask (P5): {mask.width}x{mask.height}")
     else:
         try:

@@ -196,18 +196,18 @@ def load_image(path) -> RasterImage:
     raise UnsupportedFormat(f"{path}: not a P6 PPM or PNG file")
 
 
-def load_mask(path, image: RasterImage) -> ForegroundMask:
+def load_mask(path, image: RasterImage | None = None) -> ForegroundMask:
     """Load a binary PGM (P5) foreground mask paired with ``image``.
 
     Gray values above 127 count as foreground.  Dimensions must match
-    the image exactly.
+    the image exactly, when one is given.
     """
     path = Path(path)
     data = path.read_bytes()
     if not data.startswith(b"P5"):
         raise UnsupportedFormat(f"{path}: not a P5 PGM file")
     mask = _load_pgm(data)
-    if (mask.width, mask.height) != (image.width, image.height):
+    if image is not None and (mask.width, mask.height) != (image.width, image.height):
         raise DimensionMismatch(
             f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
         )

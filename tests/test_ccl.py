@@ -167,23 +167,25 @@ class TestAccumulateStats:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
     def test_bits_match_the_direct_formula(self, rng, dtype):
         # The centering runs in place; means, rows and ridge keep the bits
-        # of the formula with one centered copy per view and term.
-        n, d = 23, 37
-        xs = (100 * rng.normal(size=(n, d))).astype(dtype)
-        ys = (100 * rng.normal(size=(n, d))).astype(dtype)
-        inputs = xs.copy(), ys.copy()
-        stats = accumulate_stats(xs, ys)
-        x64, y64 = xs.astype(np.float64), ys.astype(np.float64)
-        mean_x, mean_y = x64.mean(axis=0), y64.mean(axis=0)
-        m_rows = ((x64 - mean_x) + (y64 - mean_y)) / np.sqrt(n)
-        e_rows = ((x64 - mean_x) - (y64 - mean_y)) / np.sqrt(n)
-        scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * d)
-        for got, want in ((stats.mean_x, mean_x), (stats.mean_y, mean_y),
-                          (stats.m_rows, m_rows), (stats.e_rows, e_rows)):
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        assert stats.ridge_term == 1e-3 * scale
-        # The caller's view matrices are left as they were.
-        assert np.array_equal(xs, inputs[0]) and np.array_equal(ys, inputs[1])
+        # of the formula with one centered copy per view and term.  At
+        # d = 20000, m and e are formed in 8 blocks of rows, not one.
+        n = 23
+        for d in (37, 20000):
+            xs = (100 * rng.normal(size=(n, d))).astype(dtype)
+            ys = (100 * rng.normal(size=(n, d))).astype(dtype)
+            inputs = xs.copy(), ys.copy()
+            stats = accumulate_stats(xs, ys)
+            x64, y64 = xs.astype(np.float64), ys.astype(np.float64)
+            mean_x, mean_y = x64.mean(axis=0), y64.mean(axis=0)
+            m_rows = ((x64 - mean_x) + (y64 - mean_y)) / np.sqrt(n)
+            e_rows = ((x64 - mean_x) - (y64 - mean_y)) / np.sqrt(n)
+            scale = (np.vdot(m_rows, m_rows) + np.vdot(e_rows, e_rows)) / (2.0 * d)
+            for got, want in ((stats.mean_x, mean_x), (stats.mean_y, mean_y),
+                              (stats.m_rows, m_rows), (stats.e_rows, e_rows)):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert stats.ridge_term == 1e-3 * scale
+            # The caller's view matrices are left as they were.
+            assert np.array_equal(xs, inputs[0]) and np.array_equal(ys, inputs[1])
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
@@ -427,6 +429,7 @@ class TestSpanSolve:
             pytest.param(6, 40, 12, "near:1e-7", id="6-40-12-near7"),
             pytest.param(6, 40, 5, "near:1e-9", id="6-40-5-near9"),
             pytest.param(6, 40, 12, "near:1e-9", id="6-40-12-near9"),
+            pytest.param(9, 51, 7, "near:1e-6", id="9-51-7-near6"),
             # zero tail columns and rows of constant sum
             pytest.param(6, 40, 5, "siltp", id="6-40-5-siltp"),
             pytest.param(6, 40, 12, "siltp", id="6-40-12-siltp"),
@@ -451,10 +454,21 @@ class TestSpanSolve:
         oracles = [dense_oracle_model(stats, r)]
         if 2 * n + r < d:
             oracles.append(qr_oracle_model(stats, r))
-        for oracle in oracles:
+        refs = [fused_scores(oracle, probes_raw, gallery_raw) for oracle in oracles]
+        # On nearly dependent rows the two oracles round apart by more than
+        # 1e-8; then the solve is held to ten times their own disagreement.
+        bound = 1e-8
+        if len(refs) == 2:
+            bound = max(bound, 10 * relative_error(refs[1], refs[0]))
+        for oracle, ref in zip(oracles, refs):
             assert np.allclose(model.eigenvalues, oracle.eigenvalues, rtol=1e-8)
-            ref = fused_scores(oracle, probes_raw, gallery_raw)
-            assert relative_error(got, ref) <= 1e-8
+            assert relative_error(got, ref) <= bound
+
+    def test_oracles_that_disagree_beyond_1e8(self):
+        """The 9-51-7-near6 case at rng seed 89: with OpenBLAS 0.3.31 on an
+        AVX-512 Xeon the QR oracle's scores lie 1.5e-8 from the dense
+        oracle's, and the solve's 1.3e-8 and 2.8e-8 from them."""
+        self.test_matches_dense_oracle(np.random.default_rng(89), 9, 51, 7, "near:1e-6")
 
     def test_reduced_matrices_equal_explicit_basis_projection(self, rng):
         n, d = 6, 40
@@ -745,6 +759,9 @@ class TestModelPersistence:
             for attr in ("w", "eigenvalues", "inv_sigma_m", "inv_sigma_e",
                          "inv_sigma", "mean_x", "mean_y"):
                 assert np.array_equal(getattr(model, attr), getattr(got, attr)), attr
+                # A view of the one buffer the file is read into, not a copy.
+                flags = getattr(got, attr).flags
+                assert flags.aligned and flags.writeable and not flags.owndata, attr
 
     def test_scores_survive_roundtrip_bitwise(self, tmp_path, rng):
         models = self.make_models(rng)

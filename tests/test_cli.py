@@ -8,19 +8,20 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reid_sgm import ccl, cli
+from reid_sgm import ccl, cli, descriptor, imaging
 from reid_sgm.cli import _commands, _extraction_config, _options, build_parser, main, parse_args
 from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
 from reid_sgm.errors import CorruptFile
 from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
-from reid_sgm.imaging import _load_pgm
+from reid_sgm.imaging import ColorSpace, _load_pgm
 from reid_sgm.sgm import default_palette
 
 from conftest import per_split_eval_csv
@@ -225,7 +226,78 @@ class TestExtract:
             "--spaces", "RGB", "--global-fit",
         ])
         assert code == 0
-        assert load_descriptors(out).matrix.shape[1] == 320
+        matrix = load_descriptors(out).matrix
+        assert matrix.shape[1] == 320
+        # The rows of a fit over every image loaded up front, then stacked.
+        config = ExtractionConfig(spaces=(ColorSpace.RGB,))
+        items = []
+        for entry in load_manifest(corpus / "manifest.csv").entries:
+            image = imaging.load_image(entry.image_path)
+            items.append((image, imaging.load_mask(entry.mask_path, image)))
+        models = descriptor.fit_shared_models(items, config)
+        want = np.vstack([descriptor.extract_features(image, mask, config,
+                                                      shared_models=models).vector
+                          for image, mask in items])
+        assert matrix.tobytes() == want.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_decoded_images_alive_at_once(self, corpus, tmp_path, monkeypatch, threads):
+        # Keyed by load number: a RasterImage holds an array, so it has no hash.
+        live, alive = weakref.WeakValueDictionary(), []
+        load = imaging.load_image
+
+        def tracked(path):
+            image = load(path)
+            live[len(alive)] = image
+            alive.append(len(live))
+            return image
+
+        monkeypatch.setattr(imaging, "load_image", tracked)
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(tmp_path / "s.sgmd"),
+                     "--spaces", "RGB", "--threads", str(threads)]) == 0
+        assert len(alive) == 24 and max(alive) <= threads + 1
+
+    @pytest.mark.parametrize("flags", [["--threads", "1"], ["--threads", "2"], ["--global-fit"]])
+    def test_unreadable_images_are_all_named_and_end_extraction(
+        self, corpus, tmp_path, capsys, monkeypatch, flags
+    ):
+        entries = load_manifest(corpus / "manifest.csv").entries
+        garbage = tmp_path / "garbage.ppm"
+        garbage.write_bytes(b"not an image")
+        bad = {5: str(garbage), 9: str(tmp_path / "missing.ppm")}
+        manifest = tmp_path / "bad.csv"
+        with open(manifest, "w") as fh:
+            fh.write("person_id,camera,image_path,mask_path\n")
+            for i, e in enumerate(entries):
+                fh.write(f"{e.person_id},{e.camera},{bad.get(i, e.image_path)},{e.mask_path}\n")
+        events = []
+        load, extract = imaging.load_image, descriptor.extract_features
+
+        def logged_load(path):
+            try:
+                return load(path)
+            except Exception:
+                events.append("failed")
+                raise
+
+        def logged_extract(*args, **kwargs):
+            events.append("extract")
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "load_image", logged_load)
+        monkeypatch.setattr(descriptor, "extract_features", logged_extract)
+        out, csv_out = tmp_path / "bad.sgmd", tmp_path / "bad_desc.csv"
+        out.write_bytes(b"stale")
+        csv_out.write_text("stale")
+        assert main(["extract", str(manifest), "--out", str(out), "--csv", str(csv_out),
+                     "--spaces", "RGB", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["error"] * 3
+        assert err[0].startswith(f"error: {garbage}: ") and str(tmp_path / "missing.ppm") in err[1]
+        assert err[2] == "error: 2 file(s) failed to load"
+        assert events.count("failed") == 2 and not out.exists() and not csv_out.exists()
+        if flags != ["--threads", "2"]:  # a worker may be extracting as the other one fails
+            assert "extract" not in events[events.index("failed"):]
 
     def test_config_file_supplies_defaults(self, corpus, tmp_path):
         cfg = tmp_path / "cli.cfg"

@@ -3,8 +3,9 @@
 Every function of the package reads each of its parameters: a parameter
 that no code reads is an option a caller can pass and the function
 silently ignores (``self`` and ``cls`` are exempt).  No module uses a QR
-factorization, and each module imports exactly the package modules
-pinned in ``PACKAGE_IMPORTS``.
+factorization, each module imports exactly the package modules pinned in
+``PACKAGE_IMPORTS``, and ``cli`` loads images and masks only through the
+names the benchmark's tracer wraps.
 """
 
 import ast
@@ -109,3 +110,36 @@ def test_guard_names_each_import_form():
     source = ("from . import ccl, sgm\nfrom .errors import CorruptFile\n"
               "from reid_sgm.imaging import convert\nimport reid_sgm.evalkit\nimport numpy\n")
     assert package_imports(source) == {"ccl", "sgm", "errors", "imaging", "evalkit"}
+
+
+# ``perfbench/traced_cli.py`` times image and mask loading as ``imaging.load``
+# by replacing these two attributes of the imaging module; cli code that
+# reached a loader any other way would load untimed.
+TRACED_LOADERS = {"load_image", "load_mask"}
+
+
+def untraced_loads(source: str, module: str) -> list[str]:
+    """``module:line name`` for each imaging loader the source reaches other
+    than by calling ``imaging.load_image`` or ``imaging.load_mask``."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("imaging"):
+            found += [(node.lineno, alias.name) for alias in node.names if "load" in alias.name]
+        elif (isinstance(node, ast.Attribute) and "load" in node.attr
+              and isinstance(node.value, ast.Name) and node.value.id == "imaging"
+              and not (node.attr in TRACED_LOADERS and id(node) in called)):
+            found.append((node.lineno, node.attr))
+    return [f"{module}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_cli_loads_images_only_through_traced_names():
+    assert untraced_loads((PACKAGE / "cli.py").read_text(), "cli") == []
+
+
+def test_guard_names_each_untraced_load():
+    source = ("from .imaging import load_image\nfrom . import imaging\n"
+              "load = imaging.load_mask\nimaging._load_pgm(data)\nimaging.load_image(path)\n")
+    assert untraced_loads(source, "cli") == ["cli:1 load_image", "cli:3 load_mask",
+                                             "cli:4 _load_pgm"]
