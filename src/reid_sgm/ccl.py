@@ -5,8 +5,9 @@ define the coupled variables m = x + y (commonness) and e = x - y
 (difference).  The projection W maximizes the ratio of the
 intra-personal commonness variance to the intra-personal difference
 variance, which reduces to a generalized eigenproblem solved here by
-whitening (see ``solve_subspace``).  ``score_matrix`` combines quadratic
-forms of m and e under the projected-space covariance inverses.
+whitening (see ``solve_subspace``).  The projected covariances are
+diagonal, so a model is W and its two projected variance vectors, and
+``score_matrix`` combines quadratic forms of m and e under their inverses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DEFAULT_SUBSPACE_DIM = 100
 GRAM_SHARE = 1e-4
 
 MODEL_MAGIC = b"CCLM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,21 +85,23 @@ def _ridged_gram(rows: np.ndarray, ridge_term) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CclModel:
-    """Learned projection plus the projected-space scoring matrices.
+    """Learned projection plus the projected variances it scores with.
 
     Columns of ``w`` are unit-norm generalized eigenvectors in
-    descending eigenvalue order.  The three inverses live in the
-    projected space; ``inv_sigma`` inverts the average of the projected
-    commonness and difference covariances.
+    descending eigenvalue order, orthogonal under both covariances: W^T
+    sigma_m W = diag(a) and W^T sigma_e W = diag(b).
     """
 
-    w: np.ndarray             # (d, r)
-    eigenvalues: np.ndarray   # (r,), descending
-    inv_sigma_m: np.ndarray   # (r, r)
-    inv_sigma_e: np.ndarray   # (r, r)
-    inv_sigma: np.ndarray     # (r, r)
-    mean_x: np.ndarray        # (d,)
-    mean_y: np.ndarray        # (d,)
+    w: np.ndarray        # (d, r)
+    a: np.ndarray        # (r,), projected commonness variances
+    b: np.ndarray        # (r,), projected difference variances
+    mean_x: np.ndarray   # (d,)
+    mean_y: np.ndarray   # (d,)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """a / b, descending."""
+        return self.a / self.b
 
     @property
     def dim(self) -> int:
@@ -239,8 +242,9 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     than r eigenvalues exceed 1 (see the README's ``ccl``).  Otherwise
     sigma_e's Cholesky factor whitens.  The unit columns, largest component
     positive, are orthogonal under both covariances, so with a = diag(W^T
-    sigma_m W) and b = diag(W^T sigma_e W) the eigenvalues are a / b and
-    the projected-space inverses diag(1 / a), diag(1 / b), diag(2 / (a + b)).
+    sigma_m W) and b = diag(W^T sigma_e W), which the model keeps, the
+    eigenvalues are a / b and the projected-space inverses diag(1 / a),
+    diag(1 / b) and diag(2 / (a + b)).
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
@@ -276,15 +280,7 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
         raise NotPositiveDefinite("projected covariance is singular")
     w = vecs if lift is None else lift(vecs, pad)
     w *= np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
-    return CclModel(
-        w=w,
-        eigenvalues=a / b,
-        inv_sigma_m=np.diag(1.0 / a),
-        inv_sigma_e=np.diag(1.0 / b),
-        inv_sigma=np.diag(2.0 / (a + b)),
-        mean_x=stats.mean_x.copy(),
-        mean_y=stats.mean_y.copy(),
-    )
+    return CclModel(w=w, a=a, b=b, mean_x=stats.mean_x.copy(), mean_y=stats.mean_y.copy())
 
 
 def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
@@ -305,11 +301,12 @@ def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
 def score_matrix(model: CclModel, gallery, probes) -> np.ndarray:
     """All-pairs similarity; rows are probes, columns gallery entries.
 
-    The commonness m = p + g is rewarded through gain = inv_sigma -
-    inv_sigma_m and the difference e = p - g penalized through cost =
-    inv_sigma_e - inv_sigma: m^T gain m - e^T cost e, expanded as
-    p^T A p + g^T A g + 2 p^T B g with A = gain - cost and B = gain + cost,
-    so the matrix takes two GEMMs and two row-wise quadratic forms.
+    The commonness m = p + g is rewarded through gain = 2 / (a + b) - 1 / a
+    and the difference e = p - g penalized through cost = 1 / b - 2 / (a +
+    b), elementwise: m^T diag(gain) m - e^T diag(cost) e, expanded as
+    p^T diag(own) p + g^T diag(own) g + p^T diag(cross) g with own = gain -
+    cost and cross = 2 (gain + cost), so the matrix takes one GEMM and two
+    weighted row norms.
     """
     gallery = np.asarray(gallery, dtype=np.float64)
     probes = np.asarray(probes, dtype=np.float64)
@@ -319,17 +316,16 @@ def score_matrix(model: CclModel, gallery, probes) -> np.ndarray:
         )
     if gallery.shape[1] != model.rank:
         raise DimensionMismatch(f"vectors have dim {gallery.shape[1]}, model expects {model.rank}")
-    gain_m = model.inv_sigma - model.inv_sigma_m
-    cost_e = model.inv_sigma_e - model.inv_sigma
-    # Only the symmetric parts enter the quadratic forms; taking them here
-    # keeps the expansion exact for inverses that are not bitwise symmetric.
-    own = gain_m - cost_e
-    cross = gain_m + cost_e
-    own = 0.5 * (own + own.T)
-    cross = cross + cross.T
-    probe_own = np.einsum("ij,ij->i", probes @ own, probes)
-    gallery_own = np.einsum("ij,ij->i", gallery @ own, gallery)
-    return (probes @ cross) @ gallery.T + probe_own[:, None] + gallery_own[None, :]
+    # These are the dense r x r expansion's float operations in its order, so
+    # scores keep its bits (see ``dense_score_matrix`` in tests/test_ccl.py).
+    inv = 2.0 / (model.a + model.b)
+    gain = inv - 1.0 / model.a
+    cost = 1.0 / model.b - inv
+    own = gain - cost
+    cross = 2.0 * (gain + cost)
+    probe_own = np.einsum("ij,ij->i", probes * own, probes)
+    gallery_own = np.einsum("ij,ij->i", gallery * own, gallery)
+    return (probes * cross) @ gallery.T + probe_own[:, None] + gallery_own[None, :]
 
 
 def _write_array(fh, arr: np.ndarray) -> None:
@@ -341,8 +337,7 @@ def save_models(path, models: dict[str, CclModel]) -> None:
 
     Layout: magic ``CCLM``, version u16, model count u16; per model a
     16-byte space-padded kind tag, d u32, r u32, then mean_x, mean_y,
-    W (row-major), eigenvalues and the three projected inverses as
-    little-endian float64.
+    W (row-major), a and b as little-endian float64.
     """
     if not models:
         raise ValueError("nothing to save")
@@ -360,18 +355,17 @@ def save_models(path, models: dict[str, CclModel]) -> None:
             _write_array(fh, model.mean_x)
             _write_array(fh, model.mean_y)
             _write_array(fh, model.w)
-            _write_array(fh, model.eigenvalues)
-            _write_array(fh, model.inv_sigma_m)
-            _write_array(fh, model.inv_sigma_e)
-            _write_array(fh, model.inv_sigma)
+            _write_array(fh, model.a)
+            _write_array(fh, model.b)
 
 
 def load_models(path) -> dict[str, CclModel]:
     """Read back a model file written by ``save_models``.
 
-    A kind tag that is not UTF-8, a repeated kind, a non-finite value or
-    bytes after the last record are rejected as ``CorruptFile``.  Every
-    array is a writable view of the one buffer the file is read into.
+    A kind tag that is not UTF-8, a repeated kind, a non-finite value, a
+    variance that is not positive or bytes after the last record are
+    rejected as ``CorruptFile``.  Every array is a writable view of the
+    one buffer the file is read into.
     """
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
@@ -382,7 +376,7 @@ def load_models(path) -> dict[str, CclModel]:
         raise CorruptFile(f"{path}: truncated header")
     version, count = struct.unpack("<HH", data[4:8])
     if version != MODEL_VERSION:
-        raise UnsupportedFormat(f"{path}: unsupported version {version}")
+        raise UnsupportedFormat(f"{path}: unsupported version {version}; retrain the model")
     offset = 8
     models: dict[str, CclModel] = {}
 
@@ -414,11 +408,11 @@ def load_models(path) -> dict[str, CclModel]:
             mean_x=take(dim, (dim,)),
             mean_y=take(dim, (dim,)),
             w=take(dim * rank, (dim, rank)),
-            eigenvalues=take(rank, (rank,)),
-            inv_sigma_m=take(rank * rank, (rank, rank)),
-            inv_sigma_e=take(rank * rank, (rank, rank)),
-            inv_sigma=take(rank * rank, (rank, rank)),
+            a=take(rank, (rank,)),
+            b=take(rank, (rank,)),
         )
+        if (models[kind].a <= 0).any() or (models[kind].b <= 0).any():
+            raise CorruptFile(f"{path}: model {kind!r} holds a variance that is not positive")
     if offset != len(data):
         raise CorruptFile(f"{path}: {len(data) - offset} trailing bytes after the last model")
     return models

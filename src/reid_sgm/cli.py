@@ -271,6 +271,12 @@ def _gather(manifest, reps, camera, ids):
     return entries, reps.rows([e.image_path for e in entries])
 
 
+def _spectrum(model) -> str:
+    """The model's first five eigenvalues, then ``...`` if it has more."""
+    head = ", ".join("%.4g" % v for v in model.eigenvalues[:5])
+    return f"eigenvalues [{head}{', ...' if model.rank > 5 else ''}]"
+
+
 def cmd_train(args) -> int:
     if args.split_index < 0:
         raise ValueError(f"split index must be >= 0, got {args.split_index}")
@@ -305,9 +311,7 @@ def cmd_train(args) -> int:
             )
         stats = ccl.accumulate_stats(block[a_rows], block[b_rows], ridge=args.ridge)
         models[kind] = ccl.solve_subspace(stats, r_eff)
-        head = ", ".join("%.4g" % v for v in models[kind].eigenvalues[:5])
-        print(f"{kind}: d={length} r={r_eff} pairs={len(a_rows)} "
-              f"eigenvalues [{head}{', ...' if r_eff > 5 else ''}]")
+        print(f"{kind}: d={length} r={r_eff} pairs={len(a_rows)} {_spectrum(models[kind])}")
 
     ccl.save_models(args.out, models)
     print(f"trained on {len(a_rows)} pairs from {len(split.train_ids)} identities -> {args.out}")
@@ -444,8 +448,7 @@ def cmd_inspect(args) -> int:
         models = ccl.load_models(path)
         print(f"model file: {len(models)} model(s)")
         for kind, model in models.items():
-            head_vals = ", ".join("%.4g" % v for v in model.eigenvalues[:5])
-            print(f"  {kind}: d={model.dim} r={model.rank} eigenvalues [{head_vals}, ...]")
+            print(f"  {kind}: d={model.dim} r={model.rank} {_spectrum(model)}")
     elif head.startswith(b"P6"):
         img = imaging.load_image(path)
         print(f"image (P6): {img.width}x{img.height}")

@@ -25,10 +25,8 @@ def small_models():
     def model(dim, rank):
         return CclModel(
             w=rng.standard_normal((dim, rank)),
-            eigenvalues=rng.standard_normal(rank),
-            inv_sigma_m=rng.standard_normal((rank, rank)),
-            inv_sigma_e=rng.standard_normal((rank, rank)),
-            inv_sigma=rng.standard_normal((rank, rank)),
+            a=rng.uniform(0.5, 2.0, rank),
+            b=rng.uniform(0.5, 2.0, rank),
             mean_x=rng.standard_normal(dim),
             mean_y=rng.standard_normal(dim),
         )

@@ -1,6 +1,8 @@
 """Coupled statistics, subspace solving, scoring, persistence."""
 
+import re
 import tracemalloc
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -66,6 +68,56 @@ def _factor_rows(sigma):
 SCORE_RTOL = 1e-12
 
 
+@dataclass(frozen=True)
+class DenseModel:
+    """A model held as its three projected-space inverses, dense r x r:
+    inv_sigma_m and inv_sigma_e invert the projected commonness and
+    difference covariances, inv_sigma their average.  The dense oracles
+    below return one, and ``dense_score_matrix`` scores it.
+    """
+
+    w: np.ndarray
+    eigenvalues: np.ndarray
+    inv_sigma_m: np.ndarray
+    inv_sigma_e: np.ndarray
+    inv_sigma: np.ndarray
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.w.shape[0])
+
+
+def as_dense(model):
+    """A ``CclModel``'s inverses diag(1 / a), diag(1 / b), diag(2 / (a + b))
+    as the r x r matrices a ``DenseModel`` holds."""
+    return DenseModel(
+        w=model.w, eigenvalues=model.eigenvalues,
+        inv_sigma_m=np.diag(1.0 / model.a),
+        inv_sigma_e=np.diag(1.0 / model.b),
+        inv_sigma=np.diag(2.0 / (model.a + model.b)),
+        mean_x=model.mean_x, mean_y=model.mean_y,
+    )
+
+
+def dense_score_matrix(model, gallery, probes):
+    """Oracle for ``score_matrix`` over a ``DenseModel``: the expansion
+    p^T A p + g^T A g + 2 p^T B g with A = gain - cost, B = gain + cost,
+    over the symmetric parts of the r x r matrices.  On the diagonal
+    inverses of a solved model it gives ``score_matrix``'s bits.
+    """
+    gain_m = model.inv_sigma - model.inv_sigma_m
+    cost_e = model.inv_sigma_e - model.inv_sigma
+    own = gain_m - cost_e
+    cross = gain_m + cost_e
+    own = 0.5 * (own + own.T)
+    cross = cross + cross.T
+    probe_own = np.einsum("ij,ij->i", probes @ own, probes)
+    gallery_own = np.einsum("ij,ij->i", gallery @ own, gallery)
+    return (probes @ cross) @ gallery.T + probe_own[:, None] + gallery_own[None, :]
+
+
 def score(model, px, py):
     """Oracle for one ``score_matrix`` entry: the coupled similarity of one
     projected probe px and gallery vector py, higher meaning more alike.
@@ -80,8 +132,9 @@ def score(model, px, py):
         raise DimensionMismatch(
             f"projected vectors must have dim {model.rank}, got {px.shape} and {py.shape}"
         )
-    gain_m = model.inv_sigma - model.inv_sigma_m
-    cost_e = model.inv_sigma_e - model.inv_sigma
+    dense = as_dense(model)
+    gain_m = dense.inv_sigma - dense.inv_sigma_m
+    cost_e = dense.inv_sigma_e - dense.inv_sigma
     m = px + py
     e = px - py
     return float(m @ (gain_m @ m) - e @ (cost_e @ e))
@@ -102,17 +155,14 @@ def relative_error(got, ref):
     return float(np.abs(np.asarray(got) - ref).max() / np.abs(ref).max())
 
 
-def hand_model(inv_m, inv_e, inv_avg):
-    r = inv_m.shape[0]
-    return CclModel(
-        w=np.eye(r),
-        eigenvalues=np.ones(r),
-        inv_sigma_m=inv_m,
-        inv_sigma_e=inv_e,
-        inv_sigma=inv_avg,
-        mean_x=np.zeros(r),
-        mean_y=np.zeros(r),
-    )
+def random_variances(rng, r):
+    """Positive projected variances a or b, over two decades."""
+    return 10.0 ** rng.uniform(-1.0, 1.0, size=r)
+
+
+def hand_model(a, b):
+    r = a.shape[0]
+    return CclModel(w=np.eye(r), a=a, b=b, mean_x=np.zeros(r), mean_y=np.zeros(r))
 
 
 class TestAccumulateStats:
@@ -282,7 +332,7 @@ def dense_oracle_model(stats, r):
     w = vecs[:, ::-1][:, :r]
     proj_m = w.T @ sigma_m @ w
     proj_e = w.T @ sigma_e @ w
-    return CclModel(
+    return DenseModel(
         w=w, eigenvalues=vals[::-1][:r],
         inv_sigma_m=np.linalg.inv(proj_m),
         inv_sigma_e=np.linalg.inv(proj_e),
@@ -316,7 +366,7 @@ def qr_oracle_model(stats, r):
     top = vecs[:, ::-1][:, :r]
     proj_m = top.T @ sigma_m @ top
     proj_e = top.T @ sigma_e @ top
-    return CclModel(
+    return DenseModel(
         w=basis @ top, eigenvalues=vals[::-1][:r],
         inv_sigma_m=np.linalg.inv(proj_m),
         inv_sigma_e=np.linalg.inv(proj_e),
@@ -325,10 +375,8 @@ def qr_oracle_model(stats, r):
     )
 
 
-def fused_scores(model, probes_raw, gallery_raw):
-    return score_matrix(
-        model, project(model, gallery_raw, "B"), project(model, probes_raw, "A")
-    )
+def fused_scores(model, probes_raw, gallery_raw, scorer=score_matrix):
+    return scorer(model, project(model, gallery_raw, "B"), project(model, probes_raw, "A"))
 
 
 def span_pairs(rng, n, d, r, views):
@@ -454,7 +502,8 @@ class TestSpanSolve:
         oracles = [dense_oracle_model(stats, r)]
         if 2 * n + r < d:
             oracles.append(qr_oracle_model(stats, r))
-        refs = [fused_scores(oracle, probes_raw, gallery_raw) for oracle in oracles]
+        refs = [fused_scores(oracle, probes_raw, gallery_raw, dense_score_matrix)
+                for oracle in oracles]
         # On nearly dependent rows the two oracles round apart by more than
         # 1e-8; then the solve is held to ten times their own disagreement.
         bound = 1e-8
@@ -513,13 +562,32 @@ class TestSpanSolve:
         ],
     )
     def test_model_inverses_are_diagonal(self, rng, n, d, r, views):
+        # The model's a and b are the whole projected covariances: their
+        # off-diagonal parts are 0 to within 1e-9.
         stats = accumulate_stats(*span_pairs(rng, n, d, r, views))
         model = solve_subspace(stats, r)
-        for inv in (model.inv_sigma_m, model.inv_sigma_e, model.inv_sigma):
-            assert not (inv - np.diag(np.diag(inv))).any()
-        for inv, sigma in ((model.inv_sigma_m, stats.sigma_m), (model.inv_sigma_e, stats.sigma_e)):
-            proj = model.w.T @ sigma @ model.w
-            assert relative_error(np.diag(1.0 / np.diag(inv)), proj) <= 1e-9
+        for var, sigma in ((model.a, stats.sigma_m), (model.b, stats.sigma_e)):
+            assert relative_error(np.diag(var), model.w.T @ sigma @ model.w) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, d, r, views",
+        [
+            pytest.param(6, 40, 8, "noisy", id="6-40-8-padded"),
+            pytest.param(6, 40, 14, "near", id="6-40-14-near"),
+            pytest.param(20, 30, 5, "noisy", id="20-30-5-dense"),
+        ],
+    )
+    def test_scores_equal_the_dense_expansion_bitwise(self, rng, n, d, r, views):
+        # The r x r expansion over diag(1 / a), diag(1 / b), diag(2 / (a + b))
+        # that models held before a and b: scoring from the vectors keeps
+        # its bits, and so every rank.
+        model = solve_subspace(accumulate_stats(*span_pairs(rng, n, d, r, views)), r)
+        gallery = project(model, rng.normal(size=(9, d)), "B")
+        for rows in (1, 2, 13):
+            probes = project(model, rng.normal(size=(rows, d)), "A")
+            for g, p in ((gallery, probes), (probes, gallery)):
+                assert np.array_equal(score_matrix(model, g, p),
+                                      dense_score_matrix(as_dense(model), g, p))
 
     @pytest.mark.parametrize(
         "n, d, r, views",
@@ -548,11 +616,8 @@ class TestSpanSolve:
         assert np.allclose(padding.T @ padding, np.eye(pad.sum()), atol=1e-12)
         for rows in (stats.m_rows, stats.e_rows):
             assert np.abs(rows @ padding).max() <= 1e-12 * np.abs(rows).max()
-        inverses = (model.inv_sigma_m, model.inv_sigma_e, model.inv_sigma)
-        for inv in inverses:
-            assert np.allclose(inv[np.ix_(pad, pad)], np.eye(pad.sum()) / stats.ridge_term,
-                               rtol=1e-12)
-            assert not inv[np.ix_(pad, ~pad)].any()
+        for var in (model.a, model.b):
+            assert np.allclose(var[pad], stats.ridge_term, rtol=1e-12)
 
     def test_no_ridge_beyond_span_rejected(self, rng):
         stats = accumulate_stats(*make_pairs(rng, n=4, d=30), ridge=0.0)
@@ -615,11 +680,7 @@ class TestProject:
         w = np.zeros((5, 2))
         w[0, 0] = 1.0
         w[1, 1] = 1.0
-        model = CclModel(
-            w=w, eigenvalues=np.ones(2),
-            inv_sigma_m=np.eye(2), inv_sigma_e=np.eye(2), inv_sigma=np.eye(2),
-            mean_x=np.zeros(5), mean_y=np.zeros(5),
-        )
+        model = CclModel(w=w, a=np.ones(2), b=np.ones(2), mean_x=np.zeros(5), mean_y=np.zeros(5))
         rep = np.array([3.0, 4.0, 0.0, 0.0, 0.0])
         out = project(model, rep, "A")
         assert np.linalg.norm(out) == pytest.approx(5.0)
@@ -656,48 +717,43 @@ class TestProject:
 
 class TestScore:
     def test_hand_instance(self):
-        model = hand_model(
-            inv_m=np.diag([0.5, 0.5]),
-            inv_e=np.eye(2),
-            inv_avg=np.diag([1 / 1.5, 1 / 1.5]),
-        )
+        # Inverses diag(0.5), I and diag(2 / 3): m = 2 px scores 4 (2/3 - 1/2).
+        model = hand_model(a=np.array([2.0, 2.0]), b=np.ones(2))
         px = np.array([1.0, 0.0])
         value = score(model, px, px)
         assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_equal_arguments_drop_difference_term(self, rng):
         r = 4
-        inv_m = random_spd(rng, r)
-        inv_e = random_spd(rng, r)
-        inv_avg = random_spd(rng, r)
-        model = hand_model(inv_m, inv_e, inv_avg)
+        a, b = random_variances(rng, r), random_variances(rng, r)
+        model = hand_model(a, b)
         px = rng.normal(size=r)
         m = 2.0 * px
-        expected = m @ (inv_avg - inv_m) @ m
+        expected = m @ ((2.0 / (a + b) - 1.0 / a) * m)
         assert score(model, px, px) == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry_is_bitwise(self, rng):
-        model = hand_model(random_spd(rng, 5), random_spd(rng, 5), random_spd(rng, 5))
+        model = hand_model(random_variances(rng, 5), random_variances(rng, 5))
         for _ in range(50):
             a, b = rng.normal(size=5), rng.normal(size=5)
             assert score(model, a, b) == score(model, b, a)
 
     def test_dimension_check(self, rng):
-        model = hand_model(np.eye(3), np.eye(3), np.eye(3))
+        model = hand_model(np.ones(3), np.ones(3))
         with pytest.raises(DimensionMismatch):
             score(model, np.zeros(2), np.zeros(3))
 
 
 class TestScoreMatrix:
     def test_single_entry_equals_score(self, rng):
-        model = hand_model(random_spd(rng, 4), random_spd(rng, 4), random_spd(rng, 4))
+        model = hand_model(random_variances(rng, 4), random_variances(rng, 4))
         a, b = rng.normal(size=4), rng.normal(size=4)
         out = score_matrix(model, [b], [a])
         assert out.shape == (1, 1)
         assert relative_error(out, score(model, a, b)) <= SCORE_RTOL
 
     def test_swapped_roles_transpose(self, rng):
-        model = hand_model(random_spd(rng, 4), random_spd(rng, 4), random_spd(rng, 4))
+        model = hand_model(random_variances(rng, 4), random_variances(rng, 4))
         gallery = rng.normal(size=(6, 4))
         probes = rng.normal(size=(5, 4))
         fwd = score_matrix(model, gallery, probes)
@@ -709,7 +765,7 @@ class TestScoreMatrix:
         # Named for the bit-equal contract the GEMM scorer replaced; the
         # looped oracle now bounds it to a relative SCORE_RTOL.
         for r in (3, 17):
-            model = hand_model(random_spd(rng, r), random_spd(rng, r), random_spd(rng, r))
+            model = hand_model(random_variances(rng, r), random_variances(rng, r))
             gallery = rng.normal(size=(10, r))
             probes = rng.normal(size=(12, r))
             out = score_matrix(model, gallery, probes)
@@ -717,7 +773,7 @@ class TestScoreMatrix:
             assert relative_error(out, looped_score_matrix(model, gallery, probes)) <= SCORE_RTOL
 
     def test_dimension_mismatch(self, rng):
-        model = hand_model(np.eye(3), np.eye(3), np.eye(3))
+        model = hand_model(np.ones(3), np.ones(3))
         with pytest.raises(DimensionMismatch):
             score_matrix(model, rng.normal(size=(2, 4)), rng.normal(size=(2, 3)))
 
@@ -756,8 +812,7 @@ class TestModelPersistence:
         assert list(loaded) == ["SGM", "CH"]
         for kind, model in models.items():
             got = loaded[kind]
-            for attr in ("w", "eigenvalues", "inv_sigma_m", "inv_sigma_e",
-                         "inv_sigma", "mean_x", "mean_y"):
+            for attr in (field.name for field in fields(CclModel)):
                 assert np.array_equal(getattr(model, attr), getattr(got, attr)), attr
                 # A view of the one buffer the file is read into, not a copy.
                 flags = getattr(got, attr).flags
@@ -779,6 +834,30 @@ class TestModelPersistence:
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedFormat):
+            load_models(path)
+
+    def test_version_1_refused(self, tmp_path, rng):
+        # Version 1 held three r x r inverses in place of a and b.
+        path = tmp_path / "m.cclm"
+        save_models(path, self.make_models(rng))
+        data = bytearray(path.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedFormat, match="unsupported version 1; retrain"):
+            load_models(path)
+
+    @pytest.mark.parametrize("var", ["a", "b"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_non_positive_variance_is_corrupt(self, tmp_path, rng, var, value):
+        # The file ends in the CH model's a and b, r = 2 floats each.
+        path = tmp_path / "m.cclm"
+        save_models(path, self.make_models(rng))
+        data = bytearray(path.read_bytes())
+        at = len(data) - (32 if var == "a" else 16)
+        data[at : at + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        message = re.escape(f"{path}: model 'CH' holds a variance that is not positive")
+        with pytest.raises(CorruptFile, match=message):
             load_models(path)
 
     def test_long_kind_tag_leaves_no_file(self, tmp_path, rng):
@@ -814,6 +893,6 @@ class TestModelPersistence:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_score_symmetry_property(seed):
     rng = np.random.default_rng(seed)
-    model = hand_model(random_spd(rng, 3), random_spd(rng, 3), random_spd(rng, 3))
+    model = hand_model(random_variances(rng, 3), random_variances(rng, 3))
     a, b = rng.normal(size=3), rng.normal(size=3)
     assert score(model, a, b) == score(model, b, a)

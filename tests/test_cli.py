@@ -688,6 +688,22 @@ class TestMalformedModels:
         code, err = self.run_eval(corpus, descriptors, path, capsys)
         assert code == 2 and "non-finite" in err
 
+    def test_non_positive_variance(self, corpus, descriptors, model, tmp_path, capsys):
+        header, rec = self.record(model)
+        dim, rank = struct.unpack("<II", rec[16:24])
+        at = 24 + (2 * dim + dim * rank + rank) * 8  # first entry of b, after a
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(header + rec[:at] + struct.pack("<d", 0.0) + rec[at + 8 :])
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and f"{path}: model 'SGM' holds a variance that is not positive" in err
+
+    def test_version_1(self, corpus, descriptors, model, tmp_path, capsys):
+        header, rec = self.record(model)
+        path = tmp_path / "old.cclm"
+        path.write_bytes(header[:4] + struct.pack("<H", 1) + header[6:] + rec)
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "unsupported version 1; retrain the model" in err
+
     def test_repeated_kind(self, corpus, descriptors, model, tmp_path, capsys):
         header, rec = self.record(model)
         path = tmp_path / "bad.cclm"
@@ -1052,6 +1068,21 @@ class TestInspect:
         assert main(["inspect", str(model)]) == 0
         out = capsys.readouterr().out
         assert "SGM" in out and "r=20" in out
+
+    @pytest.mark.parametrize("r", [3, 6])
+    def test_spectrum_shows_five_eigenvalues_then_an_ellipsis(
+            self, corpus, descriptors, tmp_path, capsys, r):
+        path = tmp_path / "m.cclm"
+        assert main(["train", str(descriptors), str(corpus / "manifest.csv"),
+                     "--out", str(path), "--r", str(r)]) == 0
+        trained = capsys.readouterr().out
+        assert main(["inspect", str(path)]) == 0
+        inspected = capsys.readouterr().out
+        shown = [re.search(r"eigenvalues \[(.*)\]", out).group(1).split(", ")
+                 for out in (trained, inspected)]
+        assert shown[0] == shown[1]
+        assert len(shown[0]) == min(r, 5) + (r > 5)
+        assert (shown[0][-1] == "...") == (r > 5)
 
     def test_manifest(self, corpus, capsys):
         assert main(["inspect", str(corpus / "manifest.csv")]) == 0
