@@ -363,9 +363,9 @@ def load_models(path) -> dict[str, CclModel]:
     """Read back a model file written by ``save_models``.
 
     A kind tag that is not UTF-8, a repeated kind, a non-finite value, a
-    variance that is not positive or bytes after the last record are
-    rejected as ``CorruptFile``.  Every array is a writable view of the
-    one buffer the file is read into.
+    variance that is not positive or whose reciprocal overflows, or bytes
+    after the last record are rejected as ``CorruptFile``.  Every array is a
+    writable view of the one buffer the file is read into.
     """
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
@@ -411,8 +411,13 @@ def load_models(path) -> dict[str, CclModel]:
             a=take(rank, (rank,)),
             b=take(rank, (rank,)),
         )
-        if (models[kind].a <= 0).any() or (models[kind].b <= 0).any():
+        a, b = models[kind].a, models[kind].b
+        if (a <= 0).any() or (b <= 0).any():
             raise CorruptFile(f"{path}: model {kind!r} holds a variance that is not positive")
+        with np.errstate(over="ignore"):  # scoring divides by each variance
+            if np.isinf(1.0 / a).any() or np.isinf(1.0 / b).any():
+                raise CorruptFile(
+                    f"{path}: model {kind!r} holds a variance whose reciprocal overflows")
     if offset != len(data):
         raise CorruptFile(f"{path}: {len(data) - offset} trailing bytes after the last model")
     return models

@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -226,6 +225,9 @@ def _extract_rows(entries, config, palette, args):
         return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids), times
 
     if args.threads > 1:
+        # Imported here: the other commands need no pool, nor its start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             return collect(pool.map(one, rows))
     return collect(map(one, rows))

@@ -64,13 +64,13 @@ def validate_manifest(manifest: DatasetManifest) -> None:
 def load_manifest(path, validate: bool = True) -> DatasetManifest:
     """Read a manifest CSV; relative paths resolve against its directory."""
     path = Path(path)
-    root = path.parent
+    root = str(path.parent)
     # Each directory resolves once: a path whose last component is not a
     # symlink, "." or ".." resolves to its resolved directory plus that name.
     resolved: dict[str, str] = {}
 
     def resolve(rel: str) -> str:
-        full = str(root / rel)
+        full = os.path.join(root, rel)
         head, name = os.path.split(full)
         if name in ("", ".", "..") or os.path.islink(full):
             return str(Path(full).resolve())

@@ -32,6 +32,7 @@ _GAUSS_CONST = (2.0 * np.pi) ** -1.5
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
+_AXES3 = np.arange(3)[:, None]
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,12 @@ def default_palette() -> ColorNamePalette:
     return palette
 
 
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of (..., 3) stacks, with its rounding and no FMA."""
-    return a[..., (1, 2, 0)] * b[..., (2, 0, 1)] - a[..., (2, 0, 1)] * b[..., (1, 2, 0)]
+    return a[..., _YZX] * b[..., _ZXY] - a[..., _ZXY] * b[..., _YZX]
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -115,10 +119,8 @@ def _null_vectors(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
     top = norms[rows, best]
     with np.errstate(divide="ignore", invalid="ignore"):
         v = cands[rows, best] / top[:, None]
-        axes = np.broadcast_to(_EYE3, m.shape)
         for u in avoid:
             v = v - _dot(v, u)[:, None] * u
-            axes = axes - _dot(axes, u[:, None])[..., None] * u[:, None]
         n = np.sqrt(_dot(v, v))
         v = v / n[:, None]
     good = (top > 1e-14) & (n > 1e-8)
@@ -128,6 +130,9 @@ def _null_vectors(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
     # orthogonalization: any completion of the found set works, since the
     # remaining eigenspace absorbs every orthogonal direction.  The first
     # axis that keeps some length is used.
+    axes = np.broadcast_to(_EYE3, m.shape)
+    for u in avoid:
+        axes = axes - _dot(axes, u[:, None])[..., None] * u[:, None]
     lengths = np.sqrt(_dot(axes, axes))
     first = (lengths > 1e-8).argmax(axis=1)
     return np.where(good[:, None], v, axes[rows, first] / lengths[rows, first, None])
@@ -169,7 +174,8 @@ def eig3_symmetric(a: np.ndarray):
     Closed-form trigonometric eigenvalues, eigenvectors from cross
     products of the shifted rows, then Jacobi refinement sweeps.  Slices
     take their branches (zero or diagonal matrix, null-vector fallbacks,
-    Jacobi rotations) by masks, and every stacked numpy call used rounds
+    Jacobi rotations) by masks, which a stack whose slices all take the
+    common branch never builds, and every stacked numpy call used rounds
     each slice as its single call does, so a slice gets the same bits in
     any stack as alone.
 
@@ -184,23 +190,26 @@ def eig3_symmetric(a: np.ndarray):
         vals, vecs = eig3_symmetric(a[None])
         return vals[0], vecs[0]
     a = 0.5 * (a + a.swapaxes(1, 2))
-    vals = np.zeros((len(a), 3))
-    vecs = np.tile(_EYE3, (len(a), 1, 1))
     scale = np.abs(a).max(axis=(1, 2), initial=0.0)
-    live = np.flatnonzero(scale != 0.0)  # a zero matrix keeps (0, I)
-    b = a[live] / scale[live, None, None]
-    # A diagonal slice's eigenpairs are its diagonal and the axes.
-    lam = b.diagonal(axis1=1, axis2=2).copy()
-    vec = vecs[live]
+    if not scale.all():  # a zero matrix keeps (+0.0, I); the others solve as one stack
+        live = np.flatnonzero(scale)
+        vals, vecs = np.zeros((len(a), 3)), np.tile(_EYE3, (len(a), 1, 1))
+        vals[live], vecs[live] = eig3_symmetric(a[live])
+        return vals, vecs
+    b = a / scale[:, None, None]
     # Squares of Python floats are libm pow, which x * x and np.power round apart.
     p1 = np.array([x**2 + y**2 + z**2 for x, y, z in b[:, (0, 0, 1), (1, 2, 2)].tolist()])
-    dense = np.flatnonzero(p1 != 0.0)
-    if dense.size:
-        lam[dense], vec[dense] = _dense_eig3(b[dense], p1[dense])
+    if p1.all():
+        lam, vec = _dense_eig3(b, p1)
+    else:
+        # A diagonal slice's eigenpairs are its diagonal and the axes.
+        lam, vec = b.diagonal(axis1=1, axis2=2).copy(), np.tile(_EYE3, (len(b), 1, 1))
+        dense = np.flatnonzero(p1)
+        if dense.size:
+            lam[dense], vec[dense] = _dense_eig3(b[dense], p1[dense])
+    rows = np.arange(len(b))[:, None]
     order = np.argsort(lam, axis=1, kind="stable")
-    vals[live] = np.take_along_axis(lam, order, axis=1) * scale[live, None]
-    vecs[live] = np.take_along_axis(vec, order[:, None, :], axis=2)
-    return vals, vecs
+    return lam[rows, order] * scale[:, None], vec[rows[:, :, None], _AXES3, order[:, None]]
 
 
 def _dense_eig3(b: np.ndarray, p1: np.ndarray):

@@ -860,6 +860,19 @@ class TestModelPersistence:
         with pytest.raises(CorruptFile, match=message):
             load_models(path)
 
+    @pytest.mark.parametrize("var", ["a", "b"])
+    def test_variance_whose_reciprocal_overflows_is_corrupt(self, tmp_path, rng, var):
+        # 1e-310 is positive, but 1 / 1e-310 exceeds the largest double.
+        path = tmp_path / "m.cclm"
+        save_models(path, self.make_models(rng))
+        data = bytearray(path.read_bytes())
+        at = len(data) - (32 if var == "a" else 16)
+        data[at : at + 8] = np.float64(1e-310).tobytes()
+        path.write_bytes(bytes(data))
+        message = re.escape(f"{path}: model 'CH' holds a variance whose reciprocal overflows")
+        with np.errstate(all="raise"), pytest.raises(CorruptFile, match=message):
+            load_models(path)
+
     def test_long_kind_tag_leaves_no_file(self, tmp_path, rng):
         # Every tag is checked before the file is opened: a good model ahead
         # of the long tag must not leave a partial file behind.

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -697,6 +698,22 @@ class TestMalformedModels:
         code, err = self.run_eval(corpus, descriptors, path, capsys)
         assert code == 2 and f"{path}: model 'SGM' holds a variance that is not positive" in err
 
+    @pytest.mark.parametrize("var", ["a", "b"])
+    def test_variance_whose_reciprocal_overflows(self, corpus, descriptors, model, tmp_path,
+                                                 capsys, var):
+        header, rec = self.record(model)
+        dim, rank = struct.unpack("<II", rec[16:24])
+        at = 24 + (2 * dim + dim * rank + (rank if var == "b" else 0)) * 8
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(header + rec[:at] + struct.pack("<d", 1e-310) + rec[at + 8 :])
+        line = f"error: {path}: model 'SGM' holds a variance whose reciprocal overflows\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["inspect", str(path)]) == 2
+            assert capsys.readouterr() == ("", line)
+            assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_version_1(self, corpus, descriptors, model, tmp_path, capsys):
         header, rec = self.record(model)
         path = tmp_path / "old.cclm"
@@ -1209,12 +1226,25 @@ def test_every_subcommand_reads_each_of_its_arguments():
         assert not unread, (command, sorted(unread))
 
 
+def source_env():
+    """The environment with the package's ``src`` first on ``PYTHONPATH``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                                     os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # Only extract with --threads > 1 runs a pool; no other command pays for its import.
+    code = "import sys\nimport reid_sgm.cli\nprint('concurrent.futures' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout == "False\n"
+
+
 def test_importing_the_cli_loads_no_scipy(corpus, descriptors, model, tmp_path):
     # No stage needs scipy: importing the CLI, training on a reduced problem
     # (2n < d) and solving a dense one (2n >= d) load none of it.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src),
-                                                                    os.environ.get("PYTHONPATH")])))
+    env = source_env()
     out = tmp_path / "m.cclm"
     code = (
         "import sys\n"

@@ -323,6 +323,10 @@ class TestSynthDataset:
             ("id1", "B", "images/missing.ppm", "images/dangling.ppm"),
             ("id2", "A", "images/..", "."),
             ("id2", "B", str(images / "id1_camB_0.ppm"), "images/sub/../../images/x.pgm"),
+            ("id3", "A", "images/", "./images/alias.ppm"),
+            ("id3", "B", "images//id0_camB_0.ppm", "images/alias.ppm/"),
+            ("id4", "A", ".//images/./id1_camA_0.ppm", "../linked//alias.ppm"),
+            ("id4", "B", "images/missing/", "./"),
         ]
         text = "person_id,camera,image_path,mask_path\n"
         text += "".join(",".join(row) + "\n" for row in rows)

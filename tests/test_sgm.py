@@ -179,6 +179,7 @@ def test_eig3_matches_numpy_array_oracle_bitwise(a):
 def assert_slices_match_oracle(stack):
     vals, vecs = eig3_symmetric(np.stack(stack))
     assert vals.shape == (len(stack), 3) and vecs.shape == (len(stack), 3, 3)
+    assert vals.flags.c_contiguous and vecs.flags.c_contiguous
     for a, slice_vals, slice_vecs in zip(stack, vals, vecs):
         ref_vals, ref_vecs = oracle_eig3_symmetric(a)
         assert_bitwise_equal(slice_vals, ref_vals)
@@ -266,6 +267,37 @@ def test_eig3_branch_case_matches_oracle_inside_a_stack(name, rng):
         assert_slices_match_oracle([BRANCH_CASES[name]])
 
 
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_eig3_branch_case_at_every_position_of_a_generic_stack(name, rng):
+    """Generic slices (nonzero, not diagonal, no fallback, converged at the
+    first Jacobi check) take the stack-wide path; one branch case among
+    them, at any position, must leave every slice its own bits."""
+    generic = [random_spd(rng) for _ in range(3)]
+    with np.errstate(invalid="ignore"):
+        for at in range(len(generic) + 1):
+            assert_slices_match_oracle([*generic[:at], BRANCH_CASES[name], *generic[at:]])
+
+
+UNIFORM_STACKS = {
+    "generic": [np.diag([1.0, 2.0, 3.0]) + 0.1 * np.ones((3, 3)), np.full((3, 3), 0.5)],
+    "zero": [np.zeros((3, 3))] * 3,
+    "negative_zero": [np.full((3, 3), -0.0)] * 2,
+    "mixed_zero": [np.zeros((3, 3)), np.full((3, 3), -0.0), np.diag([-0.0, 0.0, -0.0])],
+    "generic_with_negative_zeros": [
+        np.array([[1.0, -0.0, 0.5], [-0.0, 2.0, 0.25], [0.5, 0.25, 3.0]]),
+        np.array([[-0.0, 1.0, -0.0], [1.0, -0.0, -0.0], [-0.0, -0.0, 2.0]]),
+    ],
+    "diagonal_with_negative_zeros": [np.diag([2.0, -0.0, 1.0]), np.diag([-0.0, -1.0, -0.0])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_STACKS))
+def test_eig3_uniform_stack_matches_oracle(name):
+    """Stacks whose slices all take one branch, including -0.0 entries: the
+    oracle gives a zero slice +0.0 eigenvalues and the identity."""
+    assert_slices_match_oracle(UNIFORM_STACKS[name])
+
+
 def test_null_vector_collapse_falls_back_inside_a_stack(rng):
     """A candidate that vanishes once the found vector is taken out of it
     (length <= 1e-8) falls back to the first axis that keeps its length."""
@@ -286,6 +318,15 @@ class TestStackedFits:
         assert len(models) == len(stack)
         for sigma, model in zip(stack, models):
             assert_models_equal(model, model_from_sigma(sigma, epsilon0=1e-3))
+
+    @pytest.mark.parametrize("name", sorted(k for k, a in BRANCH_CASES.items()
+                                            if np.isfinite(a).all()))
+    def test_model_from_sigma_at_every_position_equals_single_calls(self, name, rng):
+        generic = [random_spd(rng) for _ in range(3)]
+        for at in range(len(generic) + 1):
+            stack = np.stack([*generic[:at], BRANCH_CASES[name], *generic[at:]])
+            for sigma, model in zip(stack, model_from_sigma(stack), strict=True):
+                assert_models_equal(model, model_from_sigma(sigma))
 
     def test_fit_model_sequence_equals_single_calls(self, palette, rng):
         sets = [pixel_set(rng.random((n, 3))) for n in (1, 2, 17, 864, 6144)]

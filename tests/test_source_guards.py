@@ -4,8 +4,9 @@ Every function of the package reads each of its parameters: a parameter
 that no code reads is an option a caller can pass and the function
 silently ignores (``self`` and ``cls`` are exempt).  No module uses a QR
 factorization, each module imports exactly the package modules pinned in
-``PACKAGE_IMPORTS``, and ``cli`` loads images and masks only through the
-names the benchmark's tracer wraps.
+``PACKAGE_IMPORTS`` and none of ``LAZY_IMPORTS`` at module level, and
+``cli`` loads images and masks only through the names the benchmark's
+tracer wraps.
 """
 
 import ast
@@ -110,6 +111,52 @@ def test_guard_names_each_import_form():
     source = ("from . import ccl, sgm\nfrom .errors import CorruptFile\n"
               "from reid_sgm.imaging import convert\nimport reid_sgm.evalkit\nimport numpy\n")
     assert package_imports(source) == {"ccl", "sgm", "errors", "imaging", "evalkit"}
+
+
+# Packages that only some commands need, imported where they are used, so
+# that no command pays their start-up for the others: the thread pool
+# (extract --threads > 1), scipy (no command) and Pillow (PNG images).
+LAZY_IMPORTS = ("concurrent.futures", "scipy", "PIL")
+
+
+def eager_imports(source: str, module: str) -> list[str]:
+    """``module:line name`` for each import of a ``LAZY_IMPORTS`` package
+    that runs when the module is loaded, outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module] + [f"{child.module}.{alias.name}" for alias in child.names]
+            lazy = [name for name in names
+                    if any(name == p or name.startswith(p + ".") for p in LAZY_IMPORTS)]
+            if lazy:
+                found.append(f"{module}:{child.lineno} {lazy[0]}")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_lazy_package_imported_at_module_level(path):
+    assert eager_imports(path.read_text(), path.stem) == []
+
+
+def test_guard_names_each_eager_import():
+    source = ("import os\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "from concurrent import futures\nimport scipy.linalg as sl\n"
+              "try:\n    from PIL import Image\nexcept ImportError:\n    pass\n"
+              "def load(path):\n    import scipy\n    from PIL import Image\n"
+              "class Reader:\n    import PIL.Image\n"
+              "    def read(self):\n        from concurrent.futures import wait\n")
+    assert eager_imports(source, "cli") == ["cli:2 concurrent.futures", "cli:3 concurrent.futures",
+                                            "cli:4 scipy.linalg", "cli:6 PIL", "cli:13 PIL.Image"]
 
 
 # ``perfbench/traced_cli.py`` times image and mask loading as ``imaging.load``
