@@ -31,8 +31,14 @@ EIGENVALUE_SNAP = 1e-12
 _GAUSS_CONST = (2.0 * np.pi) ** -1.5
 
 _EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+# The 3x3 eigensolver's ``take`` indices: a cross product's shifts, the strict
+# upper triangle's rows and flat positions, and each eigenvalue's neighbours.
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+_ROW0, _ROW1, _UPPER = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1, 2, 5])
+_NEXT, _LAST = np.array([1, 0, 0]), np.array([2, 2, 1])
 _AXES3 = np.arange(3)[:, None]
+for _const in (_EYE3, _YZX, _ZXY, _ROW0, _ROW1, _UPPER, _NEXT, _LAST, _AXES3):
+    _const.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,9 @@ def default_palette() -> ColorNamePalette:
     return palette
 
 
-_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of (..., 3) stacks, with its rounding and no FMA."""
-    return a[..., _YZX] * b[..., _ZXY] - a[..., _ZXY] * b[..., _YZX]
+    return a.take(_YZX, -1) * b.take(_ZXY, -1) - a.take(_ZXY, -1) * b.take(_YZX, -1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,7 +116,7 @@ def _null_vectors(m: np.ndarray, avoid: list[np.ndarray]) -> np.ndarray:
     """Per (3, 3) slice, the best unit vector with m @ v ~ 0, orthogonal
     to the already-found (G, 3) rows of ``avoid``."""
     rows = np.arange(len(m))
-    cands = _cross(m[:, (0, 0, 1)], m[:, (1, 2, 2)])
+    cands = _cross(m.take(_ROW0, 1), m.take(_ROW1, 1))
     norms = np.sqrt(_dot(cands, cands))
     best = norms.argmax(axis=1)  # the first maximum
     top = norms[rows, best]
@@ -147,7 +150,7 @@ def _jacobi_refine(a: np.ndarray, v: np.ndarray, sweeps: int = 8):
     for sweep in range(sweeps + 1):
         m = v.swapaxes(1, 2) @ a @ v
         diag = m.diagonal(axis1=1, axis2=2)
-        off = np.abs(m[:, (0, 0, 1), (1, 2, 2)]).max(axis=1)
+        off = np.abs(m.reshape(-1, 9).take(_UPPER, 1)).max(axis=1)
         scale = np.maximum(np.abs(diag).max(axis=1), 1e-300)
         done = active & ((off <= 1e-15 * scale) | (sweep == sweeps))
         vals[done] = diag[done]
@@ -198,7 +201,7 @@ def eig3_symmetric(a: np.ndarray):
         return vals, vecs
     b = a / scale[:, None, None]
     # Squares of Python floats are libm pow, which x * x and np.power round apart.
-    p1 = np.array([x**2 + y**2 + z**2 for x, y, z in b[:, (0, 0, 1), (1, 2, 2)].tolist()])
+    p1 = np.array([x**2 + y**2 + z**2 for x, y, z in b.reshape(-1, 9).take(_UPPER, 1).tolist()])
     if p1.all():
         lam, vec = _dense_eig3(b, p1)
     else:
@@ -225,12 +228,12 @@ def _dense_eig3(b: np.ndarray, p1: np.ndarray):
     phi = np.arccos(r) / 3.0
     hi = q + 2.0 * p * np.cos(phi)
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    vals = np.stack([lo, 3.0 * q - hi - lo, hi], axis=1)
+    vals = np.array([lo, 3.0 * q - hi - lo, hi]).T
 
     # Recover the best-separated eigenvector first.  The second then keeps a
     # length above 1e-8 once the first is taken out, so the cross product of
     # the two has length near 1, and the last needs no fallback.
-    gaps = np.minimum(np.abs(vals - vals[:, (1, 0, 0)]), np.abs(vals - vals[:, (2, 2, 1)]))
+    gaps = np.minimum(np.abs(vals - vals.take(_NEXT, 1)), np.abs(vals - vals.take(_LAST, 1)))
     order = np.argsort(-gaps, axis=1, kind="stable")
     rows = np.arange(len(b))
     vecs = np.empty_like(b)

@@ -298,6 +298,15 @@ def test_eig3_uniform_stack_matches_oracle(name):
     assert_slices_match_oracle(UNIFORM_STACKS[name])
 
 
+def test_module_arrays_are_read_only():
+    """The identity and the eigensolver's index constants are shared by
+    every call: a stray write into one would corrupt all later results."""
+    arrays = {k: v for k, v in vars(sgm).items() if isinstance(v, np.ndarray)}
+    assert {"_EYE3", "_YZX", "_UPPER"} <= arrays.keys()
+    for name, array in arrays.items():
+        assert not array.flags.writeable, name
+
+
 def test_null_vector_collapse_falls_back_inside_a_stack(rng):
     """A candidate that vanishes once the found vector is taken out of it
     (length <= 1e-8) falls back to the first axis that keeps its length."""
