@@ -47,7 +47,7 @@ class CoupledStats:
     ``pair_rows`` = [M; E] with the centered m = x + y and e = x - y of
     each pair over sqrt(n) (the views ``m_rows`` and ``e_rows``).  Reading
     ``sigma_m`` or ``sigma_e`` forms the d x d matrix; ``solve_subspace``
-    does not when 2n < d.
+    reads neither, and forms the pair rows' d x d Gram only when 2n >= d.
     """
 
     dim: int
@@ -159,52 +159,56 @@ def accumulate_stats(xs, ys, ridge: float = DEFAULT_RIDGE) -> CoupledStats:
 
 
 def _coupled_problem(stats: CoupledStats):
-    """The pair rows' coordinates to solve in and the map that lifts vectors.
-
-    When 2n < d: the rows' coordinates C in an orthonormal basis of their
-    span, k <= 2n orthogonal columns (see the README's ``ccl``), and
-    ``lift(vecs, pad)``, which maps k-vectors to d coordinates and fills
-    the columns ``pad`` (zero in vecs) with orthonormal directions off
-    that span.  Otherwise the pair rows themselves and None.
+    """The pair rows P's coordinates C = P B, whose k columns are orthogonal,
+    and ``lift(vecs, pad)``, which maps k-vectors to d coordinates B vecs
+    and fills the columns ``pad`` (zero in vecs) with orthonormal
+    directions off B's span (see the README's ``ccl``).  When 2n >= d, B is
+    the eigenvectors of the d x d Gram P^T P and k = d; otherwise B is an
+    orthonormal basis of the rows' span, k <= 2n.
     """
     n = stats.m_rows.shape[0]
     if 2 * n >= stats.dim:
-        return stats.pair_rows, None
-    if stats.ridge_term <= 0:
-        raise NotPositiveDefinite(
-            f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
-        )
-    # rows = left^T pair_rows less parts in earlier blocks (left None: all).
-    rows, left, blocks, coords = stats.pair_rows, None, [], []
-    while rows.shape[0]:
-        if blocks:
-            # Twice is enough: a row that one pass halves gets a second, and
-            # one that the second halves too lies in the blocks' span.
-            once = _deflate(rows, blocks)
-            cut = np.linalg.norm(once, axis=1) < 0.5 * np.linalg.norm(rows, axis=1)
-            twice = _deflate(once[cut], blocks)
-            keep = np.linalg.norm(twice, axis=1) >= 0.5 * np.linalg.norm(once[cut], axis=1)
-            once[cut] = twice * keep[:, None]
-            rows = once
-        evals, evecs = np.linalg.eigh(rows @ rows.T)
-        if not evals[-1] > 0:
-            break
-        big = evals > GRAM_SHARE * evals[-1]
-        blocks.append((rows, evecs[:, big] / np.sqrt(evals[big])))
-        scaled, rest = evecs[:, big] * np.sqrt(evals[big]), evecs[:, ~big]
-        coords.append(scaled if left is None else left @ scaled)
-        rows, left = rest.T @ rows, rest if left is None else left @ rest
-    coords = np.hstack(coords)
-    k = coords.shape[1]
+        basis = np.linalg.eigh(stats.pair_rows.T @ stats.pair_rows)[1]
+        coords = stats.pair_rows @ basis
 
-    def span(vecs: np.ndarray, at=slice(None)) -> np.ndarray:
-        """Rows ``at`` of the basis times vecs."""
-        parts = np.split(vecs, np.cumsum([t.shape[1] for _, t in blocks])[:-1])
-        terms = (b[:, at].T @ (t @ part) for (b, t), part in zip(blocks, parts))
-        lifted = next(terms)
-        for term in terms:
-            lifted += term
-        return lifted
+        def span(vecs: np.ndarray, at=slice(None)) -> np.ndarray:
+            return basis[at] @ vecs
+    else:
+        if stats.ridge_term <= 0:
+            raise NotPositiveDefinite(
+                f"difference covariance is singular: no ridge and {n} pairs for dim {stats.dim}"
+            )
+        # rows = left^T pair_rows less parts in earlier blocks (left None: all).
+        rows, left, blocks, coords = stats.pair_rows, None, [], []
+        while rows.shape[0]:
+            if blocks:
+                # Twice is enough: a row that one pass halves gets a second, and
+                # one that the second halves too lies in the blocks' span.
+                once = _deflate(rows, blocks)
+                cut = np.linalg.norm(once, axis=1) < 0.5 * np.linalg.norm(rows, axis=1)
+                twice = _deflate(once[cut], blocks)
+                keep = np.linalg.norm(twice, axis=1) >= 0.5 * np.linalg.norm(once[cut], axis=1)
+                once[cut] = twice * keep[:, None]
+                rows = once
+            evals, evecs = np.linalg.eigh(rows @ rows.T)
+            if not evals[-1] > 0:
+                break
+            big = evals > GRAM_SHARE * evals[-1]
+            blocks.append((rows, evecs[:, big] / np.sqrt(evals[big])))
+            scaled, rest = evecs[:, big] * np.sqrt(evals[big]), evecs[:, ~big]
+            coords.append(scaled if left is None else left @ scaled)
+            rows, left = rest.T @ rows, rest if left is None else left @ rest
+        coords = np.hstack(coords)
+
+        def span(vecs: np.ndarray, at=slice(None)) -> np.ndarray:
+            """Rows ``at`` of the basis times vecs."""
+            parts = np.split(vecs, np.cumsum([t.shape[1] for _, t in blocks])[:-1])
+            terms = (b[:, at].T @ (t @ part) for (b, t), part in zip(blocks, parts))
+            lifted = next(terms)
+            for term in terms:
+                lifted += term
+            return lifted
+    k = coords.shape[1]
 
     def lift(vecs: np.ndarray, pad: np.ndarray) -> np.ndarray:
         if not pad.size:
@@ -234,39 +238,30 @@ def _deflate(rows: np.ndarray, blocks) -> np.ndarray:
 def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     """Top-r generalized eigenvectors of (sigma_m, sigma_e) by whitening.
 
-    With n pairs and 2n < d the k x k problem in the coordinates C of
-    ``_coupled_problem`` is whitened by the diagonal D = C^T C + 2
-    ridge_term I = sigma_m + sigma_e: D^-1/2 sigma_m D^-1/2 has eigenvalues
-    theta / (1 + theta), and its eigenvectors times D^-1/2 are lifted back,
-    padded with eigenvalue-1 directions off the pair rows' span when fewer
-    than r eigenvalues exceed 1 (see the README's ``ccl``).  Otherwise
-    sigma_e's Cholesky factor whitens.  The unit columns, largest component
-    positive, are orthogonal under both covariances, so with a = diag(W^T
-    sigma_m W) and b = diag(W^T sigma_e W), which the model keeps, the
-    eigenvalues are a / b and the projected-space inverses diag(1 / a),
-    diag(1 / b) and diag(2 / (a + b)).
+    In the coordinates C of ``_coupled_problem`` the k x k problem is
+    whitened by the diagonal D = C^T C + 2 ridge_term I = sigma_m +
+    sigma_e: D^-1/2 sigma_m D^-1/2 has eigenvalues theta / (1 + theta),
+    and its eigenvectors times D^-1/2 are lifted back, padded with
+    eigenvalue-1 directions off the pair rows' span when fewer than r
+    eigenvalues exceed 1 (see the README's ``ccl``).  The unit columns,
+    largest component positive, are orthogonal under both covariances, so
+    with a = diag(W^T sigma_m W) and b = diag(W^T sigma_e W), which the
+    model keeps, the eigenvalues are a / b and the projected-space
+    inverses diag(1 / a), diag(1 / b) and diag(2 / (a + b)).  A D, a or b
+    that float64 cannot tell from singular raises ``NotPositiveDefinite``.
     """
     if not 1 <= r <= stats.dim:
         raise RankTooLarge(f"r={r} outside [1, {stats.dim}]")
     coords, lift = _coupled_problem(stats)
     n = coords.shape[0] // 2
-    if lift is None:
-        try:
-            lower = np.linalg.cholesky(stats.sigma_e)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("difference covariance is not positive-definite") from None
-        # numpy has no triangular solve; the Cholesky factor's inverse costs
-        # less than the 0.2 s of CPU that loading scipy.linalg for one would.
-        inv_lower = np.linalg.inv(lower)
-        whitened = inv_lower @ stats.sigma_m @ inv_lower.T
-        evals, evecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
-        above = int(np.count_nonzero(evals > 1.0))
-        vecs = inv_lower.T @ evecs[:, ::-1][:, :r]
-    else:
-        scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", coords, coords) + 2.0 * stats.ridge_term)
-        evals, evecs = np.linalg.eigh(_ridged_gram(coords[:n] * scale, stats.ridge_term * scale**2))
-        above = int(np.count_nonzero(evals > 0.5))  # theta > 1
-        vecs = scale[:, None] * evecs[:, ::-1][:, :r]
+    tiny = stats.dim * np.finfo(np.float64).eps
+    whiten = np.einsum("ij,ij->j", coords, coords) + 2.0 * stats.ridge_term
+    if not np.all(whiten > tiny * whiten.max()):
+        raise NotPositiveDefinite("commonness plus difference covariance is singular")
+    scale = 1.0 / np.sqrt(whiten)
+    evals, evecs = np.linalg.eigh(_ridged_gram(coords[:n] * scale, stats.ridge_term * scale**2))
+    above = int(np.count_nonzero(evals > 0.5))  # theta > 1
+    vecs = scale[:, None] * evecs[:, ::-1][:, :r]
 
     pad = np.arange(above, above + min(max(r - above, 0), stats.dim - evals.size))
     vecs = vecs[:, : r - pad.size]
@@ -276,9 +271,10 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
     vecs = np.insert(vecs, np.full(pad.size, above), 0.0, axis=1)
     a, b = (np.einsum("ij,ij->j", part, part) + stats.ridge_term
             for part in (coords[:n] @ vecs, coords[n:] @ vecs))
-    if not np.all((0 < a) & (a < math.inf) & (0 < b) & (b < math.inf)):
+    # Each variance must be positive, finite and resolved next to the other.
+    if not np.all((tiny * b < a) & (a < math.inf) & (tiny * a < b) & (b < math.inf)):
         raise NotPositiveDefinite("projected covariance is singular")
-    w = vecs if lift is None else lift(vecs, pad)
+    w = lift(vecs, pad)
     w *= np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
     return CclModel(w=w, a=a, b=b, mean_x=stats.mean_x.copy(), mean_y=stats.mean_y.copy())
 
@@ -362,10 +358,11 @@ def save_models(path, models: dict[str, CclModel]) -> None:
 def load_models(path) -> dict[str, CclModel]:
     """Read back a model file written by ``save_models``.
 
-    A kind tag that is not UTF-8, a repeated kind, a non-finite value, a
-    variance that is not positive or whose reciprocal overflows, or bytes
-    after the last record are rejected as ``CorruptFile``.  Every array is a
-    writable view of the one buffer the file is read into.
+    A file of no model, a kind tag that is not UTF-8, a repeated kind, a
+    non-finite value, a variance that is not positive or whose reciprocal
+    overflows, or bytes after the last record are rejected as
+    ``CorruptFile``.  Every array is a writable view of the one buffer the
+    file is read into.
     """
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
@@ -377,6 +374,8 @@ def load_models(path) -> dict[str, CclModel]:
     version, count = struct.unpack("<HH", data[4:8])
     if version != MODEL_VERSION:
         raise UnsupportedFormat(f"{path}: unsupported version {version}; retrain the model")
+    if not count:
+        raise CorruptFile(f"{path}: holds no model")
     offset = 8
     models: dict[str, CclModel] = {}
 

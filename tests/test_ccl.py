@@ -1,7 +1,9 @@
 """Coupled statistics, subspace solving, scoring, persistence."""
 
 import re
+import struct
 import tracemalloc
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reid_sgm.ccl import (
+    MODEL_MAGIC,
+    MODEL_VERSION,
     CclModel,
     CoupledStats,
     accumulate_stats,
@@ -317,6 +321,28 @@ class TestSolveSubspace:
         with pytest.raises(NotPositiveDefinite):
             solve_subspace(stats, 2)
 
+    @pytest.mark.parametrize("kind", ["difference", "shared"])
+    def test_singular_problem_always_refused(self, kind):
+        """200 seeded 6-dim problems with no ridge and 2n >= d whose pencil
+        is singular: E of rank d - 1 (an infinite eigenvalue), or M and E in
+        one (d - 1)-dim space (0 / 0 along the rest).  Each is refused, and
+        numpy prints no warning."""
+        rng = np.random.default_rng(25)
+        n, d = 6, 6
+        for _ in range(200):
+            m, e = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            if kind == "difference":
+                e = rng.normal(size=(n, d - 1)) @ rng.normal(size=(d - 1, d))
+            else:
+                base = rng.normal(size=(d - 1, d))
+                m, e = (rng.normal(size=(n, d - 1)) @ base for _ in range(2))
+            stats = CoupledStats(dim=d, mean_x=np.zeros(d), mean_y=np.zeros(d),
+                                 pair_rows=np.vstack([m, e]), ridge_term=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NotPositiveDefinite):
+                    solve_subspace(stats, 3)
+
     def test_singular_projected_covariance_rejected(self, rng):
         # M = 0 and no ridge: every projected commonness variance is 0, so
         # the model would hold an infinite inverse.
@@ -458,6 +484,12 @@ class TestSpanSolve:
             pytest.param(6, 14, 10, "noisy", id="6-14-10"),
             # d <= 2n: the full matrices
             pytest.param(20, 30, 5, "noisy", id="20-30-5"),
+            pytest.param(20, 30, 5, "same", id="20-30-5-same"),
+            pytest.param(20, 30, 5, "near", id="20-30-5-near"),
+            pytest.param(20, 30, 12, "siltp", id="20-30-12-siltp"),
+            # the boundary: d = 2n takes the full matrices, d = 2n + 1 the span
+            pytest.param(6, 12, 5, "noisy", id="6-12-5"),
+            pytest.param(6, 13, 5, "noisy", id="6-13-5"),
             # pair data only in the first r coordinates: k <= r, and most of
             # the first k + s unit vectors, which the padding combines, lie
             # in the rows' span
@@ -658,15 +690,19 @@ class TestSpanSolve:
         # add 21 MiB or more.
         assert peak < 40 * 2**20
 
-    def test_reduced_solve_factors_and_inverts_nothing(self, rng, monkeypatch):
-        stats = accumulate_stats(*span_pairs(rng, 6, 40, 12, "noisy"))
+    @pytest.mark.parametrize(
+        "n, d", [pytest.param(6, 40, id="6-40-12"), pytest.param(20, 30, id="20-30-12")],
+    )
+    def test_solve_factors_and_inverts_nothing(self, rng, monkeypatch, n, d):
+        # Both sides of 2n >= d whiten by the diagonal D alone.
+        stats = accumulate_stats(*span_pairs(rng, n, d, 12, "noisy"))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the reduced solve called a factorization or an inverse")
+            raise AssertionError("the solve called a factorization or an inverse")
 
         for name in ("cholesky", "inv"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        assert solve_subspace(stats, 12).w.shape == (40, 12)
+        assert solve_subspace(stats, 12).w.shape == (d, 12)
 
 
 class TestProject:
@@ -892,6 +928,13 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="kind tag ends in a space"):
             save_models(path, dict.fromkeys(tags, model))
         assert not path.exists()
+
+    def test_no_model_is_corrupt(self, tmp_path):
+        # ``save_models`` refuses to write a file of no model.
+        path = tmp_path / "m.cclm"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<HH", MODEL_VERSION, 0))
+        with pytest.raises(CorruptFile, match=re.escape(f"{path}: holds no model")):
+            load_models(path)
 
     def test_truncation(self, tmp_path, rng):
         path = tmp_path / "m.cclm"

@@ -424,6 +424,28 @@ class TestTrain:
         assert f"ridge must be nonnegative and finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_ridge_on_a_singular_full_problem_exits_3(self, tmp_path, capsys):
+        # 12 training pairs of 16-dim rows: 2n >= d, so the full problem.
+        # Centered color-name histograms leave sigma_m + sigma_e singular.
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_ids = 24\nheight = 24\nwidth = 12\nnoise = 20\nseed = 3\n")
+        corpus = tmp_path / "corpus"
+        desc, out = tmp_path / "d.sgmd", tmp_path / "m.cclm"
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus)]) == 0
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(desc),
+                     "--spaces", "RGB", "--stripes", "1", "--no-mask"]) == 0
+        assert load_descriptors(desc).matrix.shape[1] == 16
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", str(desc), str(corpus / "manifest.csv"), "--out", str(out),
+                         "--ridge", "0", "--r", "5"])
+        out_text, err = capsys.readouterr()
+        assert code == 3 and out_text == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_zero_r_is_usage_error(self, corpus, descriptors, tmp_path, capsys):
         code = main([
             "train", str(descriptors), str(corpus / "manifest.csv"),
@@ -713,6 +735,25 @@ class TestMalformedModels:
             assert capsys.readouterr() == ("", line)
             assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["inspect", "score", "eval"])
+    def test_no_model(self, corpus, descriptors, model, tmp_path, capsys, command):
+        # A header that counts no model, which ``save_models`` never writes.
+        header, _ = self.record(model)
+        path = tmp_path / "empty.cclm"
+        path.write_bytes(header[:6] + struct.pack("<H", 0))
+        line = f"error: {path}: holds no model\n"
+        if command == "eval":
+            assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
+            return
+        argv = ["inspect", str(path)]
+        if command == "score":
+            manifest = load_manifest(corpus / "manifest.csv")
+            a, b = (manifest.rows(camera=cam, ids=["id00"])[0] for cam in "AB")
+            argv = ["score", str(descriptors), str(path),
+                    "--probe", a.image_path, "--gallery", b.image_path]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", line)
 
     def test_version_1(self, corpus, descriptors, model, tmp_path, capsys):
         header, rec = self.record(model)
