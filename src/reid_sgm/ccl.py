@@ -76,9 +76,9 @@ class CoupledStats:
 
 
 def _ridged_gram(rows: np.ndarray, ridge_term) -> np.ndarray:
-    """rows^T rows + ridge_term (scalar or per column) on the diagonal, symmetrized."""
+    """rows^T rows + ridge_term (scalar or per column) on the diagonal; numpy
+    forms rows^T rows by a symmetric rank-k update, so it is exactly symmetric."""
     gram = rows.T @ rows
-    gram = 0.5 * (gram + gram.T)
     gram.flat[:: gram.shape[0] + 1] += ridge_term
     return gram
 

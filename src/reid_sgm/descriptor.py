@@ -363,40 +363,49 @@ def _layout(kind: str, spaces: tuple, stripes: int, foreground: bool) -> tuple[L
     )
 
 
-def _stripe_histograms(kind: str, codes: list, bins: int, image: RasterImage,
+@functools.lru_cache(maxsize=16)
+def _stripe_offsets(height: int, width: int, stripes: int, bins: int, channels: int,
+                    arrays: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's stripe, and the (arrays, pixels, channels) offsets that
+    place every code by array, stripe and channel in one ``bincount``.
+    Cached like ``_layout``, and read-only: all threads share them."""
+    rows = [stop - start for start, stop in stripe_bounds(height, stripes)]
+    labels = np.repeat(np.arange(stripes), np.array(rows) * width)
+    offsets = ((np.arange(arrays)[:, None, None] * stripes + labels[:, None]) * bins
+               + np.arange(0, bins, bins // channels))
+    labels.flags.writeable = offsets.flags.writeable = False
+    return labels, offsets
+
+
+def _stripe_histograms(kind: str, codes: np.ndarray, bins: int, image: RasterImage,
                        mask: ForegroundMask | None,
                        config: ExtractionConfig) -> ImageRepresentation:
     """Sum-normalized per-stripe histograms of each view and code array.
 
-    ``codes`` holds one int64 (pixels, c) array per layout space, its rows
-    in row-major pixel order and each of its c channels' entries a bin in
-    [0, ``bins`` / c); a stripe's histogram lays the c channels side by
-    side.  The codes are offset in place by stripe and channel, so each
-    histogram set is one ``bincount``; integer counts give exact float64
-    row sums.  A view histograms every pixel without a mask, else the
-    masked ones, with a stripe that holds no masked pixel falling back to
-    all of its pixels.
+    ``codes`` is an int64 (arrays, pixels, c) stack, one array per layout
+    space, its rows in row-major pixel order and each of its c channels'
+    entries a bin in [0, ``bins`` / c); a stripe's histogram lays the c
+    channels side by side.  A copy of the codes is offset by array, stripe
+    and channel, so each view's histograms are one ``bincount``; integer
+    counts give exact float64 row sums.  A view histograms every pixel
+    without a mask, else the masked ones, with a stripe that holds no
+    masked pixel falling back to all of its pixels.
     """
     stripes = config.stripes
-    rows = [stop - start for start, stop in stripe_bounds(image.height, stripes)]
-    labels = np.repeat(np.arange(stripes), np.array(rows) * image.width)
-    channels = codes[0].shape[1]
-    offsets = labels[:, None] * bins + np.arange(0, bins, bins // channels)
-    for array in codes:
-        array += offsets
+    labels, offsets = _stripe_offsets(image.height, image.width, stripes, bins,
+                                      codes.shape[2], codes.shape[0])
+    coded = codes + offsets
     views = _views(image, mask, config)
-    segments = []
+    counts = []
     for _, view_mask in views:
         keep = _mask_selection(view_mask)
         if keep is not None:
             keep |= (np.bincount(labels[keep], minlength=stripes) == 0)[labels]
             keep = np.flatnonzero(keep)  # a row take is cheaper than a boolean mask
-        for array in codes:
-            selected = array if keep is None else array.take(keep, axis=0)
-            hist = np.bincount(selected.reshape(-1), minlength=stripes * bins).astype(np.float64)
-            hist = hist.reshape(stripes, bins)
-            segments.append(hist / hist.sum(axis=1, keepdims=True))
-    vector = np.concatenate(segments, axis=None).astype(np.float32)
+        selected = coded if keep is None else coded.take(keep, axis=1)
+        counts.append(np.bincount(selected.reshape(-1), minlength=len(codes) * stripes * bins))
+    hist = np.concatenate(counts).astype(np.float64).reshape(-1, bins)
+    vector = (hist / hist.sum(axis=1, keepdims=True)).astype(np.float32).reshape(-1)
     layout = _layout(kind, config.spaces, stripes, len(views) > 1)
     return ImageRepresentation(vector=vector, layout=layout)
 
@@ -537,8 +546,8 @@ def extract_color_histogram(
     """
     if grids is None:
         grids, _ = _convert_all(image, config)
-    codes = [np.minimum((grids[space].points * CH_BINS).astype(np.int64), CH_BINS - 1)
-             for space in config.spaces]
+    points = np.stack([grids[space].points for space in config.spaces])
+    codes = np.minimum((points * CH_BINS).astype(np.int64), CH_BINS - 1)
     return _stripe_histograms("CH", codes, 3 * CH_BINS, image, mask, config)
 
 
@@ -548,25 +557,19 @@ def siltp_codes(gray: np.ndarray, tau: float = SILTP_TAU) -> np.ndarray:
     Each neighbor contributes a ternary digit: 1 above (1+tau) times the
     center, 2 below (1-tau) times the center, 0 otherwise; digit order
     is north, east, south, west (base-3, north least significant).
-    Edges use replicate padding.
+    Edges replicate the border pixels.
     """
-    padded = np.pad(gray, 1, mode="edge")
-    center = gray
-    upper = (1.0 + tau) * center
-    lower = (1.0 - tau) * center
-    code = np.zeros(gray.shape, dtype=np.int64)
-    neighbors = (
-        padded[:-2, 1:-1],  # north
-        padded[1:-1, 2:],   # east
-        padded[2:, 1:-1],   # south
-        padded[1:-1, :-2],  # west
-    )
-    weight = 1
-    for nb in neighbors:
-        digit = np.where(nb > upper, 1, np.where(nb < lower, 2, 0))
-        code += weight * digit
-        weight *= 3
-    return code
+    height, width = gray.shape
+    nb = np.empty((4, height, width))
+    nb[0, 1:], nb[0, :1] = gray[:-1], gray[:1]            # north
+    nb[1, :, :-1], nb[1, :, -1:] = gray[:, 1:], gray[:, -1:]  # east
+    nb[2, :-1], nb[2, -1:] = gray[1:], gray[-1:]          # south
+    nb[3, :, 1:], nb[3, :, :1] = gray[:, :-1], gray[:, :1]    # west
+    above = nb > (1.0 + tau) * gray
+    # Where both hold, as they can for a negative center, the digit is 1.
+    below = np.greater(nb < (1.0 - tau) * gray, above)
+    digits = above.view(np.int8) + 2 * below.view(np.int8)
+    return (3 ** np.arange(4) @ digits.reshape(4, -1)).reshape(height, width)
 
 
 def extract_siltp(
@@ -576,7 +579,7 @@ def extract_siltp(
 ) -> ImageRepresentation:
     """Per-stripe ternary-pattern texture histograms on the gray image."""
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
-    codes = [siltp_codes(gray).reshape(-1, 1)]
+    codes = siltp_codes(gray).reshape(1, -1, 1)
     return _stripe_histograms("SILTP", codes, SILTP_CODES, image, mask, config)
 
 

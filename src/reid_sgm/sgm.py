@@ -450,20 +450,23 @@ def soft_map(
     single = like.ndim == 1
     like = np.atleast_2d(like)
 
-    # Ascending sort of the negated rows: column j holds -(j+1)-th largest.
-    desc = np.negative(like, out=work)
-    desc.sort(axis=1)
+    # Non-negative doubles order as their int64 bit patterns, and likelihoods
+    # are never -0.0: sort a copy on those keys, and read it from the right,
+    # so column j of ``desc`` holds the (j+1)-th largest.
+    asc = np.positive(like, out=work)
+    asc.view(np.int64).sort(axis=1)
+    desc = asc[:, ::-1]
     # The kept values in descending order: the sequence the stable argsort
     # this replaces summed, so the weights stay the same bit for bit.  A row
     # sum adds up to 7 values left to right, as these cheaper column adds do,
     # and pairs them from 8 on.
     if k < 8:
-        sums = -desc[:, :1]
+        sums = desc[:, :1].copy()
         for j in range(1, k):
-            sums -= desc[:, j : j + 1]
+            sums += desc[:, j : j + 1]
     else:
-        sums = -desc[:, :k].sum(axis=1, keepdims=True)
-    kth = -desc[:, k - 1 : k]
+        sums = desc[:, :k].sum(axis=1, keepdims=True)
+    kth = desc[:, k - 1 : k]
     keep = like >= kth
     if k < PALETTE_SIZE:
         # Rows where the k-th and (k+1)-th largest tie keep too many names.

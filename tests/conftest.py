@@ -7,9 +7,9 @@ from reid_sgm import ccl, descriptor, evalkit
 from reid_sgm.descriptor import (
     CH_BINS,
     SILTP_CODES,
+    SILTP_TAU,
     LayoutRecord,
     feature_span,
-    siltp_codes,
     stripe_bounds,
 )
 from reid_sgm.errors import EmptyStripe
@@ -337,13 +337,34 @@ def per_stripe_color_histogram(image, mask, config):
     return np.concatenate(segments).astype(np.float32), tuple(layout)
 
 
+def padded_siltp_codes(gray, tau=SILTP_TAU):
+    """Oracle for ``siltp_codes``: ``np.pad`` edges and a nested ``np.where``
+    per neighbor, the comparison above taking precedence."""
+    padded = np.pad(gray, 1, mode="edge")
+    upper = (1.0 + tau) * gray
+    lower = (1.0 - tau) * gray
+    code = np.zeros(gray.shape, dtype=np.int64)
+    neighbors = (
+        padded[:-2, 1:-1],  # north
+        padded[1:-1, 2:],   # east
+        padded[2:, 1:-1],   # south
+        padded[1:-1, :-2],  # west
+    )
+    weight = 1
+    for nb in neighbors:
+        code += weight * np.where(nb > upper, 1, np.where(nb < lower, 2, 0))
+        weight *= 3
+    return code
+
+
 def per_stripe_siltp(image, mask, config):
-    """Oracle for ``extract_siltp``: one ``bincount`` per stripe.
+    """Oracle for ``extract_siltp``: ``padded_siltp_codes`` and one
+    ``bincount`` per stripe.
 
     Returns the float32 vector and the layout records.
     """
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
-    codes = siltp_codes(gray).reshape(-1)
+    codes = padded_siltp_codes(gray).reshape(-1)
     bounds = stripe_bounds(image.height, config.stripes)
     segments = []
     layout = []

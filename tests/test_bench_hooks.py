@@ -13,6 +13,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reid_sgm import ccl, cli, descriptor
@@ -149,3 +150,23 @@ def test_pair_counter_counts_each_kinds_training_pairs(monkeypatch, tmp_path):
                 for pid in train_ids)
     assert pairs == 4 * len(train_ids)
     assert counts == [pairs] * 3
+
+
+@pytest.mark.parametrize("kind", ["CH", "SILTP"])
+def test_histograms_take_one_bincount_per_view(monkeypatch, kind):
+    """A masked image's CH (four spaces) or SILTP block takes three
+    ``np.bincount`` calls: one per view over all of its code arrays, and the
+    foreground's check for stripes without a masked pixel.  A per-space loop
+    would show here as more calls per image."""
+    calls = []
+    real = np.bincount
+
+    def bincount(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    config = ExtractionConfig(features=(kind,))
+    assert len(config.spaces) == 4
+    extract_features(make_image(18, 48, seed=5), make_mask(18, 48, border=3), config)
+    assert len(calls) == 3

@@ -24,6 +24,7 @@ from reid_sgm.ccl import (
     score_matrix,
     solve_subspace,
     _coupled_problem,
+    _ridged_gram,
 )
 from reid_sgm.errors import (
     CorruptFile,
@@ -33,6 +34,8 @@ from reid_sgm.errors import (
     TooFewPairs,
     UnsupportedFormat,
 )
+
+from conftest import assert_bitwise_equal
 
 
 def make_pairs(rng, n=30, d=6, spread=0.3):
@@ -210,6 +213,19 @@ class TestAccumulateStats:
         stats = accumulate_stats(*make_pairs(rng, n=40, d=8))
         assert np.abs(stats.sigma_m - stats.sigma_m.T).max() <= 1e-12
         assert np.abs(stats.sigma_e - stats.sigma_e.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(316, 1280), (20, 30), (6, 40), (3, 2), (1, 5)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "scaled"])
+    def test_row_gram_is_exactly_symmetric(self, rng, n, d, layout):
+        # _ridged_gram relies on rows^T rows being symmetric bit for bit, as
+        # numpy's symmetric rank-k update makes it, so it symmetrizes nothing
+        rows = rng.normal(size=(2 * n, 2 * d))
+        rows = {"C": rows[:n, :d].copy(), "F": np.asfortranarray(rows[:n, :d]),
+                "strided": rows[::2, ::2], "scaled": rows[:n, :d] / rng.random(d)}[layout]
+        gram = rows.T @ rows
+        assert_bitwise_equal(gram, gram.T.copy())
+        ridged = _ridged_gram(rows, rng.random(d))
+        assert_bitwise_equal(ridged, ridged.T.copy())
 
     def test_pair_order_independence(self, rng):
         xs, ys = make_pairs(rng, n=50, d=5)

@@ -21,6 +21,8 @@ from reid_sgm.errors import (
 from reid_sgm import descriptor
 from reid_sgm.descriptor import (
     DISTINCT_COLOR_SHARE,
+    SILTP_CODES,
+    SILTP_TAU,
     DescriptorSet,
     ExtractionConfig,
     ImageRepresentation,
@@ -51,6 +53,7 @@ from conftest import (
     make_image,
     make_mask,
     oracle_views,
+    padded_siltp_codes,
     per_map_extract_sgm,
     per_stripe_color_histogram,
     per_stripe_descriptor,
@@ -401,6 +404,28 @@ class TestSiltp:
                         digits.append(0)
                 ref = digits[0] + 3 * digits[1] + 9 * digits[2] + 27 * digits[3]
                 assert codes[i, j] == ref
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (7, 5)])
+    @pytest.mark.parametrize("sign", ["positive", "negative", "mixed", "zero"])
+    def test_codes_match_padded_oracle(self, rng, shape, sign):
+        # a negative center can make both comparisons hold: digit 1 wins
+        gray = {"positive": rng.random(shape), "negative": -rng.random(shape),
+                "mixed": rng.normal(size=shape), "zero": np.zeros(shape)}[sign]
+        codes = siltp_codes(gray)
+        assert_bitwise_equal(codes, padded_siltp_codes(gray))
+        assert 0 <= codes.min() and codes.max() < SILTP_CODES
+
+    @pytest.mark.parametrize("center", [0.5, 0.3, -0.5, -0.3])
+    def test_codes_at_exact_thresholds_match_padded_oracle(self, center):
+        # neighbors equal to (1 + tau) c and (1 - tau) c, rounded as the code
+        # rounds them, compare neither above nor below
+        upper, lower = (1.0 + SILTP_TAU) * center, (1.0 - SILTP_TAU) * center
+        gray = np.array([[center, upper, center], [lower, center, upper],
+                         [center, lower, center]])
+        codes = siltp_codes(gray)
+        assert_bitwise_equal(codes, padded_siltp_codes(gray))
+        if center > 0:
+            assert codes[1, 1] == 0
 
 
 @pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP"])
@@ -889,6 +914,43 @@ def test_histograms_match_per_stripe_oracles(case):
     vector, layout = per_stripe_siltp(image, mask, config)
     assert_bitwise_equal(siltp.vector, vector)
     assert siltp.layout == layout
+
+
+class TestHistogramCacheSafety:
+    """``extract --threads`` shares the cached stripe offsets between images."""
+
+    def test_cached_offsets_are_read_only(self):
+        labels, offsets = descriptor._stripe_offsets(48, 18, 10, 48, 3, 4)
+        assert offsets.shape == (4, 48 * 18, 3)
+        for array in (labels, offsets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert descriptor._stripe_offsets(48, 18, 10, 48, 3, 4)[1] is offsets
+
+    def test_caller_codes_are_left_unchanged(self, rng):
+        image = make_image(18, 48, seed=4)
+        config = ExtractionConfig(stripes=7)
+        codes = rng.integers(0, 16, size=(4, 48 * 18, 3))
+        before = codes.copy()
+        rep = descriptor._stripe_histograms("CH", codes, 48, image, make_mask(18, 48, border=3),
+                                            config)
+        assert_bitwise_equal(codes, before)
+        assert rep.dim == 2 * 4 * 7 * 48
+
+    @pytest.mark.parametrize("features", [("CH",), ("SILTP",), ("CH", "SILTP")])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_alternating_images_match_per_stripe_oracles(self, features, masked):
+        oracles = {"CH": per_stripe_color_histogram, "SILTP": per_stripe_siltp}
+        for seed, ((height, width), stripes) in enumerate(
+                [((48, 18), 10), ((128, 48), 7), ((48, 18), 7), ((128, 48), 10)] * 2):
+            image = make_image(width, height, seed=seed)
+            mask = make_mask(width, height, border=3 + seed % 3) if masked else None
+            config = ExtractionConfig(stripes=stripes, features=features)
+            rep = extract_features(image, mask, config)
+            expected = [oracles[kind](image, mask, config) for kind in features]
+            assert_bitwise_equal(rep.vector, np.concatenate([vector for vector, _ in expected]))
+            assert rep.layout == tuple(rec for _, layout in expected for rec in layout)
 
 
 ALL_KINDS = ("SGM", "CH", "SILTP")

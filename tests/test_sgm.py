@@ -12,6 +12,7 @@ from reid_sgm import sgm
 from reid_sgm.errors import EmptyPixelSet
 from reid_sgm.imaging import ColorSpace, PixelSet, RasterImage, convert
 from reid_sgm.sgm import (
+    PALETTE_SIZE,
     ColorNamePalette,
     default_palette,
     eig3_symmetric,
@@ -734,6 +735,45 @@ def test_soft_map_rows_do_not_depend_on_the_batch(seed, n, k, lattice):
             assert np.allclose(subset, full[rows], rtol=1e-12, atol=0.0)
         else:
             assert_bitwise_equal(subset, full[rows])
+
+
+def lattice_palette():
+    """16 distinct names on the 1/8 lattice: with the identity model, points
+    on the same lattice get exact squared distances, so equal distances tie
+    bit for bit."""
+    rng = np.random.default_rng(11)
+    cells = rng.choice(9**3, PALETTE_SIZE, replace=False)
+    names = np.stack(np.unravel_index(cells, (9, 9, 9)), axis=1) / 8.0
+    return ColorNamePalette(names=names, labels=tuple(f"c{i}" for i in range(PALETTE_SIZE)))
+
+
+@pytest.mark.parametrize("k", [1, 5, 7, 8, 15, 16])
+def test_soft_map_matches_oracle_on_zero_and_tied_likelihoods(k):
+    """The int64 sort keys order +0.0 and exact ties as the float order does:
+    rows partly and fully underflowed to +0.0, and rows whose k-th and
+    (k+1)-th largest tie, map as the stable argsort oracle maps them."""
+    palette, model = lattice_palette(), identity_model()
+    near = np.stack(np.meshgrid(*[np.arange(9) / 8.0] * 3), axis=-1).reshape(-1, 3)
+    # Squared distances from x = 38.5 straddle exp's underflow at about 1490.
+    pts = np.vstack([near, near + [38.5, 0.0, 0.0], near + [60.0, 0.0, 0.0]])
+    like = pixel_likelihoods(model, pts, palette)
+    zero = like == 0.0
+    assert (zero.any(axis=1) & ~zero.all(axis=1)).any() and zero.all(axis=1).any()
+    desc = -np.sort(-like, axis=1)
+    if k < PALETTE_SIZE:
+        assert ((desc[:, k - 1] == desc[:, k]) & (desc[:, k] > 0.0)).any()
+    assert_bitwise_equal(soft_map(model, pts, palette, k), argsort_soft_map(model, pts, palette, k))
+
+
+def test_likelihoods_hold_no_negative_zero(palette, rng):
+    """The int64 sort keys order likelihoods only while none is -0.0."""
+    pts = np.vstack([rng.random((500, 3)), rng.random((500, 3)) * 80.0 - 40.0])
+    models = [identity_model(), fit_model(pixel_set(rng.random((50, 3))), palette),
+              model_from_sigma(np.eye(3) * 1e-10, epsilon0=1e-4)]
+    for model in models:
+        like = pixel_likelihoods(model, pts, palette)
+        assert (like == 0.0).any()
+        assert not np.signbit(like).any()
 
 
 def test_underflowed_rows_raise_no_floating_point_error(palette):
