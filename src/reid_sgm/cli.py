@@ -178,32 +178,14 @@ def _extract_rows(entries, config, palette, args):
             errors[row] = f"{entry.image_path}: {exc}"
             return None
 
-    def raise_errors():
-        if errors:
-            for row in sorted(errors):
-                print(f"error: {errors[row]}", file=sys.stderr)
-            raise IoFailure(f"{len(errors)} file(s) failed to load")
-
     rows = range(len(entries))
-    shared_models = None
-    if args.global_fit:
-        # The fit needs every image before the first extraction, so this
-        # path decodes each image twice.
-        def corpus():
-            for loaded in map(load, rows):
-                if not errors:  # else this load or an earlier one failed
-                    yield loaded
-            raise_errors()
-
-        shared_models = descriptor.fit_shared_models(corpus(), config, palette)
 
     def one(row: int):
         loaded = load(row)
         if errors:  # this load or another one failed
             return None
         start = time.perf_counter()
-        rep = descriptor.extract_features(*loaded, config, palette=palette,
-                                          shared_models=shared_models)
+        rep = descriptor.extract_features(*loaded, config, palette=palette)
         return rep, time.perf_counter() - start
 
     def collect(results):
@@ -220,7 +202,10 @@ def _extract_rows(entries, config, palette, args):
                 matrix = np.empty((len(entries), rep.dim), dtype=np.float32)
                 layout = rep.layout
             matrix[row] = rep.vector
-        raise_errors()
+        if errors:
+            for row in sorted(errors):
+                print(f"error: {errors[row]}", file=sys.stderr)
+            raise IoFailure(f"{len(errors)} file(s) failed to load")
         source_ids = tuple(entry.image_path for entry in entries)
         return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids), times
 
@@ -330,11 +315,17 @@ def _check_artifacts(models, layout):
 
 
 def _projected(models, reps, rows, view):
-    """Each model's projection of descriptor ``rows`` under ``view``'s mean."""
+    """Each model's projection of descriptor ``rows`` under ``view``'s mean,
+    gathered and projected in blocks of 64 to 127 rows (or one block of
+    fewer), so its copies stay a block's size.  A GEMM of 64+ rows rounds
+    each row as one over all rows does; a one-row or a small product may not."""
+    blocks = np.array_split(np.asarray(rows, dtype=np.intp), max(1, len(rows) // 64))
     projected = {}
     for kind, model in models.items():
         offset, length = _block_span(reps.layout, kind)
-        projected[kind] = ccl.project(model, reps.matrix[rows, offset : offset + length], view)
+        columns = reps.matrix[:, offset : offset + length]
+        projected[kind] = np.concatenate([ccl.project(model, columns[block], view)
+                                          for block in blocks])
     return projected
 
 
@@ -358,8 +349,7 @@ def cmd_eval(args) -> int:
     gallery_camera = "B" if args.probe_camera == "A" else "A"
     splits = evalkit.make_splits(manifest, args.fraction, args.splits, args.seed)
 
-    # Each tested row is projected once per model under its camera's mean; a
-    # GEMM of 2+ rows rounds a row alike in any batch, so splits keep the bits.
+    # Each tested row is projected once per model under its camera's mean.
     tested = {pid for split in splits for pid in split.test_ids}
     views = {camera: _gather(manifest, reps, camera, tested) for camera in CAMERAS}
     projected = {cam: _projected(models, reps, rows, cam) for cam, (_, rows) in views.items()}
@@ -499,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", help="palette file (default: shipped 16 color names)")
     p.add_argument("--euclidean", action=switch, default=extraction.euclidean,
                    help="force the identity covariance instead of fitting")
-    p.add_argument("--global-fit", action=switch, default=False,
-                   help="fit one model per space/view on pixels pooled across the corpus")
     p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV) or 1,
                    help=f"images extracted in parallel; ${THREADS_ENV} sets the default")
     p.add_argument("--verbose", action="store_true", help="print a line per image")

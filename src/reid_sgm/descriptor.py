@@ -334,16 +334,15 @@ def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
 
 
 def _views(image: RasterImage, mask: ForegroundMask | None, config: ExtractionConfig):
-    """The (view, mask-or-None) pairs to extract.  The one check that a mask
-    in use has its image's width and height."""
-    views = [(VIEW_WHOLE, None)]
-    if mask is not None and config.use_mask:
-        if (mask.width, mask.height) != (image.width, image.height):
-            raise DimensionMismatch(
-                f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
-            )
-        views.append((VIEW_FOREGROUND, mask))
-    return views
+    """Each view's mask: None for the whole image, then the mask when one is
+    in use.  The one check that a mask in use has its image's width and height."""
+    if mask is None or not config.use_mask:
+        return [None]
+    if (mask.width, mask.height) != (image.width, image.height):
+        raise DimensionMismatch(
+            f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
+        )
+    return [None, mask]
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,7 +396,7 @@ def _stripe_histograms(kind: str, codes: np.ndarray, bins: int, image: RasterIma
     coded = codes + offsets
     views = _views(image, mask, config)
     counts = []
-    for _, view_mask in views:
+    for view_mask in views:
         keep = _mask_selection(view_mask)
         if keep is not None:
             keep |= (np.bincount(labels[keep], minlength=stripes) == 0)[labels]
@@ -437,7 +436,6 @@ def extract_sgm(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-    shared_models: dict | None = None,
     grids: dict | None = None,
     colors: dict | None = None,
 ) -> ImageRepresentation:
@@ -450,11 +448,11 @@ def extract_sgm(
     space to the image already converted to it and ``colors`` each space
     to its ``build_maps`` pair, or is None to map every pixel; both are
     built when ``grids`` is None.  Each (view, space) model is the
-    identity under ``euclidean``, else taken from ``shared_models``, else
-    fitted on the view's masked pixels, all in one stacked ``fit_model``
-    call; the maps then go through ``build_maps``, ``max_pool`` and
-    ``stripe_descriptor`` in passes of whole maps (see ``BLOCK_ROWS``), all
-    in one work array allocated per call.
+    identity under ``euclidean``, else fitted on the image's own pixels
+    in that view, all in one stacked ``fit_model`` call; the maps then go
+    through ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in
+    passes of whole maps (see ``BLOCK_ROWS``), all in one work array
+    allocated per call.
     """
     palette = palette or default_palette()
     # Both views map the same grid; only the fitted model differs.
@@ -464,15 +462,13 @@ def extract_sgm(
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
     mapped = views[:1] if config.euclidean else views
-    cells = [(view, view_mask, space) for view, view_mask in mapped for space in config.spaces]
+    cells = [(view_mask, space) for view_mask in mapped for space in config.spaces]
     if config.euclidean:
         models = [identity_model(config.epsilon0)] * len(cells)
-    elif shared_models is not None:
-        models = [shared_models[(space, view)] for view, _, space in cells]
     else:
-        sets = [_masked_pixels(grids[space], view_mask) for _, view_mask, space in cells]
+        sets = [_masked_pixels(grids[space], view_mask) for view_mask, space in cells]
         models = fit_model(sets, palette, config.epsilon0)
-    maps = [(space, model) for (_, _, space), model in zip(cells, models)]
+    maps = [(space, model) for (_, space), model in zip(cells, models)]
     pixels = image.height * image.width
     rows = pixels if colors is None else len(colors[config.spaces[0]][0])
     per_pass = min(len(maps), max(1, BLOCK_ROWS // rows))
@@ -491,44 +487,6 @@ def extract_sgm(
     vector = np.concatenate([values] * repeats, axis=None).astype(np.float32)
     layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
     return ImageRepresentation(vector=vector, layout=layout)
-
-
-def fit_shared_models(
-    items,
-    config: ExtractionConfig,
-    palette: ColorNamePalette | None = None,
-) -> dict:
-    """Fit one model per (space, view) on pixels pooled across a corpus.
-
-    ``items`` iterates (image, mask-or-None) pairs.  The returned dict
-    plugs into ``extract_sgm`` via ``shared_models``.  Only each view's
-    masked 8-bit pixels are kept; each (space, view) pool is converted
-    into one array, fitted and released before the next, so at most one
-    pool of float64 points is alive at a time.  Conversion is per-pixel,
-    so the pool equals the concatenation of the per-image conversions.
-    """
-    palette = palette or default_palette()
-    selections: dict = {}
-    for image, mask in items:
-        flat = image.pixels.reshape(-1, 3)
-        for view, view_mask in _views(image, mask, config):
-            keep = _mask_selection(view_mask)
-            selections.setdefault(view, []).append(flat if keep is None else flat[keep])
-    models = {}
-    for view, chunks in selections.items():
-        points = np.empty((sum(chunk.shape[0] for chunk in chunks), 3))
-        for space in config.spaces:
-            start = 0
-            for chunk in chunks:
-                row = RasterImage(width=chunk.shape[0], height=1, pixels=chunk[None])
-                stop = start + chunk.shape[0]
-                points[start:stop] = convert(row, space).points
-                start = stop
-            models[(space, view)] = fit_model(
-                PixelSet(space=space, points=points), palette, config.epsilon0
-            )
-        del points  # free this view's pool before the next one is allocated
-    return models
 
 
 def extract_color_histogram(
@@ -595,7 +553,6 @@ def extract_features(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-    shared_models: dict | None = None,
 ) -> ImageRepresentation:
     """Extract and fuse every feature kind requested by the config."""
     # SGM and CH read the same converted grids: convert each space once.
@@ -605,8 +562,8 @@ def extract_features(
     parts = []
     for kind in config.features:
         if kind == "SGM":
-            parts.append(extract_sgm(image, mask, config, palette=palette,
-                                     shared_models=shared_models, grids=grids, colors=colors))
+            parts.append(extract_sgm(image, mask, config, palette=palette, grids=grids,
+                                     colors=colors))
         elif kind == "CH":
             parts.append(extract_color_histogram(image, mask, config, grids=grids))
         else:

@@ -61,23 +61,22 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise ProtocolViolation(f"person {pid!r} appears only in camera(s) {sorted(cams)}")
 
 
+def _resolve(path: str, resolved: dict[str, str]) -> str:
+    """``path`` resolved in full, as ``Path.resolve`` gives it, with each
+    directory resolved once into ``resolved``: a path whose last component is
+    not a symlink, "." or ".." resolves to its resolved directory plus that name."""
+    head, name = os.path.split(path)
+    if name in ("", ".", "..") or os.path.islink(path):
+        return str(Path(path).resolve())
+    if head not in resolved:
+        resolved[head] = str(Path(head).resolve())
+    return os.path.join(resolved[head], name)
+
+
 def load_manifest(path, validate: bool = True) -> DatasetManifest:
     """Read a manifest CSV; relative paths resolve against its directory."""
     path = Path(path)
-    root = str(path.parent)
-    # Each directory resolves once: a path whose last component is not a
-    # symlink, "." or ".." resolves to its resolved directory plus that name.
-    resolved: dict[str, str] = {}
-
-    def resolve(rel: str) -> str:
-        full = os.path.join(root, rel)
-        head, name = os.path.split(full)
-        if name in ("", ".", "..") or os.path.islink(full):
-            return str(Path(full).resolve())
-        if head not in resolved:
-            resolved[head] = str(Path(head).resolve())
-        return os.path.join(resolved[head], name)
-
+    root, resolved = str(path.parent), {}
     entries = []
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
@@ -101,8 +100,8 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
                 ManifestEntry(
                     person_id=row["person_id"].strip(),
                     camera=camera,
-                    image_path=resolve(row["image_path"]),
-                    mask_path=resolve(mask) if mask else None,
+                    image_path=_resolve(os.path.join(root, row["image_path"]), resolved),
+                    mask_path=_resolve(os.path.join(root, mask), resolved) if mask else None,
                 )
             )
     manifest = DatasetManifest(entries=tuple(entries))
@@ -269,6 +268,7 @@ def synth_dataset(
     mask[fg_r0:fg_r1, fg_c0:fg_c1] = 255
 
     entries = []
+    resolved: dict[str, str] = {}
     width_ids = len(str(spec.n_ids - 1))
     try:
         for pid in range(spec.n_ids):
@@ -315,8 +315,8 @@ def synth_dataset(
                         ManifestEntry(
                             person_id=person,
                             camera=camera,
-                            image_path=str(image_path.resolve()),
-                            mask_path=str(mask_path.resolve()),
+                            image_path=_resolve(str(image_path), resolved),
+                            mask_path=_resolve(str(mask_path), resolved),
                         )
                     )
     except OSError as exc:

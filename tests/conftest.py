@@ -141,7 +141,7 @@ def per_stripe_descriptor(stack, stripe):
     return values / total
 
 
-def per_map_extract_sgm(image, mask, config, palette, shared_models=None):
+def per_map_extract_sgm(image, mask, config, palette):
     """Oracle for ``extract_sgm``'s passes: the per-map chain they replace.
 
     Each (view, space) map is fitted, mapped by its own single-model
@@ -151,12 +151,10 @@ def per_map_extract_sgm(image, mask, config, palette, shared_models=None):
     grids, colors = descriptor._convert_all(image, config)
     views = oracle_views(mask, config)
     segments = []
-    for view, view_mask in views[:1] if config.euclidean else views:
+    for _, view_mask in views[:1] if config.euclidean else views:
         for space in config.spaces:
             if config.euclidean:
                 model = identity_model(config.epsilon0)
-            elif shared_models is not None:
-                model = shared_models[(space, view)]
             else:
                 model = fit_model(descriptor._masked_pixels(grids[space], view_mask), palette,
                                   config.epsilon0)

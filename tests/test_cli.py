@@ -22,7 +22,7 @@ from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
 from reid_sgm.errors import CorruptFile
 from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
-from reid_sgm.imaging import ColorSpace, _load_pgm
+from reid_sgm.imaging import _load_pgm
 from reid_sgm.sgm import default_palette
 
 from conftest import per_split_eval_csv
@@ -220,27 +220,6 @@ class TestExtract:
         assert code == 0
         assert out.read_bytes() == descriptors.read_bytes()
 
-    def test_global_fit_mode(self, corpus, tmp_path):
-        out = tmp_path / "global.sgmd"
-        code = main([
-            "extract", str(corpus / "manifest.csv"), "--out", str(out),
-            "--spaces", "RGB", "--global-fit",
-        ])
-        assert code == 0
-        matrix = load_descriptors(out).matrix
-        assert matrix.shape[1] == 320
-        # The rows of a fit over every image loaded up front, then stacked.
-        config = ExtractionConfig(spaces=(ColorSpace.RGB,))
-        items = []
-        for entry in load_manifest(corpus / "manifest.csv").entries:
-            image = imaging.load_image(entry.image_path)
-            items.append((image, imaging.load_mask(entry.mask_path, image)))
-        models = descriptor.fit_shared_models(items, config)
-        want = np.vstack([descriptor.extract_features(image, mask, config,
-                                                      shared_models=models).vector
-                          for image, mask in items])
-        assert matrix.tobytes() == want.astype("<f4").tobytes()
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_decoded_images_alive_at_once(self, corpus, tmp_path, monkeypatch, threads):
         # Keyed by load number: a RasterImage holds an array, so it has no hash.
@@ -258,7 +237,7 @@ class TestExtract:
                      "--spaces", "RGB", "--threads", str(threads)]) == 0
         assert len(alive) == 24 and max(alive) <= threads + 1
 
-    @pytest.mark.parametrize("flags", [["--threads", "1"], ["--threads", "2"], ["--global-fit"]])
+    @pytest.mark.parametrize("flags", [["--threads", "1"], ["--threads", "2"]])
     def test_unreadable_images_are_all_named_and_end_extraction(
         self, corpus, tmp_path, capsys, monkeypatch, flags
     ):
@@ -329,6 +308,27 @@ class TestExtract:
         assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
                      "--config", str(cfg)]) == 1
         assert "kk" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--global-fit", "--no-global-fit"])
+    def test_global_fit_flag_is_gone(self, corpus, tmp_path, capsys, flag):
+        # Each image's Gaussians are fitted on its own pixels; no corpus-wide fit is left.
+        out = tmp_path / "global.sgmd"
+        with pytest.raises(SystemExit) as info:
+            main(["extract", str(corpus / "manifest.csv"), "--out", str(out), flag])
+        assert info.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == [f"reid-sgm: error: unrecognized arguments: {flag}"]
+        assert not out.exists()
+
+    def test_global_fit_config_key_is_gone(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "global.cfg"
+        cfg.write_text("global_fit = true\n")
+        out = tmp_path / "global.sgmd"
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: unknown config key(s) global_fit"]
         assert not out.exists()
 
     def test_config_shared_across_subcommands(self, corpus, tmp_path):
@@ -844,10 +844,9 @@ class TestMasklessManifests:
         out.write_bytes(b"stale")
         csv_out.write_text("stale")
         calls = []
-        for name in ("fit_shared_models", "extract_features"):
-            monkeypatch.setattr(cli.descriptor, name, lambda *args, **kwargs: calls.append(args))
-        assert main(["extract", str(partial), "--out", str(out), "--csv", str(csv_out),
-                     "--global-fit"]) == 2
+        monkeypatch.setattr(cli.descriptor, "extract_features",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["extract", str(partial), "--out", str(out), "--csv", str(csv_out)]) == 2
         err = capsys.readouterr().err
         assert f"{entries[-1].image_path} has a mask but {entries[3].image_path} has none" in err
         assert calls == [] and not out.exists() and not csv_out.exists()
@@ -1019,7 +1018,7 @@ class TestConfigFile:
     def test_defaults_come_from_the_library(self):
         args = parse_args(["extract", "m.csv", "--out", "d.sgmd"])
         assert _extraction_config(args) == ExtractionConfig()
-        assert args.palette is None and not args.global_fit
+        assert args.palette is None
         args = parse_args(["train", "d.sgmd", "m.csv", "--out", "m.cclm"])
         assert args.r == ccl.DEFAULT_SUBSPACE_DIM
         assert args.ridge == ccl.DEFAULT_RIDGE

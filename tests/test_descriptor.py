@@ -35,7 +35,6 @@ from reid_sgm.descriptor import (
     extract_sgm,
     extract_siltp,
     feature_span,
-    fit_shared_models,
     fuse,
     load_descriptors,
     max_pool,
@@ -44,7 +43,7 @@ from reid_sgm.descriptor import (
     stripe_bounds,
     stripe_descriptor,
 )
-from reid_sgm.imaging import ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
+from reid_sgm.imaging import ColorSpace, ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import ColorNamePalette, default_palette, fit_model, identity_model, parse_palette
 
 from conftest import (
@@ -320,15 +319,6 @@ class TestExtractSgm:
         assert fit.dim == euclid.dim
         assert not np.array_equal(fit.vector, euclid.vector)
 
-    def test_shared_models_match_direct_fit_on_pooled_pixels(self, palette):
-        img = make_image(12, 33, seed=17)
-        config = ExtractionConfig(spaces=(ColorSpace.RGB,))
-        models = fit_shared_models([(img, None)], config, palette)
-        rep_shared = extract_sgm(img, None, config, palette=palette,
-                                 shared_models=models)
-        rep_direct = extract_sgm(img, None, config, palette=palette)
-        assert np.array_equal(rep_shared.vector, rep_direct.vector)
-
 
 @pytest.mark.parametrize("field, value, message", [
     ("features", ("SGM", "CH", "SGM"), "features: 'SGM' is repeated"),
@@ -437,26 +427,15 @@ def test_mask_of_another_size_is_rejected(palette, kind):
                          palette=palette)
 
 
-@pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP", "SGM-euclidean", "SGM-shared"])
+@pytest.mark.parametrize("kind", ["SGM", "CH", "SILTP", "SGM-euclidean"])
 def test_transposed_mask_is_rejected(palette, kind):
     """A mask with the image's pixel count but not its shape is rejected, as by
     ``convert``, also where SGM fits no model on it."""
     image = make_image(18, 48, seed=4)
     mask = ForegroundMask(width=48, height=18, values=np.ones((18, 48), np.uint8))
     config = ExtractionConfig(features=(kind.split("-")[0],), euclidean=kind == "SGM-euclidean")
-    shared = None
-    if kind == "SGM-shared":
-        shared = fit_shared_models([(image, make_mask(18, 48))], config, palette)
     with pytest.raises(DimensionMismatch, match="mask is 48x18 but image is 18x48"):
-        extract_features(image, mask, config, palette=palette, shared_models=shared)
-
-
-def test_transposed_mask_is_rejected_by_shared_fit(palette):
-    image = make_image(18, 48, seed=4)
-    mask = ForegroundMask(width=48, height=18, values=np.ones((18, 48), np.uint8))
-    with pytest.raises(DimensionMismatch, match="mask is 48x18 but image is 18x48"):
-        fit_shared_models([(image, make_mask(18, 48)), (image, mask)], ExtractionConfig(),
-                          palette)
+        extract_features(image, mask, config, palette=palette)
 
 
 class TestFuse:
@@ -618,16 +597,14 @@ def test_pooling_never_leaves_window_range(stack):
     assert_bitwise_equal(pooled, reduceat_max_pool(stack))
 
 
-def per_view_convert_sgm(image, mask, config, palette, shared_models=None):
+def per_view_convert_sgm(image, mask, config, palette):
     """Oracle for ``extract_sgm``: converts every (view, space) afresh,
     selects the top k by stable argsort and pools by ``reduceat``."""
     segments = []
-    for view, view_mask in oracle_views(mask, config):
+    for _, view_mask in oracle_views(mask, config):
         for space in config.spaces:
             if config.euclidean:
                 model = identity_model(config.epsilon0)
-            elif shared_models is not None:
-                model = shared_models[(space, view)]
             else:
                 model = fit_model(convert(image, space, view_mask), palette, config.epsilon0)
             weights = argsort_soft_map(model, convert(image, space).points, palette, config.k)
@@ -666,7 +643,7 @@ class TestExtractSgmOracle:
             ("masked", ExtractionConfig()),
             ("empty_mask", ExtractionConfig()),
             ("euclidean", ExtractionConfig(euclidean=True)),
-            ("shared_models", ExtractionConfig()),
+            ("rectified", ExtractionConfig(epsilon0=0.25)),  # floors some eigenvalues
             ("k1", ExtractionConfig(k=1, stripes=4)),
             ("k16", ExtractionConfig(k=16, stripes=7)),
         ],
@@ -676,13 +653,8 @@ class TestExtractSgmOracle:
         mask = make_mask(17, 40, border=3)
         if case == "empty_mask":
             mask = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
-        shared = None
-        if case == "shared_models":
-            shared = fit_shared_models(
-                [(image, mask), (make(17, 40, seed=6), mask)], config, palette
-            )
-        rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
-        expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
+        rep = extract_sgm(image, mask, config, palette=palette)
+        expected = per_view_convert_sgm(image, mask, config, palette)
         assert_bitwise_equal(rep.vector, expected)
 
     @pytest.mark.parametrize(
@@ -695,7 +667,6 @@ class TestExtractSgmOracle:
             ("tiny", ExtractionConfig(stripes=1)),
             ("tiny_three_colors", ExtractionConfig(stripes=1, k=16)),
             ("euclidean_posterized", ExtractionConfig(euclidean=True, k=2)),
-            ("shared_posterized", ExtractionConfig()),
         ],
     )
     def test_distinct_color_paths(self, palette, case, config):
@@ -710,12 +681,8 @@ class TestExtractSgmOracle:
         }
         image = images.get(case) or posterized_image(17, 40, seed=11)
         mask = make_mask(image.width, image.height, border=1 if image.width == 3 else 3)
-        shared = None
-        if case == "shared_posterized":
-            shared = fit_shared_models([(image, mask), (make_image(17, 40, seed=6), mask)],
-                                       config, palette)
-        rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
-        expected = per_view_convert_sgm(image, mask, config, palette, shared_models=shared)
+        rep = extract_sgm(image, mask, config, palette=palette)
+        expected = per_view_convert_sgm(image, mask, config, palette)
         assert_bitwise_equal(rep.vector, expected)
 
 
@@ -738,7 +705,7 @@ class TestMapPasses:
     @pytest.mark.parametrize("image_name", IMAGES)
     @pytest.mark.parametrize("block", ["one_map", "three_maps", "default"])
     @pytest.mark.parametrize(
-        "case", ["masked", "euclidean", "shared_models", "no_mask", "empty_mask", "one_space"]
+        "case", ["masked", "euclidean", "no_mask", "empty_mask", "one_space"]
     )
     def test_passes_match_per_map_oracle(self, palette, monkeypatch, image_name, block, case):
         image = self.IMAGES[image_name]()
@@ -756,12 +723,8 @@ class TestMapPasses:
                 k=k, euclidean=case == "euclidean",
                 spaces=(ColorSpace.HSV,) if case == "one_space" else ExtractionConfig().spaces,
             )
-            shared = None
-            if case == "shared_models":
-                shared = fit_shared_models([(image, mask), (make_image(17, 40, seed=6), mask)],
-                                           config, palette)
-            rep = extract_sgm(image, mask, config, palette=palette, shared_models=shared)
-            expected = per_map_extract_sgm(image, mask, config, palette, shared_models=shared)
+            rep = extract_sgm(image, mask, config, palette=palette)
+            expected = per_map_extract_sgm(image, mask, config, palette)
             assert_bitwise_equal(rep.vector, expected)
 
     @pytest.mark.parametrize("image_name", ["posterized", "random"])
@@ -847,20 +810,6 @@ class TestDistinctColors:
         extract_sgm(image, make_mask(17, 40, border=3), ExtractionConfig(), palette=palette)
         assert seen == [8 * mapped]
         assert converted == [mapped] * 4
-
-
-def per_view_convert_shared_models(items, config, palette):
-    """Oracle for ``fit_shared_models``: converts every (view, space) afresh."""
-    pools = {}
-    for image, mask in items:
-        for view, view_mask in oracle_views(mask, config):
-            for space in config.spaces:
-                pools.setdefault((space, view), []).append(convert(image, space, view_mask).points)
-    return {
-        key: fit_model(PixelSet(space=key[0], points=np.concatenate(chunks)), palette,
-                       config.epsilon0)
-        for key, chunks in pools.items()
-    }
 
 
 def sgm_layout(mask, config):
@@ -968,8 +917,8 @@ class TestExtractFeaturesOracle:
             ("stripes7", ExtractionConfig(features=ALL_KINDS, stripes=7, k=3)),
             ("no_mask_view", ExtractionConfig(features=ALL_KINDS, use_mask=False)),
             ("euclidean", ExtractionConfig(features=ALL_KINDS, euclidean=True)),
-            ("shared_models", ExtractionConfig(features=ALL_KINDS,
-                                               spaces=(ColorSpace.HSV, ColorSpace.RGB))),
+            ("two_spaces", ExtractionConfig(features=ALL_KINDS,
+                                            spaces=(ColorSpace.HSV, ColorSpace.RGB))),
             ("reordered", ExtractionConfig(features=("SILTP", "CH", "SGM"))),
         ],
     )
@@ -979,13 +928,9 @@ class TestExtractFeaturesOracle:
         values[:12] = 0  # the top stripes fall back to all of their pixels
         mask = ForegroundMask(width=17, height=40, values=values)
         for view_mask in (mask, None, mask):
-            shared = None
-            if case == "shared_models":
-                shared = fit_shared_models([(image, view_mask)], config, palette)
-            rep = extract_features(image, view_mask, config, palette=palette,
-                                   shared_models=shared)
+            rep = extract_features(image, view_mask, config, palette=palette)
             parts = {
-                "SGM": (per_view_convert_sgm(image, view_mask, config, palette, shared),
+                "SGM": (per_view_convert_sgm(image, view_mask, config, palette),
                         sgm_layout(view_mask, config)),
                 "CH": per_stripe_color_histogram(image, view_mask, config),
                 "SILTP": per_stripe_siltp(image, view_mask, config),
@@ -1005,37 +950,3 @@ class TestExtractFeaturesOracle:
         expected = np.concatenate([per_view_convert_sgm(image, mask, config, palette),
                                    per_stripe_color_histogram(image, mask, config)[0]])
         assert_bitwise_equal(rep.vector, expected)
-
-
-class TestSharedModelsOracle:
-    @pytest.mark.parametrize("use_mask", [True, False])
-    def test_bitwise_equal(self, palette, use_mask):
-        config = ExtractionConfig(use_mask=use_mask)
-        empty = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
-        items = [
-            (make_image(17, 40, seed=1), make_mask(17, 40, border=3)),
-            (posterized_image(17, 40, seed=2), empty),
-            (make_image(17, 40, seed=3), make_mask(17, 40, border=5)),
-        ]
-        models = fit_shared_models(items, config, palette)
-        expected = per_view_convert_shared_models(items, config, palette)
-        assert models.keys() == expected.keys()
-        for key, model in models.items():
-            assert_bitwise_equal(model.rectified_inverse, expected[key].rectified_inverse)
-            assert_bitwise_equal(model.eigenvectors, expected[key].eigenvectors)
-            assert model.norm_const == expected[key].norm_const
-
-
-@pytest.mark.parametrize("use_mask", [True, False])
-def test_shared_fit_holds_one_float_pool_at_a_time(palette, use_mask):
-    # Every pixel of the corpus as float64 points is one pool; pooling all
-    # eight (space, view) pools before fitting peaked at 6-8 times that.
-    items = [(make_image(17, 40, seed=s), make_mask(17, 40, border=3)) for s in range(40)]
-    pool_bytes = len(items) * 17 * 40 * 3 * 8
-    tracemalloc.start()
-    try:
-        fit_shared_models(items, ExtractionConfig(use_mask=use_mask), palette)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * pool_bytes

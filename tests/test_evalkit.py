@@ -339,6 +339,42 @@ class TestSynthDataset:
         assert loaded.entries[0].image_path.endswith("id0_camA_0.ppm")
         assert loaded.entries[3].mask_path == str((tmp_path / "nowhere.ppm").resolve())
 
+    @pytest.mark.parametrize("layout", ["fresh", "linked_images", "linked_image_file"])
+    def test_synth_resolves_each_directory_once(self, tmp_path, monkeypatch, layout):
+        # every listed path reads as Path.resolve gives it, also where images/
+        # or one image file is a symlink into another directory of the corpus
+        out, store = tmp_path / "c", tmp_path / "c" / "store"
+        if layout != "fresh":
+            store.mkdir(parents=True)
+        if layout == "linked_images":
+            (out / "images").symlink_to(store, target_is_directory=True)
+        elif layout == "linked_image_file":
+            (out / "images").mkdir()
+            (out / "images" / "id1_camB_0.ppm").symlink_to(store / "kept.ppm")
+        resolve, calls = Path.resolve, []
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return resolve(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counted)
+        manifest = synth_dataset(SynthSpec(n_ids=4, height=30, width=6, seed=3), out)
+        monkeypatch.undo()
+        # images/ and masks/, the linked file, and the manifest's root
+        assert len(calls) == 3 + (layout == "linked_image_file")
+        lines = ["person_id,camera,image_path,mask_path"]
+        for entry in manifest.entries:
+            stem = f"{entry.person_id}_cam{entry.camera}_0"
+            image = (out / "images" / f"{stem}.ppm").resolve()
+            mask = (out / "masks" / f"{stem}.pgm").resolve()
+            assert (entry.image_path, entry.mask_path) == (str(image), str(mask))
+            root = out.resolve()
+            lines.append(f"{entry.person_id},{entry.camera},{image.relative_to(root)},"
+                         f"{mask.relative_to(root)}")
+        assert (out / "manifest.csv").read_text().splitlines() == lines
+        if layout == "linked_image_file":
+            assert manifest.entries[3].image_path == str((store / "kept.ppm").resolve())
+
     def test_multi_shot_counts(self, tmp_path):
         spec = SynthSpec(n_ids=2, images_per_view=3, seed=0)
         manifest = synth_dataset(spec, tmp_path / "c")

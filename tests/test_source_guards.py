@@ -6,13 +6,17 @@ silently ignores (``self`` and ``cls`` are exempt).  No module uses a QR
 factorization, each module imports exactly the package modules pinned in
 ``PACKAGE_IMPORTS`` and none of ``LAZY_IMPORTS`` at module level, and
 ``cli`` loads images and masks only through the names the benchmark's
-tracer wraps.
+tracer wraps.  The README names no command-line option that the parser
+does not define.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from reid_sgm.cli import _commands, build_parser
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reid_sgm"
 EXEMPT = {"self", "cls"}
@@ -190,3 +194,23 @@ def test_guard_names_each_untraced_load():
               "load = imaging.load_mask\nimaging._load_pgm(data)\nimaging.load_image(path)\n")
     assert untraced_loads(source, "cli") == ["cli:1 load_image", "cli:3 load_mask",
                                              "cli:4 _load_pgm"]
+
+
+def undocumented_flags(readme: str) -> list[str]:
+    """Each ``--flag`` the text names that no subcommand of the CLI defines;
+    ``pip`` command lines, such as the install block's, are exempt."""
+    parser = build_parser()
+    defined = {option for sub in (parser, *_commands(parser).values())
+               for action in sub._actions for option in action.option_strings}
+    text = "\n".join(line for line in readme.splitlines() if not line.lstrip().startswith("pip "))
+    return sorted(set(re.findall(r"--[A-Za-z][\w-]*", text)) - defined)
+
+
+def test_readme_names_only_defined_flags():
+    assert undocumented_flags((PACKAGE.parents[1] / "README.md").read_text()) == []
+
+
+def test_guard_names_each_undefined_flag():
+    readme = ("pip install -e . --no-build-isolation\n"
+              "`extract --global-fit` and `--no-mask`; train --r 5 --rr 5 -- done\n")
+    assert undocumented_flags(readme) == ["--global-fit", "--rr"]
