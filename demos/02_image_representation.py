@@ -34,8 +34,8 @@ palette = default_palette()
 tmp = Path(tempfile.mkdtemp())
 manifest = synth_dataset(SynthSpec(n_ids=2, view_gain=0.3, noise=15.0, seed=5), tmp)
 entry = manifest.entries[0]
-image = load_image(entry.image_path)
-mask = load_mask(entry.mask_path, image)
+image = load_image(manifest.locate(entry.image_path))
+mask = load_mask(manifest.locate(entry.mask_path), image)
 print(f"image {image.width}x{image.height}, "
       f"{mask.foreground_count()} foreground pixels")
 

@@ -48,8 +48,8 @@ def extract_all(config):
     start = time.perf_counter()
     reps = {}
     for entry in manifest.entries:
-        image = load_image(entry.image_path)
-        mask = load_mask(entry.mask_path, image)
+        image = load_image(manifest.locate(entry.image_path))
+        mask = load_mask(manifest.locate(entry.mask_path), image)
         rep = extract_sgm(image, mask, config, palette=palette)
         reps[entry.image_path] = rep.vector.astype(np.float64)
     per_image = (time.perf_counter() - start) / len(manifest.entries)

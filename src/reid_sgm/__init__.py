@@ -7,6 +7,9 @@ a coupled cross-view subspace from matched pairs, and score/evaluate
 with CMC curves.  See the demos/ scripts for guided tours.
 """
 
+# Set before the submodules load: ``artifact`` records it in every file.
+__version__ = "0.1.0"
+
 from .ccl import (
     CclModel,
     CoupledStats,
@@ -68,5 +71,3 @@ from .sgm import (
     soft_map,
     transform_space,
 )
-
-__version__ = "0.1.0"

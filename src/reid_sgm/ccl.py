@@ -13,20 +13,12 @@ diagonal, so a model is W and its two projected variance vectors, and
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    RankTooLarge,
-    TooFewPairs,
-    UnsupportedFormat,
-)
+from . import artifact
+from .errors import CorruptFile, DimensionMismatch, NotPositiveDefinite, RankTooLarge, TooFewPairs
 
 DEFAULT_RIDGE = 1e-3
 DEFAULT_SUBSPACE_DIM = 100
@@ -35,7 +27,8 @@ DEFAULT_SUBSPACE_DIM = 100
 GRAM_SHARE = 1e-4
 
 MODEL_MAGIC = b"CCLM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+_FIELDS = ("w", "a", "b", "mean_x", "mean_y")  # each model's arrays, in file order
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -89,7 +82,8 @@ class CclModel:
 
     Columns of ``w`` are unit-norm generalized eigenvectors in
     descending eigenvalue order, orthogonal under both covariances: W^T
-    sigma_m W = diag(a) and W^T sigma_e W = diag(b).
+    sigma_m W = diag(a) and W^T sigma_e W = diag(b).  Each of a and b is at
+    least ``ridge_term``, the ridge training added to both covariances.
     """
 
     w: np.ndarray        # (d, r)
@@ -97,6 +91,7 @@ class CclModel:
     b: np.ndarray        # (r,), projected difference variances
     mean_x: np.ndarray   # (d,)
     mean_y: np.ndarray   # (d,)
+    ridge_term: float = 0.0
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -276,7 +271,8 @@ def solve_subspace(stats: CoupledStats, r: int) -> CclModel:
         raise NotPositiveDefinite("projected covariance is singular")
     w = lift(vecs, pad)
     w *= np.where(w.max(axis=0) < -w.min(axis=0), -1.0, 1.0)
-    return CclModel(w=w, a=a, b=b, mean_x=stats.mean_x.copy(), mean_y=stats.mean_y.copy())
+    return CclModel(w=w, a=a, b=b, mean_x=stats.mean_x.copy(), mean_y=stats.mean_y.copy(),
+                    ridge_term=float(stats.ridge_term))
 
 
 def project(model: CclModel, rep: np.ndarray, view: str) -> np.ndarray:
@@ -324,99 +320,59 @@ def score_matrix(model: CclModel, gallery, probes) -> np.ndarray:
     return (probes * cross) @ gallery.T + probe_own[:, None] + gallery_own[None, :]
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+class ModelSet(dict):
+    """Models by feature kind, with the ``provenance`` of their file."""
+
+    def __init__(self, models: dict, provenance: dict):
+        super().__init__(models)
+        self.provenance = provenance
 
 
-def save_models(path, models: dict[str, CclModel]) -> None:
-    """Serialize named models (one per feature kind) to one binary file.
-
-    Layout: magic ``CCLM``, version u16, model count u16; per model a
-    16-byte space-padded kind tag, d u32, r u32, then mean_x, mean_y,
-    W (row-major), a and b as little-endian float64.
-    """
+def save_models(path, models: dict[str, CclModel], provenance: dict | None = None) -> None:
+    """Write named models (one per feature kind) as an ``artifact`` file of
+    float64 arrays ``kind/field``, w first, and ``provenance`` plus each
+    kind's ridge term and r."""
     if not models:
         raise ValueError("nothing to save")
-    for kind in models:
-        if len(kind.encode("utf-8")) > 16:
-            raise ValueError(f"kind tag too long: {kind!r}")
-        if kind.endswith(" "):  # the reader strips the padding spaces
-            raise ValueError(f"kind tag ends in a space: {kind!r}")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<HH", MODEL_VERSION, len(models)))
-        for kind, model in models.items():
-            fh.write(kind.encode("utf-8").ljust(16))
-            fh.write(struct.pack("<II", model.dim, model.rank))
-            _write_array(fh, model.mean_x)
-            _write_array(fh, model.mean_y)
-            _write_array(fh, model.w)
-            _write_array(fh, model.a)
-            _write_array(fh, model.b)
+    arrays = {f"{kind}/{name}": np.asarray(getattr(model, name), dtype=np.float64)
+              for kind, model in models.items() for name in _FIELDS}
+    kinds = {kind: {"ridge_term": model.ridge_term, "r": model.rank}
+             for kind, model in models.items()}
+    artifact.write(path, MODEL_MAGIC, MODEL_VERSION, "models", arrays,
+                   {**(provenance or {}), "models": kinds})
 
 
-def load_models(path) -> dict[str, CclModel]:
-    """Read back a model file written by ``save_models``.
-
-    A file of no model, a kind tag that is not UTF-8, a repeated kind, a
-    non-finite value, a variance that is not positive or whose reciprocal
-    overflows, or bytes after the last record are rejected as
-    ``CorruptFile``.  Every array is a writable view of the one buffer the
-    file is read into.
-    """
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data) :]
-    if data[:4] != MODEL_MAGIC:
-        raise UnsupportedFormat(f"{path}: bad magic {bytes(data[:4])!r}, expected {MODEL_MAGIC!r}")
-    if len(data) < 8:
-        raise CorruptFile(f"{path}: truncated header")
-    version, count = struct.unpack("<HH", data[4:8])
-    if version != MODEL_VERSION:
-        raise UnsupportedFormat(f"{path}: unsupported version {version}; retrain the model")
-    if not count:
+def load_models(path) -> ModelSet:
+    """Read back a model file written by ``save_models``.  Past ``artifact.read``'s
+    checks, ``CorruptFile`` is no model, arrays that are not each kind's five of
+    matching shapes, or a ridge term or variance training cannot give."""
+    footer, arrays = artifact.read(path, MODEL_MAGIC, MODEL_VERSION, "models",
+                                   "retrain the model")
+    kinds = footer["provenance"].get("models")
+    if not isinstance(kinds, dict) or not kinds:
         raise CorruptFile(f"{path}: holds no model")
-    offset = 8
-    models: dict[str, CclModel] = {}
-
-    def take(n_floats: int, shape) -> np.ndarray:
-        nonlocal offset
-        need = n_floats * 8
-        if len(data) < offset + need:
-            raise CorruptFile(f"{path}: truncated payload")
-        arr = np.frombuffer(data, dtype="<f8", count=n_floats, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise CorruptFile(f"{path}: model {kind!r} holds non-finite values")
-        offset += need
-        return arr
-
-    for _ in range(count):
-        if len(data) < offset + 24:
-            raise CorruptFile(f"{path}: truncated model record")
-        try:
-            kind = data[offset : offset + 16].rstrip(b" ").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptFile(f"{path}: kind tag at byte {offset} is not UTF-8") from None
-        if kind in models:
-            raise CorruptFile(f"{path}: repeats model kind {kind!r}")
-        dim, rank = struct.unpack("<II", data[offset + 16 : offset + 24])
-        offset += 24
-        if not 1 <= rank <= dim:
-            raise CorruptFile(f"{path}: invalid dims d={dim}, r={rank}")
-        models[kind] = CclModel(
-            mean_x=take(dim, (dim,)),
-            mean_y=take(dim, (dim,)),
-            w=take(dim * rank, (dim, rank)),
-            a=take(rank, (rank,)),
-            b=take(rank, (rank,)),
-        )
-        a, b = models[kind].a, models[kind].b
-        if (a <= 0).any() or (b <= 0).any():
+    if list(arrays) != [f"{kind}/{name}" for kind in kinds for name in _FIELDS]:
+        raise CorruptFile(f"{path}: arrays {list(arrays)} are not each model's {_FIELDS}")
+    models = {}
+    for kind, record in kinds.items():
+        w, a, b, mean_x, mean_y = (arrays[f"{kind}/{name}"] for name in _FIELDS)
+        dim, rank = w.shape if w.ndim == 2 else (0, 0)
+        shapes = [v.shape for v in (a, b, mean_x, mean_y)]
+        if not 1 <= rank <= dim or shapes != [(rank,), (rank,), (dim,), (dim,)]:
+            raise CorruptFile(f"{path}: model {kind!r} has arrays of mismatched shapes")
+        ridge = record.get("ridge_term") if isinstance(record, dict) else None
+        if type(ridge) not in (int, float) or not 0 <= ridge < math.inf:
+            raise CorruptFile(f"{path}: model {kind!r} records no valid ridge term")
+        var = np.concatenate((a, b))
+        if not np.all(var > 0):
             raise CorruptFile(f"{path}: model {kind!r} holds a variance that is not positive")
+        if np.any(var < ridge):
+            raise CorruptFile(
+                f"{path}: model {kind!r} holds a variance below its ridge term {ridge!r}")
         with np.errstate(over="ignore"):  # scoring divides by each variance
-            if np.isinf(1.0 / a).any() or np.isinf(1.0 / b).any():
+            if np.isinf(1.0 / var).any():
                 raise CorruptFile(
                     f"{path}: model {kind!r} holds a variance whose reciprocal overflows")
-    if offset != len(data):
-        raise CorruptFile(f"{path}: {len(data) - offset} trailing bytes after the last model")
-    return models
+        models[kind] = CclModel(w=w, a=a, b=b, mean_x=mean_x, mean_y=mean_y,
+                                ridge_term=float(ridge))
+    return ModelSet(models, footer["provenance"])

@@ -11,6 +11,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 import time
@@ -139,14 +141,14 @@ def _extraction_config(args) -> descriptor.ExtractionConfig:
     )
 
 
-def _load_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool):
-    """The manifest's entries, or a data error found from the manifest alone;
-    nothing is decoded here, as ``_extract_rows`` loads each row on its turn."""
+def _check_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool) -> None:
+    """A data error found from the manifest alone; nothing is decoded here,
+    as ``_extract_rows`` loads each row on its turn."""
     if not manifest.entries:
         raise IoFailure(f"{manifest_path}: manifest lists no images")
     first_row: dict[str, int] = {}
     for number, entry in enumerate(manifest.entries, 1):
-        earlier = first_row.setdefault(entry.image_path, number)
+        earlier = first_row.setdefault(os.path.abspath(manifest.locate(entry.image_path)), number)
         if earlier != number:
             raise IoFailure(f"{manifest_path}: data rows {earlier} and {number} "
                             f"both list {entry.image_path}")
@@ -155,24 +157,32 @@ def _load_rows(manifest_path, manifest: evalkit.DatasetManifest, use_mask: bool)
     if use_mask and len(by_mask) > 1:
         raise ArtifactMismatch(f"{by_mask[True]} has a mask but {by_mask[False]} has none; "
                                "give every image a mask or pass --no-mask")
-    return manifest.entries
 
 
-def _extract_rows(entries, config, palette, args):
-    """The entries' descriptors, in manifest order, and each one's extraction
+def _extraction_provenance(config, palette) -> dict:
+    """A descriptor file's provenance: the config and a SHA-256 of the palette."""
+    settings = {f.name: getattr(config, f.name) for f in fields(config)}
+    settings["spaces"] = [space.value for space in config.spaces]
+    names = np.ascontiguousarray(palette.names, dtype="<f8").tobytes()
+    return {"config": settings, "palette_sha256": hashlib.sha256(names).hexdigest()}
+
+
+def _extract_rows(manifest, config, palette, args):
+    """The manifest's descriptors, in its order, and each one's extraction
     time.  The worker that extracts a row loads it, and its vector goes into
     one (count, dim) matrix; once a load fails, no row starts extracting and
     the rest are only loaded, so that every file that fails is named."""
+    entries = manifest.entries
     errors: dict[int, str] = {}  # row -> error line of a file that failed to load
 
     def load(row: int):
         """The row's (image, mask), or None once its error line is in ``errors``."""
         entry = entries[row]
         try:
-            image = imaging.load_image(entry.image_path)
+            image = imaging.load_image(manifest.locate(entry.image_path))
             mask = None
             if config.use_mask and entry.mask_path:
-                mask = imaging.load_mask(entry.mask_path, image)
+                mask = imaging.load_mask(manifest.locate(entry.mask_path), image)
             return image, mask
         except (ReidSgmError, OSError) as exc:
             errors[row] = f"{entry.image_path}: {exc}"
@@ -207,7 +217,8 @@ def _extract_rows(entries, config, palette, args):
                 print(f"error: {errors[row]}", file=sys.stderr)
             raise IoFailure(f"{len(errors)} file(s) failed to load")
         source_ids = tuple(entry.image_path for entry in entries)
-        return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids), times
+        return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids,
+                                        provenance=_extraction_provenance(config, palette)), times
 
     if args.threads > 1:
         # Imported here: the other commands need no pool, nor its start-up.
@@ -228,8 +239,8 @@ def cmd_extract(args) -> int:
     # Once the manifest is read, a failed run removes --out and --csv, so a
     # file from an earlier run cannot pass for this one's.
     try:
-        entries = _load_rows(args.manifest, manifest, config.use_mask)
-        descriptors, times = _extract_rows(entries, config, palette, args)
+        _check_rows(args.manifest, manifest, config.use_mask)
+        descriptors, times = _extract_rows(manifest, config, palette, args)
         descriptor.save_descriptors(out_path, descriptors)
         if args.csv:
             descriptor.export_csv(args.csv, descriptors)
@@ -284,6 +295,13 @@ def cmd_train(args) -> int:
         for ra in by_person["A"][pid] for rb in by_person["B"][pid]
     ], dtype=np.intp).T
 
+    ids = "\n".join(sorted(split.train_ids)).encode("utf-8")
+    provenance = {
+        "split": {"seed": args.seed, "fraction": args.fraction, "index": args.split_index},
+        "train_ids": {"count": len(split.train_ids), "sha256": hashlib.sha256(ids).hexdigest()},
+        "r_requested": args.r,
+        "threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
     layout = reps.layout
     kinds = dict.fromkeys(rec.kind for rec in layout) if args.per_feature else ["ALL"]
     models: dict[str, ccl.CclModel] = {}
@@ -300,18 +318,9 @@ def cmd_train(args) -> int:
         models[kind] = ccl.solve_subspace(stats, r_eff)
         print(f"{kind}: d={length} r={r_eff} pairs={len(a_rows)} {_spectrum(models[kind])}")
 
-    ccl.save_models(args.out, models)
+    ccl.save_models(args.out, models, provenance)
     print(f"trained on {len(a_rows)} pairs from {len(split.train_ids)} identities -> {args.out}")
     return EXIT_OK
-
-
-def _check_artifacts(models, layout):
-    for kind, model in models.items():
-        _, length = _block_span(layout, kind)
-        if model.dim != length:
-            raise ArtifactMismatch(
-                f"{kind}: model expects dim {model.dim} but descriptors provide {length}"
-            )
 
 
 def _projected(models, reps, rows, view):
@@ -345,7 +354,6 @@ def cmd_eval(args) -> int:
     reps = descriptor.load_descriptors(args.descriptors)
     models = ccl.load_models(args.model)
     manifest = evalkit.load_manifest(args.manifest)
-    _check_artifacts(models, reps.layout)
     gallery_camera = "B" if args.probe_camera == "A" else "A"
     splits = evalkit.make_splits(manifest, args.fraction, args.splits, args.seed)
 
@@ -380,15 +388,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _pair_score(models, reps, probe: int, gallery: int, probe_camera: str) -> float:
+    """The score ``eval`` gives rows ``probe`` and ``gallery``: each is projected
+    in a block of 64 rows (all, if fewer), and the blocks scored as one matrix."""
+    count = reps.matrix.shape[0]
+    starts = [max(0, min(row, count - 64)) for row in (probe, gallery)]
+    blocks = [np.arange(start, min(count, start + 64)) for start in starts]
+    gallery_camera = "B" if probe_camera == "A" else "A"
+    scores = _fused_scores(models, _projected(models, reps, blocks[0], probe_camera),
+                           _projected(models, reps, blocks[1], gallery_camera))
+    return float(scores[probe - starts[0], gallery - starts[1]])
+
+
 def cmd_score(args) -> int:
     reps = descriptor.load_descriptors(args.descriptors)
     models = ccl.load_models(args.model)
-    _check_artifacts(models, reps.layout)
     probe, gallery = reps.rows([args.probe, args.gallery])
-    gallery_camera = "B" if args.probe_camera == "A" else "A"
-    scores = _fused_scores(models, _projected(models, reps, [probe], args.probe_camera),
-                           _projected(models, reps, [gallery], gallery_camera))
-    print("%.9g" % scores[0, 0])
+    print("%.9g" % _pair_score(models, reps, probe, gallery, args.probe_camera))
     return EXIT_OK
 
 
@@ -436,11 +452,13 @@ def cmd_inspect(args) -> int:
             print(f"  row: {source_id}")
         if count > 5:
             print(f"  ... {count - 5} more")
+        print(f"  provenance: {json.dumps(reps.provenance)}")
     elif head.startswith(ccl.MODEL_MAGIC):
         models = ccl.load_models(path)
         print(f"model file: {len(models)} model(s)")
         for kind, model in models.items():
             print(f"  {kind}: d={model.dim} r={model.rank} {_spectrum(model)}")
+        print(f"  provenance: {json.dumps(models.provenance)}")
     elif head.startswith(b"P6"):
         img = imaging.load_image(path)
         print(f"image (P6): {img.width}x{img.height}")

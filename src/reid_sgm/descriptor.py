@@ -6,29 +6,20 @@ horizontal stripe is sum-pooled and sum-normalized into a 16-vector.
 Concatenating the stripes over (view, space) yields the final
 descriptor.  Complementary per-stripe color histograms and local
 ternary texture histograms are available for fusion, and a run's rows
-form one ``DescriptorSet``, saved to a compact binary file or as CSV.
+form one ``DescriptorSet``, saved as an ``artifact`` file or as CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import json
-import os
-import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ArtifactMismatch,
-    CorruptFile,
-    DimensionMismatch,
-    EmptyStripe,
-    StackTooSmall,
-    UnsupportedFormat,
-)
+from . import artifact
+from .errors import ArtifactMismatch, CorruptFile, DimensionMismatch, EmptyStripe, StackTooSmall
 from .imaging import ALL_SPACES, ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
 from .sgm import (
     DEFAULT_EPSILON0,
@@ -64,7 +55,7 @@ SILTP_TAU = 0.3     # relative comparison threshold
 SILTP_CODES = 81    # 4 ternary neighbors -> 3**4 codes
 
 DESCRIPTOR_MAGIC = b"SGMD"
-DESCRIPTOR_VERSION = 1
+DESCRIPTOR_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -131,14 +122,15 @@ class ImageRepresentation:
 
 @dataclass(frozen=True, eq=False)
 class DescriptorSet:
-    """Image rows as one (count, dim) float32 matrix, the layout all rows
-    share and each row's source id.  The constructor checks that there is
-    at least one row, that the layout covers dim and that the source ids
+    """Image rows as one (count, dim) float32 matrix, their shared layout,
+    each row's source id and how they were made.  The constructor checks
+    that there is a row, that the layout covers dim and that the source ids
     are distinct strings, one per row (``ArtifactMismatch``)."""
 
     matrix: np.ndarray
     layout: tuple[LayoutRecord, ...]
     source_ids: tuple[str, ...]
+    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         count, dim = self.matrix.shape
@@ -156,12 +148,8 @@ class DescriptorSet:
         index = {sid: i for i, sid in enumerate(self.source_ids)}
         missing = [sid for sid in ids if sid not in index]
         if missing:
-            root = os.path.dirname(os.path.commonprefix(self.source_ids))
-            moved = f"; none of them has a row: its rows were extracted under {root}"
             raise ArtifactMismatch(
-                f"descriptor file lacks {len(missing)} image(s), first: {missing[0]}"
-                + (moved if root and len(missing) == len(ids) else "")
-            )
+                f"descriptor file lacks {len(missing)} image(s), first: {missing[0]}")
         return [index[sid] for sid in ids]
 
 
@@ -571,22 +559,10 @@ def extract_features(
     return parts[0] if len(parts) == 1 else fuse(parts)
 
 
-def _layout_to_json(layout) -> list:
-    return [
-        {"kind": r.kind, "space": r.space, "view": r.view,
-         "stripe": r.stripe, "length": r.length}
-        for r in layout
-    ]
-
-
 def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
     try:
-        layout = tuple(
-            LayoutRecord(kind=r["kind"], space=r["space"], view=r["view"],
-                         stripe=int(r["stripe"]), length=int(r["length"]))
-            for r in records
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        layout = tuple(LayoutRecord(**record) for record in records)
+    except TypeError as exc:  # not an object, or a field missing or unknown
         raise CorruptFile(f"malformed layout footer: {exc}") from None
     for rec in layout:
         if rec.kind not in FEATURE_KINDS:
@@ -594,71 +570,39 @@ def _layout_from_json(records) -> tuple[LayoutRecord, ...]:
         if not isinstance(rec.view, str) or not isinstance(rec.space, (str, type(None))):
             raise CorruptFile(
                 f"malformed layout footer: {rec.kind} record has a non-string view or space")
-        if rec.length < 1:
-            raise CorruptFile(f"malformed layout footer: {rec.kind} record has length {rec.length}")
+        if type(rec.stripe) is not int or type(rec.length) is not int or rec.length < 1:
+            raise CorruptFile(f"malformed layout footer: {rec.kind} record has length "
+                              f"{rec.length!r}, stripe {rec.stripe!r}")
     return layout
 
 
 def save_descriptors(path, descriptors: DescriptorSet) -> None:
-    """Write a descriptor set to the binary descriptor format.
-
-    Layout: magic ``SGMD``, version u16, count u32, dim u32 (all
-    little-endian), count*dim float32 values row-major, then a JSON text
-    footer holding the shared layout and the per-row source ids.
-    """
-    count, dim = descriptors.matrix.shape
-    footer = json.dumps(
-        {"layout": _layout_to_json(descriptors.layout), "source_ids": list(descriptors.source_ids)}
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(DESCRIPTOR_MAGIC)
-        fh.write(struct.pack("<HII", DESCRIPTOR_VERSION, count, dim))
-        fh.write(np.ascontiguousarray(descriptors.matrix, dtype="<f4"))
-        fh.write(footer)
+    """Write a descriptor set as an ``artifact`` file: its float32 matrix,
+    then a footer of the shared layout, the source ids and the provenance."""
+    artifact.write(path, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, "descriptors",
+                   {"matrix": np.asarray(descriptors.matrix, dtype=np.float32)},
+                   descriptors.provenance, layout=[asdict(rec) for rec in descriptors.layout],
+                   source_ids=list(descriptors.source_ids))
 
 
 def load_descriptors(path) -> DescriptorSet:
-    """Read back a descriptor file written by ``save_descriptors``.
-
-    A footer that is not an object of lists, a malformed layout record, a
-    set that ``DescriptorSet`` rejects or a non-finite value is rejected
-    as ``CorruptFile``; the values are returned unchanged, read-only.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != DESCRIPTOR_MAGIC:
-        raise UnsupportedFormat(f"{path}: bad magic {data[:4]!r}, expected {DESCRIPTOR_MAGIC!r}")
-    header = struct.calcsize("<HII")
-    if len(data) < 4 + header:
-        raise CorruptFile(f"{path}: truncated header")
-    version, count, dim = struct.unpack("<HII", data[4 : 4 + header])
-    if version != DESCRIPTOR_VERSION:
-        raise UnsupportedFormat(f"{path}: unsupported version {version}")
-    start = 4 + header
-    need = count * dim * 4
-    if len(data) < start + need:
-        raise CorruptFile(f"{path}: payload holds {len(data) - start} bytes, expected {need}")
-    matrix = np.frombuffer(memoryview(data)[start : start + need], dtype="<f4").reshape(count, dim)
-    try:
-        footer = json.loads(data[start + need :].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFile(f"{path}: malformed footer: {exc}") from None
-    if not isinstance(footer, dict):
-        raise CorruptFile(f"{path}: footer is not a JSON object")
-    layout_records = footer.get("layout", [])
-    source_ids = footer.get("source_ids", [])
-    if not isinstance(layout_records, list) or not isinstance(source_ids, list):
+    """Read back a descriptor file written by ``save_descriptors``, its
+    matrix read-only.  Past ``artifact.read``'s checks, ``CorruptFile`` is
+    any array but one float32 matrix, or a footer ``DescriptorSet`` rejects."""
+    footer, arrays = artifact.read(path, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION, "descriptors",
+                                   "re-extract the descriptors")
+    matrix = arrays.get("matrix")
+    if len(arrays) != 1 or matrix is None or matrix.dtype != np.float32:
+        raise CorruptFile(f"{path}: expected one float32 array 'matrix', got {list(arrays)}")
+    layout, source_ids = footer.get("layout"), footer.get("source_ids")
+    if not isinstance(layout, list) or not isinstance(source_ids, list):
         raise CorruptFile(f"{path}: footer layout and source_ids must be lists")
+    matrix.flags.writeable = False
     try:
-        descriptors = DescriptorSet(matrix=matrix, layout=_layout_from_json(layout_records),
-                                    source_ids=tuple(source_ids))
+        return DescriptorSet(matrix=matrix, layout=_layout_from_json(layout),
+                             source_ids=tuple(source_ids), provenance=footer["provenance"])
     except ArtifactMismatch as exc:
         raise CorruptFile(f"{path}: {exc}") from None
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise CorruptFile(f"{path}: row {bad} ({source_ids[bad]!r}) holds non-finite values")
-    return descriptors
 
 
 def export_csv(path, descriptors: DescriptorSet) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import posixpath
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +36,15 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Ordered dataset rows; every identity appears in both cameras."""
+    """Ordered dataset rows; every identity appears in both cameras.  The
+    entries' paths are relative to ``root``, the manifest's directory."""
 
     entries: tuple[ManifestEntry, ...]
+    root: str = ""
+
+    def locate(self, path: str) -> str:
+        """Where an entry's image or mask path is, from the working directory."""
+        return os.path.join(self.root, path)
 
     def person_ids(self) -> list[str]:
         return sorted({e.person_id for e in self.entries})
@@ -61,22 +68,10 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise ProtocolViolation(f"person {pid!r} appears only in camera(s) {sorted(cams)}")
 
 
-def _resolve(path: str, resolved: dict[str, str]) -> str:
-    """``path`` resolved in full, as ``Path.resolve`` gives it, with each
-    directory resolved once into ``resolved``: a path whose last component is
-    not a symlink, "." or ".." resolves to its resolved directory plus that name."""
-    head, name = os.path.split(path)
-    if name in ("", ".", "..") or os.path.islink(path):
-        return str(Path(path).resolve())
-    if head not in resolved:
-        resolved[head] = str(Path(head).resolve())
-    return os.path.join(resolved[head], name)
-
-
 def load_manifest(path, validate: bool = True) -> DatasetManifest:
-    """Read a manifest CSV; relative paths resolve against its directory."""
+    """Read a manifest CSV.  Each path is kept as the manifest gives it,
+    normalized by ``posixpath.normpath``: an image's path is its source id."""
     path = Path(path)
-    root, resolved = str(path.parent), {}
     entries = []
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
@@ -100,28 +95,24 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
                 ManifestEntry(
                     person_id=row["person_id"].strip(),
                     camera=camera,
-                    image_path=_resolve(os.path.join(root, row["image_path"]), resolved),
-                    mask_path=_resolve(os.path.join(root, mask), resolved) if mask else None,
+                    image_path=posixpath.normpath(row["image_path"]),
+                    mask_path=posixpath.normpath(mask) if mask else None,
                 )
             )
-    manifest = DatasetManifest(entries=tuple(entries))
+    manifest = DatasetManifest(entries=tuple(entries), root=str(path.parent))
     if validate:
         validate_manifest(manifest)
     return manifest
 
 
-def save_manifest(path, manifest: DatasetManifest, relative_to=None) -> None:
-    root = Path(relative_to) if relative_to else None
+def save_manifest(path, manifest: DatasetManifest) -> None:
+    """Write the entries' paths as they are: relative ones stay relative to
+    the directory the manifest is written to."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for e in manifest.entries:
-            image = e.image_path
-            mask = e.mask_path or ""
-            if root is not None:
-                image = str(Path(image).relative_to(root))
-                mask = str(Path(mask).relative_to(root)) if mask else ""
-            writer.writerow([e.person_id, e.camera, image, mask])
+            writer.writerow([e.person_id, e.camera, e.image_path, e.mask_path or ""])
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,6 @@ def synth_dataset(
     mask[fg_r0:fg_r1, fg_c0:fg_c1] = 255
 
     entries = []
-    resolved: dict[str, str] = {}
     width_ids = len(str(spec.n_ids - 1))
     try:
         for pid in range(spec.n_ids):
@@ -307,23 +297,16 @@ def synth_dataset(
 
                 for camera, pix in (("A", _quantize(seen_a)), ("B", _quantize(shifted))):
                     stem = f"{person}_cam{camera}_{shot}"
-                    image_path = out_dir / "images" / f"{stem}.ppm"
-                    mask_path = out_dir / "masks" / f"{stem}.pgm"
-                    write_ppm(image_path, pix)
-                    write_pgm(mask_path, mask)
-                    entries.append(
-                        ManifestEntry(
-                            person_id=person,
-                            camera=camera,
-                            image_path=_resolve(str(image_path), resolved),
-                            mask_path=_resolve(str(mask_path), resolved),
-                        )
-                    )
+                    image_path, mask_path = f"images/{stem}.ppm", f"masks/{stem}.pgm"
+                    write_ppm(out_dir / image_path, pix)
+                    write_pgm(out_dir / mask_path, mask)
+                    entries.append(ManifestEntry(person_id=person, camera=camera,
+                                                 image_path=image_path, mask_path=mask_path))
     except OSError as exc:
         raise IoFailure(f"failed writing corpus under {out_dir}: {exc}") from None
 
-    manifest = DatasetManifest(entries=tuple(entries))
-    save_manifest(out_dir / "manifest.csv", manifest, relative_to=out_dir.resolve())
+    manifest = DatasetManifest(entries=tuple(entries), root=str(out_dir))
+    save_manifest(out_dir / "manifest.csv", manifest)
     return manifest
 
 

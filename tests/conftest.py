@@ -1,5 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,30 @@ from reid_sgm.descriptor import (
 from reid_sgm.errors import EmptyStripe
 from reid_sgm.imaging import ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import default_palette, fit_model, identity_model, soft_map
+
+
+def split_artifact(data: bytes):
+    """An ``artifact`` file's 14-byte head, its array bytes and its footer, as
+    the format lays them out: the footer's length is the last u32."""
+    (length,) = struct.unpack("<I", data[-4:])
+    end = len(data) - 4 - length
+    return data[:14], data[14:end], json.loads(data[end:-4])
+
+
+def join_artifact(head: bytes, payload: bytes, footer) -> bytes:
+    """The bytes of an ``artifact`` file; ``footer`` is JSON-dumped unless bytes."""
+    text = footer if isinstance(footer, bytes) else json.dumps(footer).encode("utf-8")
+    return head + payload + text + struct.pack("<I", len(text))
+
+
+def array_offset(footer, name: str) -> int:
+    """Where array ``name`` starts in the array bytes, from the footer's table."""
+    at = 0
+    for key, (dtype, shape) in footer["arrays"].items():
+        if key == name:
+            return at
+        at += math.prod(shape) * int(dtype[-1])
+    raise KeyError(name)
 
 
 def make_image(width, height, seed=0):

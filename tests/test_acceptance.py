@@ -174,8 +174,8 @@ FULL_RANK1_FLOOR = 0.70
 def _extract_corpus(manifest, config, palette):
     reps = {}
     for entry in manifest.entries:
-        img = load_image(entry.image_path)
-        mask = load_mask(entry.mask_path, img)
+        img = load_image(manifest.locate(entry.image_path))
+        mask = load_mask(manifest.locate(entry.mask_path), img)
         rep = extract_sgm(img, mask, config, palette=palette)
         reps[entry.image_path] = rep.vector.astype(np.float64)
     return reps

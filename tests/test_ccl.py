@@ -4,7 +4,7 @@ import re
 import struct
 import tracemalloc
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from reid_sgm.ccl import (
     MODEL_MAGIC,
-    MODEL_VERSION,
     CclModel,
     CoupledStats,
     accumulate_stats,
@@ -35,7 +34,9 @@ from reid_sgm.errors import (
     UnsupportedFormat,
 )
 
-from conftest import assert_bitwise_equal
+from reid_sgm import __version__
+
+from conftest import array_offset, assert_bitwise_equal, join_artifact, split_artifact
 
 
 def make_pairs(rng, n=30, d=6, spread=0.3):
@@ -856,6 +857,14 @@ class TestModelPersistence:
         other = solve_subspace(stats, 2)
         return {"SGM": main, "CH": other}
 
+    @staticmethod
+    def poke(path, name, value):
+        """Set the first entry of array ``name`` to ``value``."""
+        head, payload, footer = split_artifact(path.read_bytes())
+        at = array_offset(footer, name)
+        payload = payload[:at] + np.float64(value).tobytes() + payload[at + 8 :]
+        path.write_bytes(join_artifact(head, payload, footer))
+
     def test_roundtrip_bitwise(self, tmp_path, rng):
         models = self.make_models(rng)
         path = tmp_path / "m.cclm"
@@ -864,11 +873,25 @@ class TestModelPersistence:
         assert list(loaded) == ["SGM", "CH"]
         for kind, model in models.items():
             got = loaded[kind]
-            for attr in (field.name for field in fields(CclModel)):
+            assert got.ridge_term == model.ridge_term > 0
+            for attr in ("w", "a", "b", "mean_x", "mean_y"):
                 assert np.array_equal(getattr(model, attr), getattr(got, attr)), attr
                 # A view of the one buffer the file is read into, not a copy.
                 flags = getattr(got, attr).flags
                 assert flags.aligned and flags.writeable and not flags.owndata, attr
+
+    def test_provenance_round_trips(self, tmp_path, rng):
+        models = self.make_models(rng)
+        path = tmp_path / "m.cclm"
+        save_models(path, models, {"split": {"seed": 3}})
+        again = tmp_path / "again.cclm"
+        save_models(again, load_models(path), load_models(path).provenance)
+        assert again.read_bytes() == path.read_bytes()
+        assert load_models(path).provenance == {
+            "version": __version__, "split": {"seed": 3},
+            "models": {kind: {"ridge_term": m.ridge_term, "r": m.rank}
+                       for kind, m in models.items()},
+        }
 
     def test_scores_survive_roundtrip_bitwise(self, tmp_path, rng):
         models = self.make_models(rng)
@@ -888,67 +911,90 @@ class TestModelPersistence:
         with pytest.raises(UnsupportedFormat):
             load_models(path)
 
-    def test_version_1_refused(self, tmp_path, rng):
+    def test_version_1_refused(self, tmp_path):
         # Version 1 held three r x r inverses in place of a and b.
         path = tmp_path / "m.cclm"
-        save_models(path, self.make_models(rng))
-        data = bytearray(path.read_bytes())
-        data[4:6] = (1).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(UnsupportedFormat, match="unsupported version 1; retrain"):
+        path.write_bytes(MODEL_MAGIC + struct.pack("<HH", 1, 1) + bytes(64))
+        with pytest.raises(UnsupportedFormat, match="unsupported version 1; retrain the model"):
+            load_models(path)
+
+    def test_version_2_refused(self, tmp_path):
+        # Version 2 held a and b after a padded kind tag, d and r, with no provenance.
+        path = tmp_path / "m.cclm"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<HH", 2, 1) + bytes(64))
+        with pytest.raises(UnsupportedFormat, match="unsupported version 2; retrain the model"):
             load_models(path)
 
     @pytest.mark.parametrize("var", ["a", "b"])
     @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
     def test_non_positive_variance_is_corrupt(self, tmp_path, rng, var, value):
-        # The file ends in the CH model's a and b, r = 2 floats each.
         path = tmp_path / "m.cclm"
         save_models(path, self.make_models(rng))
-        data = bytearray(path.read_bytes())
-        at = len(data) - (32 if var == "a" else 16)
-        data[at : at + 8] = np.float64(value).tobytes()
-        path.write_bytes(bytes(data))
+        self.poke(path, f"CH/{var}", value)
         message = re.escape(f"{path}: model 'CH' holds a variance that is not positive")
         with pytest.raises(CorruptFile, match=message):
             load_models(path)
 
     @pytest.mark.parametrize("var", ["a", "b"])
-    def test_variance_whose_reciprocal_overflows_is_corrupt(self, tmp_path, rng, var):
-        # 1e-310 is positive, but 1 / 1e-310 exceeds the largest double.
+    def test_variance_below_the_ridge_term_is_corrupt(self, tmp_path, rng, var):
+        # Training adds the ridge term to every variance: one below it was not trained.
+        models = self.make_models(rng)
         path = tmp_path / "m.cclm"
-        save_models(path, self.make_models(rng))
-        data = bytearray(path.read_bytes())
-        at = len(data) - (32 if var == "a" else 16)
-        data[at : at + 8] = np.float64(1e-310).tobytes()
-        path.write_bytes(bytes(data))
+        save_models(path, models)
+        self.poke(path, f"CH/{var}", 0.5 * models["CH"].ridge_term)
+        message = re.escape(f"{path}: model 'CH' holds a variance below its ridge term "
+                            f"{models['CH'].ridge_term!r}")
+        with pytest.raises(CorruptFile, match=message):
+            load_models(path)
+
+    @pytest.mark.parametrize("var", ["a", "b"])
+    def test_variance_whose_reciprocal_overflows_is_corrupt(self, tmp_path, rng, var):
+        # 1e-310 is positive, but 1 / 1e-310 exceeds the largest double; with
+        # no ridge (ridge_term 0) nothing else rejects it.
+        models = self.make_models(rng)
+        models["CH"] = replace(models["CH"], ridge_term=0.0)
+        path = tmp_path / "m.cclm"
+        save_models(path, models)
+        self.poke(path, f"CH/{var}", 1e-310)
         message = re.escape(f"{path}: model 'CH' holds a variance whose reciprocal overflows")
         with np.errstate(all="raise"), pytest.raises(CorruptFile, match=message):
             load_models(path)
 
-    def test_long_kind_tag_leaves_no_file(self, tmp_path, rng):
-        # Every tag is checked before the file is opened: a good model ahead
-        # of the long tag must not leave a partial file behind.
-        models = self.make_models(rng)
-        models["X" * 17] = models["CH"]
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), "0.1", None, True])
+    def test_invalid_ridge_term_is_corrupt(self, tmp_path, rng, ridge):
         path = tmp_path / "m.cclm"
-        with pytest.raises(ValueError, match="kind tag too long"):
-            save_models(path, models)
-        assert not path.exists()
+        save_models(path, self.make_models(rng))
+        head, payload, footer = split_artifact(path.read_bytes())
+        footer["provenance"]["models"]["SGM"]["ridge_term"] = ridge
+        path.write_bytes(join_artifact(head, payload, footer))
+        with pytest.raises(CorruptFile, match="model 'SGM' records no valid ridge term"):
+            load_models(path)
 
-    @pytest.mark.parametrize("tags", [("CH ",), ("SGM", "SGM ")])
-    def test_tag_ending_in_a_space_leaves_no_file(self, tmp_path, rng, tags):
-        # The reader strips the padding: "CH " would load as "CH", and "SGM"
-        # beside "SGM " would be read back as a repeated kind.
+    @pytest.mark.parametrize("tags", [("X" * 17,), ("CH ",), ("SGM", "SGM "), ("é/w",)])
+    def test_any_kind_tag_round_trips(self, tmp_path, rng, tags):
+        # Kind tags are JSON keys, with no width or padding to collide on.
         model = self.make_models(rng)["SGM"]
         path = tmp_path / "m.cclm"
-        with pytest.raises(ValueError, match="kind tag ends in a space"):
-            save_models(path, dict.fromkeys(tags, model))
-        assert not path.exists()
+        save_models(path, dict.fromkeys(tags, model))
+        assert list(load_models(path)) == list(tags)
 
-    def test_no_model_is_corrupt(self, tmp_path):
-        # ``save_models`` refuses to write a file of no model.
+    def test_shapes_that_disagree_are_corrupt(self, tmp_path, rng):
+        models = self.make_models(rng)
+        models["CH"] = replace(models["CH"], a=models["CH"].a[:1])
         path = tmp_path / "m.cclm"
-        path.write_bytes(MODEL_MAGIC + struct.pack("<HH", MODEL_VERSION, 0))
+        save_models(path, models)
+        with pytest.raises(CorruptFile, match="model 'CH' has arrays of mismatched shapes"):
+            load_models(path)
+
+    def test_no_model_is_corrupt(self, tmp_path, rng):
+        # ``save_models`` refuses to write a file of no model.
+        with pytest.raises(ValueError, match="nothing to save"):
+            save_models(tmp_path / "none.cclm", {})
+        path = tmp_path / "m.cclm"
+        save_models(path, self.make_models(rng))
+        head, payload, footer = split_artifact(path.read_bytes())
+        footer["provenance"]["models"] = {}
+        path.write_bytes(join_artifact(head, payload, footer))
         with pytest.raises(CorruptFile, match=re.escape(f"{path}: holds no model")):
             load_models(path)
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_datase
 from reid_sgm.imaging import _load_pgm
 from reid_sgm.sgm import default_palette
 
-from conftest import per_split_eval_csv
+from conftest import array_offset, join_artifact, per_split_eval_csv, split_artifact
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +187,8 @@ class TestExtract:
         with open(small, "w") as fh:
             fh.write("person_id,camera,image_path,mask_path\n")
             for e in rows:
-                fh.write(f"{e.person_id},{e.camera},{e.image_path},{e.mask_path}\n")
+                fh.write(f"{e.person_id},{e.camera},{manifest.locate(e.image_path)},"
+                         f"{manifest.locate(e.mask_path)}\n")
         out = tmp_path / "two.sgmd"
         assert main(["extract", str(small), "--out", str(out)]) == 0
         assert load_descriptors(out).matrix.shape == (2, 1280)
@@ -241,15 +243,16 @@ class TestExtract:
     def test_unreadable_images_are_all_named_and_end_extraction(
         self, corpus, tmp_path, capsys, monkeypatch, flags
     ):
-        entries = load_manifest(corpus / "manifest.csv").entries
+        listed = load_manifest(corpus / "manifest.csv")
         garbage = tmp_path / "garbage.ppm"
         garbage.write_bytes(b"not an image")
         bad = {5: str(garbage), 9: str(tmp_path / "missing.ppm")}
         manifest = tmp_path / "bad.csv"
         with open(manifest, "w") as fh:
             fh.write("person_id,camera,image_path,mask_path\n")
-            for i, e in enumerate(entries):
-                fh.write(f"{e.person_id},{e.camera},{bad.get(i, e.image_path)},{e.mask_path}\n")
+            for i, e in enumerate(listed.entries):
+                image = bad.get(i, listed.locate(e.image_path))
+                fh.write(f"{e.person_id},{e.camera},{image},{listed.locate(e.mask_path)}\n")
         events = []
         load, extract = imaging.load_image, descriptor.extract_features
 
@@ -454,20 +457,31 @@ class TestTrain:
         assert code == 1
         assert "r must be >= 1" in capsys.readouterr().err
 
-    def test_moved_corpus_names_where_rows_were_extracted(self, corpus, tmp_path, capsys):
+    def test_moved_corpus_trains_and_evaluates_alike(self, corpus, tmp_path):
+        # Rows are keyed by the manifest's own paths: copies of one corpus in
+        # two directories extract to the same bytes, and a moved corpus keeps
+        # its rows, so train and eval on it reproduce the model and the report.
         before, after = tmp_path / "before", tmp_path / "after"
+        copy = tmp_path / "elsewhere" / "copy"
         shutil.copytree(corpus, before)
-        desc = tmp_path / "d.sgmd"
+        shutil.copytree(corpus, copy)
+        desc, again = tmp_path / "d.sgmd", tmp_path / "again.sgmd"
         assert main(["extract", str(before / "manifest.csv"), "--out", str(desc)]) == 0
-        shutil.move(before, after)
-        code = main([
-            "train", str(desc), str(after / "manifest.csv"),
-            "--out", str(tmp_path / "m.cclm"), "--r", "5",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"none of them has a row: its rows were extracted under {before / 'images'}" in err
-        assert all(sid.startswith(str(before)) for sid in load_descriptors(desc).source_ids)
+        assert main(["extract", str(copy / "manifest.csv"), "--out", str(again)]) == 0
+        assert again.read_bytes() == desc.read_bytes()
+        assert load_descriptors(desc).source_ids[:2] == ("images/id00_camA_0.ppm",
+                                                          "images/id00_camB_0.ppm")
+        runs = []
+        for root in (before, after):
+            if root == after:
+                shutil.move(before, after)
+            mdl, report = tmp_path / f"{root.name}.cclm", tmp_path / f"{root.name}.csv"
+            assert main(["train", str(desc), str(root / "manifest.csv"), "--out", str(mdl),
+                         "--r", "5"]) == 0
+            assert main(["eval", str(desc), str(mdl), str(root / "manifest.csv"),
+                         "--splits", "2", "--out", str(report)]) == 0
+            runs.append((mdl.read_bytes(), report.read_text()))
+        assert runs[0] == runs[1]
 
 
 class TestEval:
@@ -566,10 +580,9 @@ class TestMalformedDescriptors:
 
     @staticmethod
     def rewrite(descriptors, tmp_path, count=None, values=None, source_ids=None, layout=None):
-        data = descriptors.read_bytes()
-        _, rows, dim = struct.unpack("<HII", data[4:14])
-        matrix = np.frombuffer(data[14 : 14 + 4 * rows * dim], dtype="<f4").reshape(rows, dim)
-        footer = json.loads(data[14 + 4 * rows * dim :])
+        head, payload, footer = split_artifact(descriptors.read_bytes())
+        _, rows, dim = struct.unpack("<HII", head[4:14])
+        matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
         if count is not None:
             matrix = matrix[:count]
             footer["source_ids"] = footer["source_ids"][:count]
@@ -579,12 +592,10 @@ class TestMalformedDescriptors:
             footer["source_ids"] = source_ids(footer["source_ids"])
         if layout is not None:
             footer["layout"] = layout(footer["layout"])
+        footer["arrays"]["matrix"][1] = list(matrix.shape)
         path = tmp_path / "bad.sgmd"
-        path.write_bytes(
-            data[:6] + struct.pack("<II", len(matrix), dim)
-            + np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-            + json.dumps(footer).encode("utf-8")
-        )
+        path.write_bytes(join_artifact(head[:6] + struct.pack("<II", *matrix.shape),
+                                       np.ascontiguousarray(matrix, dtype="<f4").tobytes(), footer))
         return path
 
     def test_zero_rows(self, corpus, descriptors, model, tmp_path, capsys):
@@ -606,7 +617,7 @@ class TestMalformedDescriptors:
         ])
         captured = capsys.readouterr()
         assert code == 2
-        assert "non-finite" in captured.err
+        assert "array 'matrix' holds a non-finite value at (3, 7)" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -628,10 +639,12 @@ class TestMalformedDescriptors:
         ],
     )
     def test_inspect_malformed_footer(self, descriptors, tmp_path, capsys, footer, message):
-        data = descriptors.read_bytes()
-        _, rows, dim = struct.unpack("<HII", data[4:14])
+        # An object's fields replace the file's own; anything else replaces the footer.
+        head, payload, intact = split_artifact(descriptors.read_bytes())
+        edited = json.loads(footer)
         path = tmp_path / "bad.sgmd"
-        path.write_bytes(data[: 14 + 4 * rows * dim] + footer)
+        path.write_bytes(join_artifact(head, payload, {**intact, **edited}
+                                       if isinstance(edited, dict) else edited))
         assert main(["inspect", str(path)]) == 2
         assert message in capsys.readouterr().err
 
@@ -667,16 +680,31 @@ class TestMalformedDescriptors:
         assert f"malformed layout footer: {message}" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_version_1_asks_to_re_extract(self, corpus, descriptors, model, tmp_path, capsys):
+        # Version 1 keyed rows by absolute paths and recorded no provenance.
+        path = tmp_path / "old.sgmd"
+        path.write_bytes(b"SGMD" + struct.pack("<HII", 1, 1, 2) + bytes(8)
+                         + b'{"layout": [], "source_ids": ["/corpus/images/a.ppm"]}')
+        for argv in (["inspect", str(path)],
+                     ["eval", str(path), str(model), str(corpus / "manifest.csv")]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {path}: unsupported version 1; re-extract the descriptors\n")
+
 
 class TestMalformedModels:
     """Each ``.cclm`` defect ends in exit 2 from the reader (``CorruptFile``)."""
 
     @staticmethod
-    def record(model):
-        """Header count and the bytes of the file's single model record."""
-        data = model.read_bytes()
-        assert struct.unpack("<H", data[6:8]) == (1,)
-        return data[:8], data[8:]
+    def poke(model, path, name, value, ridge_term=None):
+        """Write ``model`` to ``path`` with the first entry of array ``name``
+        set to ``value`` and, if given, SGM's recorded ridge term replaced."""
+        head, payload, footer = split_artifact(model.read_bytes())
+        at = array_offset(footer, name)
+        payload = payload[:at] + struct.pack("<d", value) + payload[at + 8 :]
+        if ridge_term is not None:
+            footer["provenance"]["models"]["SGM"]["ridge_term"] = ridge_term
+        path.write_bytes(join_artifact(head, payload, footer))
 
     @staticmethod
     def run_eval(corpus, descriptors, path, capsys):
@@ -688,46 +716,45 @@ class TestMalformedModels:
         return code, captured.err
 
     def test_non_utf8_kind(self, corpus, descriptors, model, tmp_path, capsys):
-        header, rec = self.record(model)
+        data = model.read_bytes()
+        at = data.rindex(b'"SGM"')  # the kind's key in the footer's model table
         path = tmp_path / "bad.cclm"
-        path.write_bytes(header + b"\xff" + rec[1:])
+        path.write_bytes(data[: at + 1] + b"\xff" + data[at + 2 :])
         assert main(["inspect", str(path)]) == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        assert "footer is not UTF-8 JSON" in capsys.readouterr().err
         code, err = self.run_eval(corpus, descriptors, path, capsys)
-        assert code == 2 and "not UTF-8" in err
+        assert code == 2 and "footer is not UTF-8 JSON" in err
 
     def test_trailing_bytes(self, corpus, descriptors, model, tmp_path, capsys):
+        # A byte after the footer's JSON, with the length counting it, and a
+        # byte after the whole file.
+        head, payload, footer = split_artifact(model.read_bytes())
         path = tmp_path / "bad.cclm"
+        path.write_bytes(join_artifact(head, payload, json.dumps(footer).encode() + b"\x00"))
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and "footer is not UTF-8 JSON: Extra data" in err
         path.write_bytes(model.read_bytes() + b"\x00")
         code, err = self.run_eval(corpus, descriptors, path, capsys)
-        assert code == 2 and "1 trailing bytes" in err
+        assert code == 2 and err.startswith(f"error: {path}: ")
 
     def test_nan_weight(self, corpus, descriptors, model, tmp_path, capsys):
-        header, rec = self.record(model)
-        dim, _ = struct.unpack("<II", rec[16:24])
-        at = 24 + 2 * dim * 8  # first entry of W, after both means
         path = tmp_path / "bad.cclm"
-        path.write_bytes(header + rec[:at] + struct.pack("<d", np.nan) + rec[at + 8 :])
+        self.poke(model, path, "SGM/w", np.nan)
         code, err = self.run_eval(corpus, descriptors, path, capsys)
         assert code == 2 and "non-finite" in err
 
     def test_non_positive_variance(self, corpus, descriptors, model, tmp_path, capsys):
-        header, rec = self.record(model)
-        dim, rank = struct.unpack("<II", rec[16:24])
-        at = 24 + (2 * dim + dim * rank + rank) * 8  # first entry of b, after a
         path = tmp_path / "bad.cclm"
-        path.write_bytes(header + rec[:at] + struct.pack("<d", 0.0) + rec[at + 8 :])
+        self.poke(model, path, "SGM/b", 0.0)
         code, err = self.run_eval(corpus, descriptors, path, capsys)
         assert code == 2 and f"{path}: model 'SGM' holds a variance that is not positive" in err
 
     @pytest.mark.parametrize("var", ["a", "b"])
     def test_variance_whose_reciprocal_overflows(self, corpus, descriptors, model, tmp_path,
                                                  capsys, var):
-        header, rec = self.record(model)
-        dim, rank = struct.unpack("<II", rec[16:24])
-        at = 24 + (2 * dim + dim * rank + (rank if var == "b" else 0)) * 8
+        # With a recorded ridge term of 0, nothing but the reciprocal rejects it.
         path = tmp_path / "bad.cclm"
-        path.write_bytes(header + rec[:at] + struct.pack("<d", 1e-310) + rec[at + 8 :])
+        self.poke(model, path, f"SGM/{var}", 1e-310, ridge_term=0.0)
         line = f"error: {path}: model 'SGM' holds a variance whose reciprocal overflows\n"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -736,12 +763,25 @@ class TestMalformedModels:
             assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_variance_below_the_ridge_term(self, corpus, descriptors, model, tmp_path, capsys):
+        # A first b of 1e-300 is positive and its reciprocal finite, and before
+        # the ridge term was recorded it loaded, and eval reported a rank-1 far
+        # below the intact model's.  Training adds the ridge term to every b.
+        path = tmp_path / "bad.cclm"
+        self.poke(model, path, "SGM/b", 1e-300)
+        ridge = load_models(model)["SGM"].ridge_term
+        line = f"error: {path}: model 'SGM' holds a variance below its ridge term {ridge!r}\n"
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr() == ("", line)
+        assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
+
     @pytest.mark.parametrize("command", ["inspect", "score", "eval"])
     def test_no_model(self, corpus, descriptors, model, tmp_path, capsys, command):
-        # A header that counts no model, which ``save_models`` never writes.
-        header, _ = self.record(model)
+        # A model table of no kind, which ``save_models`` never writes.
+        head, payload, footer = split_artifact(model.read_bytes())
+        footer["provenance"]["models"] = {}
         path = tmp_path / "empty.cclm"
-        path.write_bytes(header[:6] + struct.pack("<H", 0))
+        path.write_bytes(join_artifact(head, payload, footer))
         line = f"error: {path}: holds no model\n"
         if command == "eval":
             assert self.run_eval(corpus, descriptors, path, capsys) == (2, line)
@@ -756,18 +796,31 @@ class TestMalformedModels:
         assert capsys.readouterr() == ("", line)
 
     def test_version_1(self, corpus, descriptors, model, tmp_path, capsys):
-        header, rec = self.record(model)
+        data = model.read_bytes()
         path = tmp_path / "old.cclm"
-        path.write_bytes(header[:4] + struct.pack("<H", 1) + header[6:] + rec)
+        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
         code, err = self.run_eval(corpus, descriptors, path, capsys)
         assert code == 2 and "unsupported version 1; retrain the model" in err
 
-    def test_repeated_kind(self, corpus, descriptors, model, tmp_path, capsys):
-        header, rec = self.record(model)
-        path = tmp_path / "bad.cclm"
-        path.write_bytes(header[:6] + struct.pack("<H", 2) + rec + rec)
+    def test_version_2(self, corpus, descriptors, model, tmp_path, capsys):
+        # Version 2: a model count, then per model a padded kind tag, d, r and
+        # the float64 arrays, with no provenance.
+        path = tmp_path / "old.cclm"
+        path.write_bytes(b"CCLM" + struct.pack("<HH", 2, 1) + b"SGM".ljust(16)
+                         + struct.pack("<II", 1, 1) + struct.pack("<5d", 0, 0, 1, 1, 1))
         code, err = self.run_eval(corpus, descriptors, path, capsys)
-        assert code == 2 and "repeats model kind 'SGM'" in err
+        assert (code, err) == (2, f"error: {path}: unsupported version 2; retrain the model\n")
+        assert main(["inspect", str(path)]) == 2
+        assert "unsupported version 2; retrain the model" in capsys.readouterr().err
+
+    def test_repeated_kind(self, corpus, descriptors, model, tmp_path, capsys):
+        # The model's arrays twice, under a table that lists them once.
+        head, payload, footer = split_artifact(model.read_bytes())
+        path = tmp_path / "bad.cclm"
+        path.write_bytes(join_artifact(head, payload + payload, footer))
+        code, err = self.run_eval(corpus, descriptors, path, capsys)
+        assert code == 2 and f"{len(payload)} bytes lie between the arrays and the footer" in err
+
 
 class TestFeatureFusion:
     def test_three_kind_workflow(self, corpus, tmp_path, capsys):
@@ -826,14 +879,16 @@ class TestMasklessManifests:
         with open(stripped, "w") as fh:
             fh.write("person_id,camera,image_path,mask_path\n")
             for e in manifest.entries:
-                fh.write(f"{e.person_id},{e.camera},{e.image_path},\n")
+                fh.write(f"{e.person_id},{e.camera},{manifest.locate(e.image_path)},\n")
         out = tmp_path / "nomask.sgmd"
         assert main(["extract", str(stripped), "--out", str(out)]) == 0
         assert load_descriptors(out).matrix.shape[1] == 640
 
     def test_partial_masks_rejected_before_any_extraction(self, corpus, tmp_path, capsys,
                                                           monkeypatch):
-        entries = load_manifest(corpus / "manifest.csv").entries
+        listed = load_manifest(corpus / "manifest.csv")
+        entries = [replace(e, image_path=listed.locate(e.image_path),
+                           mask_path=listed.locate(e.mask_path)) for e in listed.entries]
         partial = tmp_path / "partial.csv"
         with open(partial, "w") as fh:
             fh.write("person_id,camera,image_path,mask_path\n")
@@ -853,22 +908,36 @@ class TestMasklessManifests:
 
     def test_repeated_image_rejected_before_any_loading(self, corpus, tmp_path, capsys,
                                                         monkeypatch):
-        entries = load_manifest(corpus / "manifest.csv").entries
+        listed = load_manifest(corpus / "manifest.csv")
+        entries = [replace(e, image_path=listed.locate(e.image_path),
+                           mask_path=listed.locate(e.mask_path)) for e in listed.entries]
         repeated = tmp_path / "repeated.csv"
         with open(repeated, "w") as fh:
             fh.write("person_id,camera,image_path,mask_path\n")
             for e in (*entries, entries[2]):
                 fh.write(f"{e.person_id},{e.camera},{e.image_path},{e.mask_path or ''}\n")
+        # images/x.ppm, ./images/x.ppm and the absolute path, relative to the
+        # manifest's directory, name one image.
+        shutil.copytree(corpus, tmp_path / "copy")
+        lines = (corpus / "manifest.csv").read_text().splitlines()
+        respelled = {}
+        absolute = f"{tmp_path / 'copy'}/images/"
+        for name, spelling in (("dot", "./images/"), ("absolute", absolute)):
+            respelled[name] = tmp_path / "copy" / f"{name}.csv"
+            extra = lines[3].replace(",images/", f",{spelling}", 1)
+            respelled[name].write_text("\n".join([*lines, extra]) + "\n")
         out, csv_out = tmp_path / "repeated.sgmd", tmp_path / "repeated_desc.csv"
-        out.write_bytes(b"stale")
-        csv_out.write_text("stale")
         calls = []
         monkeypatch.setattr(cli.imaging, "load_image", lambda *args: calls.append(args))
-        assert main(["extract", str(repeated), "--out", str(out), "--csv", str(csv_out)]) == 2
-        err = capsys.readouterr().err
-        assert (f"{repeated}: data rows 3 and {len(entries) + 1} both list "
-                f"{entries[2].image_path}") in err
-        assert calls == [] and not out.exists() and not csv_out.exists()
+        for manifest, image in ((repeated, entries[2].image_path),
+                                (respelled["dot"], listed.entries[2].image_path),
+                                (respelled["absolute"], f"{absolute}id01_camA_0.ppm")):
+            out.write_bytes(b"stale")
+            csv_out.write_text("stale")
+            assert main(["extract", str(manifest), "--out", str(out), "--csv", str(csv_out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{manifest}: data rows 3 and {len(entries) + 1} both list {image}" in err
+            assert calls == [] and not out.exists() and not csv_out.exists()
 
     def test_no_mask_flag_drops_foreground_view(self, corpus, tmp_path):
         out = tmp_path / "flag.sgmd"
@@ -965,6 +1034,42 @@ class TestScoreCommand:
         ])
         assert code == 0
         float(capsys.readouterr().out.strip())  # parses as a number
+
+    def test_score_is_the_entry_eval_ranks(self, tmp_path, capsys, monkeypatch):
+        # 80 identities: eval projects 64 or more tested rows per camera, so
+        # each row rounds as in any block of 64 rows, which is how score
+        # projects its two.  A one-row projection may round differently.
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_ids = 80\nheight = 36\nwidth = 12\nview_gain = 0.3\nnoise = 20\n"
+                        "seed = 8\n")
+        corpus, desc, mdl = tmp_path / "corpus", tmp_path / "d.sgmd", tmp_path / "m.cclm"
+        manifest_path = str(corpus / "manifest.csv")
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus)]) == 0
+        assert main(["extract", manifest_path, "--out", str(desc), "--spaces", "RGB,HSV",
+                     "--features", "SGM,CH"]) == 0
+        assert main(["train", str(desc), manifest_path, "--out", str(mdl), "--r", "12"]) == 0
+        ranked, cmc = [], cli.evalkit.cmc_single_shot
+
+        def recorded(scores, probe_ids, gallery_ids):
+            ranked.append((scores, probe_ids, gallery_ids))
+            return cmc(scores, probe_ids, gallery_ids)
+
+        monkeypatch.setattr(cli.evalkit, "cmc_single_shot", recorded)
+        assert main(["eval", str(desc), str(mdl), manifest_path, "--splits", "4",
+                     "--probe-camera", "B"]) == 0
+        capsys.readouterr()
+        manifest, reps = load_manifest(manifest_path), load_descriptors(desc)
+        models = load_models(mdl)
+        ids = {(e.person_id, e.camera): e.image_path for e in manifest.entries}
+        for scores, probe_ids, gallery_ids in ranked[::3]:
+            for i in range(0, len(probe_ids), 7):
+                for j, gallery_id in enumerate(gallery_ids):
+                    probe, gallery = reps.rows([ids[probe_ids[i], "B"], ids[gallery_id, "A"]])
+                    got = cli._pair_score(models, reps, probe, gallery, "B")
+                    assert got == scores[i, j], (probe_ids[i], gallery_id)
+        assert main(["score", str(desc), str(mdl), "--probe", ids[probe_ids[0], "B"],
+                     "--gallery", ids[gallery_ids[0], "A"], "--probe-camera", "B"]) == 0
+        assert capsys.readouterr().out == "%.9g\n" % scores[0, 0]
 
     def test_unknown_source_id(self, descriptors, model, capsys):
         code = main([
@@ -1151,8 +1256,8 @@ class TestInspect:
         assert main(["inspect", str(path)]) == 2
 
     def test_mask(self, corpus, capsys):
-        entry = load_manifest(corpus / "manifest.csv").entries[0]
-        assert main(["inspect", entry.mask_path]) == 0
+        manifest = load_manifest(corpus / "manifest.csv")
+        assert main(["inspect", manifest.locate(manifest.entries[0].mask_path)]) == 0
         spec = SynthSpec()
         assert capsys.readouterr().out == f"mask (P5): {spec.width}x{spec.height}\n"
 

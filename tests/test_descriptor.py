@@ -1,6 +1,7 @@
 """Representation pipeline: maps, pooling, stripes, histograms, fusion."""
 
 import csv
+import struct
 import tracemalloc
 from importlib import resources
 
@@ -18,7 +19,7 @@ from reid_sgm.errors import (
     StackTooSmall,
     UnsupportedFormat,
 )
-from reid_sgm import descriptor
+from reid_sgm import __version__, descriptor
 from reid_sgm.descriptor import (
     DISTINCT_COLOR_SHARE,
     SILTP_CODES,
@@ -518,6 +519,23 @@ class TestPersistence:
                 tracemalloc.stop()
             assert peak < 1.5 * matrix.nbytes
         assert np.array_equal(load_descriptors(path).matrix, matrix)
+
+    def test_provenance_round_trips(self, tmp_path, palette):
+        good = self.make_set(palette)
+        saved = DescriptorSet(matrix=good.matrix, layout=good.layout, source_ids=good.source_ids,
+                              provenance={"config": {"k": 5}})
+        path = tmp_path / "d.sgmd"
+        save_descriptors(path, saved)
+        assert load_descriptors(path).provenance == {"version": __version__, "config": {"k": 5}}
+
+    def test_version_1_refused(self, tmp_path):
+        # Version 1 keyed rows by absolute paths and recorded no provenance.
+        path = tmp_path / "d.sgmd"
+        path.write_bytes(b"SGMD" + struct.pack("<HII", 1, 1, 2) + bytes(8)
+                         + b'{"layout": [], "source_ids": ["/corpus/a.ppm"]}')
+        with pytest.raises(UnsupportedFormat,
+                           match="unsupported version 1; re-extract the descriptors"):
+            load_descriptors(path)
 
     def test_bad_magic_rejected(self, tmp_path, palette):
         path = tmp_path / "d.sgmd"

@@ -264,8 +264,8 @@ class TestSynthDataset:
         for e in manifest.entries:
             by_person.setdefault(e.person_id, {})[e.camera] = e.image_path
         for paths in by_person.values():
-            a = Path(paths["A"]).read_bytes()
-            b = Path(paths["B"]).read_bytes()
+            a = Path(manifest.locate(paths["A"])).read_bytes()
+            b = Path(manifest.locate(paths["B"])).read_bytes()
             assert a == b
 
     def test_counts(self, tmp_path):
@@ -283,8 +283,8 @@ class TestSynthDataset:
         def digest(manifest):
             blob = hashlib.sha256()
             for e in manifest.entries:
-                blob.update(Path(e.image_path).read_bytes())
-                blob.update(Path(e.mask_path).read_bytes())
+                blob.update(Path(manifest.locate(e.image_path)).read_bytes())
+                blob.update(Path(manifest.locate(e.mask_path)).read_bytes())
             return blob.hexdigest()
 
         assert digest(man_a) == digest(man_b)
@@ -293,8 +293,8 @@ class TestSynthDataset:
         spec = SynthSpec(n_ids=2, seed=9)
         manifest = synth_dataset(spec, tmp_path / "c")
         entry = manifest.entries[0]
-        img = load_image(entry.image_path)
-        mask = load_mask(entry.mask_path, img)
+        img = load_image(manifest.locate(entry.image_path))
+        mask = load_mask(manifest.locate(entry.mask_path), img)
         assert (img.width, img.height) == (48, 128)
         assert 0 < mask.foreground_count() < 48 * 128
 
@@ -305,44 +305,47 @@ class TestSynthDataset:
         assert [e.person_id for e in loaded.entries] == [
             e.person_id for e in manifest.entries
         ]
-        assert all(Path(e.image_path).exists() for e in loaded.entries)
+        assert all(Path(loaded.locate(e.image_path)).exists() for e in loaded.entries)
 
-    def test_manifest_paths_match_per_row_resolve(self, tmp_path):
-        # the loader resolves each directory once; each row must read as if
-        # it had been resolved on its own
+    def test_manifest_paths_are_kept_as_written_and_normalized(self, tmp_path):
+        # Each path is the manifest's own, normalized and never resolved: a
+        # symlink, "..", or a relative or absolute spelling stays as written.
         spec = SynthSpec(n_ids=2, seed=2)
         synth_dataset(spec, tmp_path / "c")
         images = tmp_path / "c" / "images"
         (tmp_path / "linked").symlink_to(images, target_is_directory=True)
         (images / "alias.ppm").symlink_to(images / "id0_camA_0.ppm")
-        (images / "dangling.ppm").symlink_to(tmp_path / "nowhere.ppm")
         rows = [
             ("id0", "A", "images/alias.ppm", "images/id0_camA_0_mask.pgm"),
             ("id0", "B", "images/../images/id0_camB_0.ppm", ""),
             ("id1", "A", "../linked/id1_camA_0.ppm", "../linked/./missing_mask.pgm"),
-            ("id1", "B", "images/missing.ppm", "images/dangling.ppm"),
-            ("id2", "A", "images/..", "."),
             ("id2", "B", str(images / "id1_camB_0.ppm"), "images/sub/../../images/x.pgm"),
-            ("id3", "A", "images/", "./images/alias.ppm"),
             ("id3", "B", "images//id0_camB_0.ppm", "images/alias.ppm/"),
-            ("id4", "A", ".//images/./id1_camA_0.ppm", "../linked//alias.ppm"),
-            ("id4", "B", "images/missing/", "./"),
+            ("id4", "A", ".//images/./id1_camA_0.ppm", "./"),
         ]
         text = "person_id,camera,image_path,mask_path\n"
         text += "".join(",".join(row) + "\n" for row in rows)
         (tmp_path / "c" / "odd.csv").write_text(text)
         loaded = load_manifest(tmp_path / "c" / "odd.csv", validate=False)
-        root = tmp_path / "c"
-        for entry, (_, _, image, mask) in zip(loaded.entries, rows, strict=True):
-            assert entry.image_path == str((root / image).resolve())
-            assert entry.mask_path == (str((root / mask).resolve()) if mask else None)
-        assert loaded.entries[0].image_path.endswith("id0_camA_0.ppm")
-        assert loaded.entries[3].mask_path == str((tmp_path / "nowhere.ppm").resolve())
+        assert loaded.root == str(tmp_path / "c")
+        expected = [
+            ("images/alias.ppm", "images/id0_camA_0_mask.pgm"),
+            ("images/id0_camB_0.ppm", None),
+            ("../linked/id1_camA_0.ppm", "../linked/missing_mask.pgm"),
+            (str(images / "id1_camB_0.ppm"), "images/x.pgm"),
+            ("images/id0_camB_0.ppm", "images/alias.ppm"),
+            ("images/id1_camA_0.ppm", "."),
+        ]
+        assert [(e.image_path, e.mask_path) for e in loaded.entries] == expected
+        assert loaded.locate(loaded.entries[2].image_path) == str(
+            tmp_path / "c" / "../linked/id1_camA_0.ppm")
+        assert loaded.locate(loaded.entries[3].image_path) == str(images / "id1_camB_0.ppm")
+        assert all(Path(loaded.locate(e.image_path)).is_file() for e in loaded.entries)
 
     @pytest.mark.parametrize("layout", ["fresh", "linked_images", "linked_image_file"])
-    def test_synth_resolves_each_directory_once(self, tmp_path, monkeypatch, layout):
-        # every listed path reads as Path.resolve gives it, also where images/
-        # or one image file is a symlink into another directory of the corpus
+    def test_synth_lists_paths_relative_to_its_directory(self, tmp_path, monkeypatch, layout):
+        # Every listed path is images/ or masks/ plus the file's name, also
+        # where images/ or one image file is a symlink; nothing is resolved.
         out, store = tmp_path / "c", tmp_path / "c" / "store"
         if layout != "fresh":
             store.mkdir(parents=True)
@@ -360,20 +363,18 @@ class TestSynthDataset:
         monkeypatch.setattr(Path, "resolve", counted)
         manifest = synth_dataset(SynthSpec(n_ids=4, height=30, width=6, seed=3), out)
         monkeypatch.undo()
-        # images/ and masks/, the linked file, and the manifest's root
-        assert len(calls) == 3 + (layout == "linked_image_file")
+        assert calls == [] and manifest.root == str(out)
         lines = ["person_id,camera,image_path,mask_path"]
         for entry in manifest.entries:
             stem = f"{entry.person_id}_cam{entry.camera}_0"
-            image = (out / "images" / f"{stem}.ppm").resolve()
-            mask = (out / "masks" / f"{stem}.pgm").resolve()
-            assert (entry.image_path, entry.mask_path) == (str(image), str(mask))
-            root = out.resolve()
-            lines.append(f"{entry.person_id},{entry.camera},{image.relative_to(root)},"
-                         f"{mask.relative_to(root)}")
+            image, mask = f"images/{stem}.ppm", f"masks/{stem}.pgm"
+            assert (entry.image_path, entry.mask_path) == (image, mask)
+            assert Path(manifest.locate(image)).is_file() and Path(manifest.locate(mask)).is_file()
+            lines.append(f"{entry.person_id},{entry.camera},{image},{mask}")
         assert (out / "manifest.csv").read_text().splitlines() == lines
+        assert load_manifest(out / "manifest.csv") == manifest
         if layout == "linked_image_file":
-            assert manifest.entries[3].image_path == str((store / "kept.ppm").resolve())
+            assert (store / "kept.ppm").is_file()
 
     def test_multi_shot_counts(self, tmp_path):
         spec = SynthSpec(n_ids=2, images_per_view=3, seed=0)

@@ -74,11 +74,14 @@ def test_guard_names_a_qr_call():
 
 # The package modules each module imports.  A new cross-module import is a
 # deliberate edit here: evalkit scores nothing itself, so it needs no ccl.
+# ``artifact`` takes the package's own ``__version__``, set in ``__init__``
+# before any module loads.
 PACKAGE_IMPORTS = {
     "__init__": {"ccl", "descriptor", "evalkit", "imaging", "sgm"},
-    "ccl": {"errors"},
+    "artifact": {"__version__", "errors"},
+    "ccl": {"artifact", "errors"},
     "cli": {"ccl", "descriptor", "errors", "evalkit", "imaging", "sgm"},
-    "descriptor": {"errors", "imaging", "sgm"},
+    "descriptor": {"artifact", "errors", "imaging", "sgm"},
     "errors": set(),
     "evalkit": {"errors", "imaging", "sgm"},
     "imaging": {"errors"},
@@ -115,6 +118,31 @@ def test_guard_names_each_import_form():
     source = ("from . import ccl, sgm\nfrom .errors import CorruptFile\n"
               "from reid_sgm.imaging import convert\nimport reid_sgm.evalkit\nimport numpy\n")
     assert package_imports(source) == {"ccl", "sgm", "errors", "imaging", "evalkit"}
+
+
+def struct_imports(source: str, module: str) -> list[str]:
+    """``module:line`` for each import of ``struct``, in any form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if alias.name == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "struct":
+            found.append(node.lineno)
+    return [f"{module}:{line}" for line in found]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_the_artifact_module_packs_bytes(path):
+    """The binary layout of ``.sgmd`` and ``.cclm`` lives in ``artifact``
+    alone: no other module imports ``struct``."""
+    found = struct_imports(path.read_text(), path.stem)
+    assert bool(found) == (path.stem == "artifact"), found
+
+
+def test_guard_names_each_struct_import():
+    source = ("import os, struct\nfrom struct import pack\nimport numpy\n"
+              "def read():\n    import struct as s\n")
+    assert struct_imports(source, "ccl") == ["ccl:1", "ccl:2", "ccl:5"]
 
 
 # Packages that only some commands need, imported where they are used, so
