@@ -21,6 +21,7 @@ from reid_sgm import (
     extract_sgm,
     extract_siltp,
     fit_model,
+    layout,
     load_image,
     load_mask,
     max_pool,
@@ -57,21 +58,25 @@ name = lambda vec: palette.labels[int(vec.argmax())]
 print(f"stripe 0 dominated by {name(stripes[0])}, stripe 7 by {name(stripes[7])}")
 print()
 
-# Full extraction: (view, space, stripe, name) concatenation.
+# Full extraction: one float32 vector in (view, space, stripe, name) order.
 config = ExtractionConfig()
-rep = extract_sgm(image, mask, config, palette=palette)
-print("SGM representation:", rep.dim, "dims =",
+vector = extract_sgm(image, mask, config, palette=palette)
+print("SGM representation:", vector.size, vector.dtype, "dims =",
       "16 names x 10 stripes x 4 spaces x 2 views")
+# Every vector of a run shares one layout, given by the config and by
+# whether the images come with a mask.
 by_view = {}
-for rec in rep.layout:
+for rec in layout(config, foreground=True):
     by_view[rec.view] = by_view.get(rec.view, 0) + rec.length
 print("  per view:", by_view)
 
 # Complementary features share the stripe geometry.
 ch = extract_color_histogram(image, mask, config)
 siltp = extract_siltp(image, mask, config)
-print("color histograms:", ch.dim, "dims; texture patterns:", siltp.dim, "dims")
+print("color histograms:", ch.size, "dims; texture patterns:", siltp.size, "dims")
 
-fused = extract_features(image, mask, ExtractionConfig(features=("SGM", "CH", "SILTP")),
-                         palette=palette)
-print("fused:", fused.dim, "dims in", len(fused.layout), "layout records")
+fused_config = ExtractionConfig(features=("SGM", "CH", "SILTP"))
+fused = extract_features(image, mask, fused_config, palette=palette)
+records = layout(fused_config, foreground=True)
+print("fused:", fused.size, "dims in", len(records), "layout records")
+assert fused.size == sum(rec.length for rec in records)

@@ -50,10 +50,10 @@ def extract_all(config):
     for entry in manifest.entries:
         image = load_image(manifest.locate(entry.image_path))
         mask = load_mask(manifest.locate(entry.mask_path), image)
-        rep = extract_sgm(image, mask, config, palette=palette)
-        reps[entry.image_path] = rep.vector.astype(np.float64)
+        vector = extract_sgm(image, mask, config, palette=palette)
+        reps[entry.image_path] = vector.astype(np.float64)
     per_image = (time.perf_counter() - start) / len(manifest.entries)
-    print(f"  extracted {len(reps)} x {rep.dim} dims, {per_image * 1e3:.0f} ms/image")
+    print(f"  extracted {len(reps)} x {vector.size} dims, {per_image * 1e3:.0f} ms/image")
     return reps
 
 

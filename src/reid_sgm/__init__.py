@@ -23,7 +23,6 @@ from .ccl import (
 from .descriptor import (
     DescriptorSet,
     ExtractionConfig,
-    ImageRepresentation,
     LayoutRecord,
     build_maps,
     export_csv,
@@ -32,6 +31,7 @@ from .descriptor import (
     extract_sgm,
     extract_siltp,
     fuse,
+    layout,
     load_descriptors,
     max_pool,
     save_descriptors,

@@ -57,7 +57,8 @@ def load_config(path) -> dict[str, str]:
     key may appear once."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is no part of a key
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,29 +196,29 @@ def _extract_rows(manifest, config, palette, args):
         if errors:  # this load or another one failed
             return None
         start = time.perf_counter()
-        rep = descriptor.extract_features(*loaded, config, palette=palette)
-        return rep, time.perf_counter() - start
+        vector = descriptor.extract_features(*loaded, config, palette=palette)
+        return vector, time.perf_counter() - start
+
+    # _check_rows has made every row's mask use alike.
+    run_layout = descriptor.layout(config, bool(entries[0].mask_path))
+    dim = sum(rec.length for rec in run_layout)
 
     def collect(results):
         # Workers only time their image; lines are printed here, one
         # thread in manifest order, so concurrent prints cannot interleave.
-        matrix, times = None, np.zeros(len(entries))
+        matrix, times = np.empty((len(entries), dim), dtype=np.float32), np.zeros(len(entries))
         for row, result in zip(rows, results):
             if result is None:
                 continue
-            rep, times[row] = result
+            matrix[row], times[row] = result
             if args.verbose:
-                print(f"{entries[row].image_path}: dim={rep.dim} {times[row] * 1e3:.1f} ms")
-            if matrix is None:
-                matrix = np.empty((len(entries), rep.dim), dtype=np.float32)
-                layout = rep.layout
-            matrix[row] = rep.vector
+                print(f"{entries[row].image_path}: dim={dim} {times[row] * 1e3:.1f} ms")
         if errors:
             for row in sorted(errors):
                 print(f"error: {errors[row]}", file=sys.stderr)
             raise IoFailure(f"{len(errors)} file(s) failed to load")
         source_ids = tuple(entry.image_path for entry in entries)
-        return descriptor.DescriptorSet(matrix=matrix, layout=layout, source_ids=source_ids,
+        return descriptor.DescriptorSet(matrix=matrix, layout=run_layout, source_ids=source_ids,
                                         provenance=_extraction_provenance(config, palette)), times
 
     if args.threads > 1:

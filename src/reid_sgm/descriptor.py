@@ -3,10 +3,12 @@
 An image is converted to 16 soft Gaussian maps per color space, each
 map is max-pooled over non-overlapping 3x3 patches, and every
 horizontal stripe is sum-pooled and sum-normalized into a 16-vector.
-Concatenating the stripes over (view, space) yields the final
-descriptor.  Complementary per-stripe color histograms and local
-ternary texture histograms are available for fusion, and a run's rows
-form one ``DescriptorSet``, saved as an ``artifact`` file or as CSV.
+Concatenating the stripes over (view, space) yields the image's
+float32 vector.  Complementary per-stripe color histograms and local
+ternary texture histograms are vectors too, fused by concatenation.
+Every vector of a run shares the segments ``layout(config, foreground)``
+lists, and a run's rows form one ``DescriptorSet``, saved as an
+``artifact`` file or as CSV.
 """
 
 from __future__ import annotations
@@ -104,22 +106,6 @@ class LayoutRecord:
         return f"{self.kind}/{space}/{self.view}/stripe{self.stripe:02d}"
 
 
-@dataclass(frozen=True)
-class ImageRepresentation:
-    """One image's concatenated per-stripe descriptor vector.
-
-    ``vector`` is float32 (the storage dtype); ``layout`` records the
-    ordered segments the vector concatenates.
-    """
-
-    vector: np.ndarray
-    layout: tuple[LayoutRecord, ...]
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
-
-
 @dataclass(frozen=True, eq=False)
 class DescriptorSet:
     """Image rows as one (count, dim) float32 matrix, their shared layout,
@@ -186,30 +172,30 @@ def build_maps(
     maps: Sequence[tuple[ColorSpace, GaussianMapModel]],
     palette: ColorNamePalette,
     k: int,
-    grids: dict | None = None,
-    colors: dict | None = None,
+    points: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convert an image into g sets of 16 soft Gaussian maps, shape (g, 16, h, w).
 
     ``maps`` lists g (space, model) pairs; each model is evaluated at
     every location of its space's full grid, all g in one ``soft_map``
-    call over their stacked points.  ``grids`` maps each space to the
-    image already converted to it and is built here when None.
-    ``colors`` optionally maps each space to a (points, inverse) pair:
-    the grid's distinct colors and each pixel's index into them (see
-    ``distinct_colors``); a map entry depends only on the pixel's color,
-    so only those points are mapped.  ``out`` is an optional flat float64
-    work array of at least g * (h*w + m) * 16 entries, m being the rows
-    mapped per map; only its head is used.
+    call over their stacked points.  ``points`` is the (g, m, 3) stack
+    mapped, one (m, 3) block per map: the image's pixels converted to
+    the map's space or, with ``inverse``, its distinct colors and each
+    pixel's index into them (see ``_convert_all``); a map entry depends
+    only on the pixel's color, so only those points are mapped.  When
+    ``points`` is None the image is converted here, through the same
+    ``_convert_all``.  ``out`` is an optional flat float64 work array of
+    at least g * (h*w + m) * 16 entries; only its head is used.
 
     The returned stack is a transposed view of the (g, h*w, 16) weights,
     valid until the next call that reuses ``out``.
     """
-    if grids is None:
-        grids = {space: convert(image, space) for space in {space for space, _ in maps}}
-    points = [grids[space].points if colors is None else colors[space][0] for space, _ in maps]
-    count, pixels, rows = len(maps), image.height * image.width, len(points[0])
+    if points is None:
+        _, points, inverse = _convert_all(image, [space for space, _ in maps])
+    count, rows = points.shape[:2]
+    pixels = image.height * image.width
     if out is None:
         out = np.empty(count * (pixels + rows) * PALETTE_SIZE)
     # Heads of one flat array, so a short pass still gets contiguous buffers.
@@ -217,14 +203,13 @@ def build_maps(
     cut = count * pixels * PALETTE_SIZE
     full = out[:cut].reshape(-1, PALETTE_SIZE)
     mapped = out[cut : cut + count * rows * PALETTE_SIZE].reshape(-1, PALETTE_SIZE)
-    stacked = points[0] if count == 1 else np.concatenate(points)
-    weights = soft_map([model for _, model in maps], stacked, palette, k, out=mapped,
-                       work=full[: count * rows])
-    if colors is not None:
+    weights = soft_map([model for _, model in maps], points.reshape(-1, 3), palette, k,
+                       out=mapped, work=full[: count * rows])
+    if inverse is not None:
         # take reads ``mapped`` while it writes ``full``; the indices are in
         # range, and "clip" skips a copy.
-        weights = np.take(weights.reshape(count, rows, PALETTE_SIZE), colors[maps[0][0]][1],
-                          axis=1, out=full.reshape(count, pixels, PALETTE_SIZE), mode="clip")
+        weights = np.take(weights.reshape(count, rows, PALETTE_SIZE), inverse, axis=1,
+                          out=full.reshape(count, pixels, PALETTE_SIZE), mode="clip")
     return weights.reshape(count, image.height, image.width, PALETTE_SIZE).transpose(0, 3, 1, 2)
 
 
@@ -309,18 +294,6 @@ def _mask_selection(mask: ForegroundMask | None) -> np.ndarray | None:
     return keep if keep.any() else None
 
 
-def _masked_pixels(grid: PixelSet, mask: ForegroundMask | None) -> PixelSet:
-    """The masked pixels of a converted grid; all of it when the mask selects none.
-
-    Conversion is per-pixel, so masking the converted grid equals
-    converting the masked selection.
-    """
-    keep = _mask_selection(mask)
-    if keep is None:
-        return grid
-    return PixelSet(space=grid.space, points=grid.points.take(np.flatnonzero(keep), axis=0))
-
-
 def _views(image: RasterImage, mask: ForegroundMask | None, config: ExtractionConfig):
     """Each view's mask: None for the whole image, then the mask when one is
     in use.  The one check that a mask in use has its image's width and height."""
@@ -333,20 +306,20 @@ def _views(image: RasterImage, mask: ForegroundMask | None, config: ExtractionCo
     return [None, mask]
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(kind: str, spaces: tuple, stripes: int, foreground: bool) -> tuple[LayoutRecord, ...]:
-    """Segments of one feature kind in (view, space, stripe) order.
-
-    Cached: every image of a run shares the same immutable tuple.
-    """
-    views = (VIEW_WHOLE, VIEW_FOREGROUND) if foreground else (VIEW_WHOLE,)
-    names = (None,) if kind == "SILTP" else tuple(space.value for space in spaces)
-    length = {"SGM": PALETTE_SIZE, "CH": 3 * CH_BINS, "SILTP": SILTP_CODES}[kind]
+def layout(config: ExtractionConfig, foreground: bool) -> tuple[LayoutRecord, ...]:
+    """The segments of every vector ``extract_features`` returns under
+    ``config``: kind by kind in ``config.features`` order, each kind's in
+    (view, space, stripe) order.  ``foreground`` tells whether the images
+    come with a mask; their vectors hold the foreground view when it does
+    and ``config.use_mask`` is set."""
+    views = (VIEW_WHOLE, VIEW_FOREGROUND) if foreground and config.use_mask else (VIEW_WHOLE,)
+    lengths = {"SGM": PALETTE_SIZE, "CH": 3 * CH_BINS, "SILTP": SILTP_CODES}
     return tuple(
-        LayoutRecord(kind=kind, space=name, view=view, stripe=idx, length=length)
+        LayoutRecord(kind=kind, space=name, view=view, stripe=idx, length=lengths[kind])
+        for kind in config.features
         for view in views
-        for name in names
-        for idx in range(stripes)
+        for name in ((None,) if kind == "SILTP" else [space.value for space in config.spaces])
+        for idx in range(config.stripes)
     )
 
 
@@ -355,7 +328,7 @@ def _stripe_offsets(height: int, width: int, stripes: int, bins: int, channels: 
                     arrays: int) -> tuple[np.ndarray, np.ndarray]:
     """Each pixel's stripe, and the (arrays, pixels, channels) offsets that
     place every code by array, stripe and channel in one ``bincount``.
-    Cached like ``_layout``, and read-only: all threads share them."""
+    Cached, and read-only: all threads share them."""
     rows = [stop - start for start, stop in stripe_bounds(height, stripes)]
     labels = np.repeat(np.arange(stripes), np.array(rows) * width)
     offsets = ((np.arange(arrays)[:, None, None] * stripes + labels[:, None]) * bins
@@ -364,10 +337,10 @@ def _stripe_offsets(height: int, width: int, stripes: int, bins: int, channels: 
     return labels, offsets
 
 
-def _stripe_histograms(kind: str, codes: np.ndarray, bins: int, image: RasterImage,
-                       mask: ForegroundMask | None,
-                       config: ExtractionConfig) -> ImageRepresentation:
-    """Sum-normalized per-stripe histograms of each view and code array.
+def _stripe_histograms(codes: np.ndarray, bins: int, image: RasterImage,
+                       mask: ForegroundMask | None, config: ExtractionConfig) -> np.ndarray:
+    """Sum-normalized per-stripe histograms of each view and code array, as
+    one float32 vector in (view, array, stripe) order.
 
     ``codes`` is an int64 (arrays, pixels, c) stack, one array per layout
     space, its rows in row-major pixel order and each of its c channels'
@@ -382,9 +355,8 @@ def _stripe_histograms(kind: str, codes: np.ndarray, bins: int, image: RasterIma
     labels, offsets = _stripe_offsets(image.height, image.width, stripes, bins,
                                       codes.shape[2], codes.shape[0])
     coded = codes + offsets
-    views = _views(image, mask, config)
     counts = []
-    for view_mask in views:
+    for view_mask in _views(image, mask, config):
         keep = _mask_selection(view_mask)
         if keep is not None:
             keep |= (np.bincount(labels[keep], minlength=stripes) == 0)[labels]
@@ -392,31 +364,27 @@ def _stripe_histograms(kind: str, codes: np.ndarray, bins: int, image: RasterIma
         selected = coded if keep is None else coded.take(keep, axis=1)
         counts.append(np.bincount(selected.reshape(-1), minlength=len(codes) * stripes * bins))
     hist = np.concatenate(counts).astype(np.float64).reshape(-1, bins)
-    vector = (hist / hist.sum(axis=1, keepdims=True)).astype(np.float32).reshape(-1)
-    layout = _layout(kind, config.spaces, stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout)
+    return (hist / hist.sum(axis=1, keepdims=True)).astype(np.float32).reshape(-1)
 
 
-def _convert_all(image: RasterImage, config: ExtractionConfig) -> tuple[dict, dict | None]:
-    """The image converted to each space, and each space's ``colors`` pair
-    for ``build_maps`` (None when every pixel is mapped).
+def _convert_all(image: RasterImage, spaces) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The image converted to each of ``spaces``: its (spaces, pixels, 3)
+    grid, the (spaces, m, 3) points that get mapped, and each pixel's index
+    into those points, or None when m is every pixel and the points are
+    the grid.
 
     An image that ``distinct_colors`` accepts converts only its distinct
-    colors, once per space, and its grid expands them to every pixel.
-    Conversion is per-pixel, so the grids equal converting every pixel.
+    colors, once per space, and its grid gathers them back to every pixel.
+    Conversion is per-pixel, so the grid equals converting every pixel.
     """
     distinct = distinct_colors(image)
     if distinct is None:
-        return {space: convert(image, space) for space in config.spaces}, None
+        grid = np.stack([convert(image, space).points for space in spaces])
+        return grid, grid, None
     first, inverse = distinct
-    pixels = image.pixels.reshape(-1, 3)[first]
-    row = RasterImage(width=first.size, height=1, pixels=pixels[None])
-    grids, colors = {}, {}
-    for space in config.spaces:
-        points = convert(row, space).points
-        grids[space] = PixelSet(space=space, points=points.take(inverse, axis=0))
-        colors[space] = (points, inverse)
-    return grids, colors
+    row = RasterImage(width=first.size, height=1, pixels=image.pixels.reshape(-1, 3)[first][None])
+    points = np.stack([convert(row, space).points for space in spaces])
+    return points.take(inverse, axis=1), points, inverse
 
 
 def extract_sgm(
@@ -424,77 +392,76 @@ def extract_sgm(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-    grids: dict | None = None,
-    colors: dict | None = None,
-) -> ImageRepresentation:
-    """Full soft-Gaussian-map representation of one image.
+    converted: tuple | None = None,
+) -> np.ndarray:
+    """Full soft-Gaussian-map vector of one image, float32.
 
     Concatenation order is (view, space, stripe, color name) with the
     view outermost; whole-image first, then the foreground view when a
     mask is in play.  With the default configuration this yields
-    16 x stripes x spaces x views components.  ``grids`` maps each
-    space to the image already converted to it and ``colors`` each space
-    to its ``build_maps`` pair, or is None to map every pixel; both are
-    built when ``grids`` is None.  Each (view, space) model is the
-    identity under ``euclidean``, else fitted on the image's own pixels
+    16 x stripes x spaces x views components.  ``converted`` is the
+    image's ``_convert_all`` triple over ``config.spaces``, built here
+    when None; both views map the same points.  Each (view, space) model
+    is the identity under ``euclidean``, else fitted on the grid's pixels
     in that view, all in one stacked ``fit_model`` call; the maps then go
     through ``build_maps``, ``max_pool`` and ``stripe_descriptor`` in
     passes of whole maps (see ``BLOCK_ROWS``), all in one work array
     allocated per call.
     """
     palette = palette or default_palette()
-    # Both views map the same grid; only the fitted model differs.
-    if grids is None:
-        grids, colors = _convert_all(image, config)
+    grid, points, inverse = converted or _convert_all(image, config.spaces)
     views = _views(image, mask, config)
     # The identity model ignores the mask, so under it every view maps
     # exactly like the whole image: map that once and repeat it.
     mapped = views[:1] if config.euclidean else views
-    cells = [(view_mask, space) for view_mask in mapped for space in config.spaces]
+    spaces = config.spaces * len(mapped)  # each map's space, views outermost
     if config.euclidean:
-        models = [identity_model(config.epsilon0)] * len(cells)
+        models = [identity_model(config.epsilon0)] * len(spaces)
     else:
-        sets = [_masked_pixels(grids[space], view_mask) for view_mask, space in cells]
+        sets = []
+        for view_mask in mapped:
+            keep = _mask_selection(view_mask)
+            view = grid if keep is None else grid.take(np.flatnonzero(keep), axis=1)
+            sets += [PixelSet(space=space, points=part) for space, part in zip(config.spaces, view)]
         models = fit_model(sets, palette, config.epsilon0)
-    maps = [(space, model) for (_, space), model in zip(cells, models)]
-    pixels = image.height * image.width
-    rows = pixels if colors is None else len(colors[config.spaces[0]][0])
+    maps = list(zip(spaces, models))
+    pixels, rows = image.height * image.width, points.shape[1]
     per_pass = min(len(maps), max(1, BLOCK_ROWS // rows))
     # Sized by the pixels alone, and each pass pooled and striped before the
     # next: then every image of a size asks for the same memory, which the
     # allocator reuses instead of mapping fresh pages (up to 3400 page faults
     # per 256x96 image otherwise).
     work = np.empty(2 * per_pass * pixels * PALETTE_SIZE)
-    values = np.concatenate([
-        stripe_descriptor(max_pool(build_maps(image, maps[start : start + per_pass], palette,
-                                              config.k, grids, colors, out=work)),
-                          config.stripes)
-        for start in range(0, len(maps), per_pass)
-    ])
+    passes = []
+    for start in range(0, len(maps), per_pass):
+        stop = min(start + per_pass, len(maps))
+        # Map i reads the points of space i % spaces: "wrap" steps into the next view.
+        batch = points.take(np.arange(start, stop), axis=0, mode="wrap")
+        stack = build_maps(image, maps[start:stop], palette, config.k, batch, inverse, out=work)
+        passes.append(stripe_descriptor(max_pool(stack), config.stripes))
     repeats = len(views) if config.euclidean else 1
-    vector = np.concatenate([values] * repeats, axis=None).astype(np.float32)
-    layout = _layout("SGM", config.spaces, config.stripes, len(views) > 1)
-    return ImageRepresentation(vector=vector, layout=layout)
+    return np.concatenate(passes * repeats, axis=None).astype(np.float32)
 
 
 def extract_color_histogram(
     image: RasterImage,
     mask: ForegroundMask | None,
     config: ExtractionConfig,
-    grids: dict | None = None,
-) -> ImageRepresentation:
-    """Per-stripe marginal color histograms, 16 bins per channel.
+    grid: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-stripe marginal color histograms, 16 bins per channel, float32.
 
     Histograms are taken over un-pooled pixels in the same (view,
     space, stripe) order as the map pipeline; each stripe's 48-vector is
     sum-normalized.  Foreground stripes with no masked pixel fall back
-    to all of the stripe's pixels.  ``grids`` is as in ``extract_sgm``.
+    to all of the stripe's pixels.  ``grid`` is the image's (spaces,
+    pixels, 3) grid over ``config.spaces`` from ``_convert_all``, which
+    converts it here when None.
     """
-    if grids is None:
-        grids, _ = _convert_all(image, config)
-    points = np.stack([grids[space].points for space in config.spaces])
-    codes = np.minimum((points * CH_BINS).astype(np.int64), CH_BINS - 1)
-    return _stripe_histograms("CH", codes, 3 * CH_BINS, image, mask, config)
+    if grid is None:
+        grid = _convert_all(image, config.spaces)[0]
+    codes = np.minimum((grid * CH_BINS).astype(np.int64), CH_BINS - 1)
+    return _stripe_histograms(codes, 3 * CH_BINS, image, mask, config)
 
 
 def siltp_codes(gray: np.ndarray, tau: float = SILTP_TAU) -> np.ndarray:
@@ -522,18 +489,16 @@ def extract_siltp(
     image: RasterImage,
     mask: ForegroundMask | None,
     config: ExtractionConfig,
-) -> ImageRepresentation:
-    """Per-stripe ternary-pattern texture histograms on the gray image."""
+) -> np.ndarray:
+    """Per-stripe ternary-pattern texture histograms on the gray image, float32."""
     gray = image.pixels.astype(np.float64).sum(axis=2) / (3.0 * 255.0)
     codes = siltp_codes(gray).reshape(1, -1, 1)
-    return _stripe_histograms("SILTP", codes, SILTP_CODES, image, mask, config)
+    return _stripe_histograms(codes, SILTP_CODES, image, mask, config)
 
 
-def fuse(reps: list[ImageRepresentation]) -> ImageRepresentation:
-    """Concatenate one image's representations, in order."""
-    vector = np.concatenate([rep.vector for rep in reps])
-    layout = tuple(rec for rep in reps for rec in rep.layout)
-    return ImageRepresentation(vector=vector, layout=layout)
+def fuse(vectors: list[np.ndarray]) -> np.ndarray:
+    """Concatenate one image's feature vectors, in order."""
+    return np.concatenate(vectors)
 
 
 def extract_features(
@@ -541,19 +506,19 @@ def extract_features(
     mask: ForegroundMask | None,
     config: ExtractionConfig,
     palette: ColorNamePalette | None = None,
-) -> ImageRepresentation:
-    """Extract and fuse every feature kind requested by the config."""
-    # SGM and CH read the same converted grids: convert each space once.
-    grids = colors = None
+) -> np.ndarray:
+    """Extract and fuse every feature kind requested by the config into one
+    float32 vector, laid out as ``layout(config, mask is not None)``."""
+    # SGM and CH read the same converted grid: convert each space once.
+    converted = None
     if "SGM" in config.features or "CH" in config.features:
-        grids, colors = _convert_all(image, config)
+        converted = _convert_all(image, config.spaces)
     parts = []
     for kind in config.features:
         if kind == "SGM":
-            parts.append(extract_sgm(image, mask, config, palette=palette, grids=grids,
-                                     colors=colors))
+            parts.append(extract_sgm(image, mask, config, palette=palette, converted=converted))
         elif kind == "CH":
-            parts.append(extract_color_histogram(image, mask, config, grids=grids))
+            parts.append(extract_color_histogram(image, mask, config, grid=converted[0]))
         else:
             parts.append(extract_siltp(image, mask, config))
     return parts[0] if len(parts) == 1 else fuse(parts)

@@ -73,7 +73,7 @@ def load_manifest(path, validate: bool = True) -> DatasetManifest:
     normalized by ``posixpath.normpath``: an image's path is its source id."""
     path = Path(path)
     entries = []
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames

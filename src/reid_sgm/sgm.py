@@ -88,7 +88,7 @@ def parse_palette(text: str) -> ColorNamePalette:
 
 def load_palette(path) -> ColorNamePalette:
     """Load a palette file (plain text, 16 lines of ``label r g b``)."""
-    return parse_palette(Path(path).read_text())
+    return parse_palette(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @functools.lru_cache(maxsize=None)

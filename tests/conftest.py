@@ -17,7 +17,7 @@ from reid_sgm.descriptor import (
     stripe_bounds,
 )
 from reid_sgm.errors import EmptyStripe
-from reid_sgm.imaging import ForegroundMask, RasterImage, convert
+from reid_sgm.imaging import ForegroundMask, PixelSet, RasterImage, convert
 from reid_sgm.sgm import default_palette, fit_model, identity_model, soft_map
 
 
@@ -176,21 +176,20 @@ def per_map_extract_sgm(image, mask, config, palette):
     ``soft_map`` call (its distinct colors gathered back by their own
     ``take``), max-pooled and striped on its own.
     """
-    grids, colors = descriptor._convert_all(image, config)
+    grid, points, inverse = descriptor._convert_all(image, config.spaces)
     views = oracle_views(mask, config)
     segments = []
     for _, view_mask in views[:1] if config.euclidean else views:
-        for space in config.spaces:
+        keep = descriptor._mask_selection(view_mask)
+        for index, space in enumerate(config.spaces):
             if config.euclidean:
                 model = identity_model(config.epsilon0)
             else:
-                model = fit_model(descriptor._masked_pixels(grids[space], view_mask), palette,
-                                  config.epsilon0)
-            if colors is None:
-                weights = soft_map(model, grids[space].points, palette, config.k)
-            else:
-                points, inverse = colors[space]
-                weights = soft_map(model, points, palette, config.k).take(inverse, axis=0)
+                pixels = grid[index] if keep is None else grid[index][keep]
+                model = fit_model(PixelSet(space=space, points=pixels), palette, config.epsilon0)
+            weights = soft_map(model, points[index], palette, config.k)
+            if inverse is not None:
+                weights = weights.take(inverse, axis=0)
             stack = weights.reshape(image.height, image.width, 16).transpose(2, 0, 1)
             segments.append(descriptor.stripe_descriptor(descriptor.max_pool(stack),
                                                          config.stripes))

@@ -18,6 +18,7 @@ from reid_sgm.descriptor import (
     DescriptorSet,
     ExtractionConfig,
     extract_sgm,
+    layout,
     load_descriptors,
     save_descriptors,
 )
@@ -43,9 +44,9 @@ def test_dimension_audit(palette):
     masked = extract_sgm(img, mask, config, palette=palette)
     plain = extract_sgm(img, None, config, palette=palette)
     elapsed = time.perf_counter() - start
-    assert masked.dim == 16 * 10 * 4 * 2 == 1280
-    assert plain.dim == 16 * 10 * 4 * 1 == 640
-    assert sum(rec.length for rec in masked.layout) == 1280
+    assert masked.shape == (16 * 10 * 4 * 2,) == (1280,)
+    assert plain.shape == (16 * 10 * 4 * 1,) == (640,)
+    assert sum(rec.length for rec in layout(config, foreground=True)) == 1280
     assert elapsed < 1.0
 
 
@@ -60,7 +61,7 @@ def test_extraction_speed(palette):
         t0 = time.perf_counter()
         rep = extract_sgm(img, mask, config, palette=palette)
         times.append(time.perf_counter() - t0)
-        assert rep.dim == 1280
+        assert rep.size == 1280
     batch = time.perf_counter() - batch_start
     assert np.mean(times) <= 0.1
     assert batch < 30.0
@@ -177,7 +178,7 @@ def _extract_corpus(manifest, config, palette):
         img = load_image(manifest.locate(entry.image_path))
         mask = load_mask(manifest.locate(entry.mask_path), img)
         rep = extract_sgm(img, mask, config, palette=palette)
-        reps[entry.image_path] = rep.vector.astype(np.float64)
+        reps[entry.image_path] = rep.astype(np.float64)
     return reps
 
 
@@ -262,7 +263,7 @@ def test_persistence_round_trip(tmp_path, palette):
     config = ExtractionConfig(spaces=(ColorSpace.RGB, ColorSpace.HSV))
     reps = [extract_sgm(make_image(12, 33, seed=50 + i), None, config, palette=palette)
             for i in range(4)]
-    saved = DescriptorSet(matrix=np.vstack([rep.vector for rep in reps]), layout=reps[0].layout,
+    saved = DescriptorSet(matrix=np.vstack(reps), layout=layout(config, foreground=False),
                           source_ids=tuple(f"img{i}" for i in range(4)))
     dpath = tmp_path / "d.sgmd"
     save_descriptors(dpath, saved)

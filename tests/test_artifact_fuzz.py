@@ -17,6 +17,7 @@ from reid_sgm.descriptor import (
     DescriptorSet,
     ExtractionConfig,
     extract_features,
+    layout,
     load_descriptors,
     save_descriptors,
 )
@@ -54,7 +55,7 @@ def artifacts(tmp_path_factory, palette):
     reps = [extract_features(make_image(9, 12, seed=i), mask, config, palette=palette)
             for i in range(2)]
     save_descriptors(root / "d.sgmd", DescriptorSet(
-        matrix=np.vstack([rep.vector for rep in reps]), layout=reps[0].layout,
+        matrix=np.vstack(reps), layout=layout(config, foreground=True),
         source_ids=("img0", "img1")))
     save_models(root / "m.cclm", small_models())
     write_ppm(root / "i.ppm", image.pixels)

@@ -10,6 +10,7 @@ once instead.
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -95,6 +96,47 @@ def test_timed_extract_calls_the_hook_and_prints_once_per_image(monkeypatch, tmp
     assert len(pattern.findall("\n".join(timed))) == len(paths)
 
 
+# The spans one masked SGM,CH,SILTP extraction records, per ``traced_cli.py``.
+EXTRACTION_SPANS = {
+    "imaging.convert", "sgm.fit", "sgm.soft_map", "sgm.likelihoods", "descriptor.extract",
+    "descriptor.sgm", "descriptor.build_maps", "descriptor.max_pool", "descriptor.stripe",
+    "descriptor.ch", "descriptor.siltp", "descriptor.fuse",
+}
+
+
+def posterized(levels):
+    """An 18x48 image whose channels keep ``levels`` values: 4 makes it map
+    once per distinct color, 256 once per pixel."""
+    step = 256 // levels
+    return RasterImage(width=18, height=48, pixels=make_image(18, 48, seed=3).pixels // step * step)
+
+
+def test_tracer_records_every_extraction_span(monkeypatch):
+    """``traced_cli.py``'s own ``install()`` wrappers record every extraction
+    span, on both color paths, and ``sgm.soft_map``'s work counts sum to the
+    rows mapped.  A refactor that stops calling a wrapped name, or passes
+    ``soft_map``'s points by keyword, fails here instead of in a traced run."""
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module, attr in wrapped_attributes():  # monkeypatch restores each one afterwards
+        target = importlib.import_module(f"reid_sgm.{module}")
+        monkeypatch.setattr(target, attr, getattr(target, attr))
+    rec = traced.SpanRecorder()
+    traced.install(rec)
+    config = ExtractionConfig(features=("SGM", "CH", "SILTP"))
+    mapped = []
+    for levels in (4, 256):
+        image = posterized(levels)
+        distinct = distinct_colors(image)
+        assert (distinct is None) == (levels == 256)
+        mapped.append(8 * (18 * 48 if distinct is None else distinct[0].size))
+        descriptor.extract_features(image, make_mask(18, 48, border=3), config)
+    assert sorted(EXTRACTION_SPANS - {span[1] for span in rec.spans}) == []
+    assert sum(span[6] for span in rec.spans if span[1] == "sgm.soft_map") == sum(mapped)
+    assert mapped[0] < mapped[1] == 8 * 18 * 48
+
+
 @pytest.mark.parametrize("levels", [256, 4])
 def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
     """``sgm.fit_calls`` counts ``fit_model`` calls and ``sgm.pixels_mapped``
@@ -115,8 +157,7 @@ def test_trace_counters_count_maps_and_rows(monkeypatch, levels):
 
     monkeypatch.setattr(descriptor, "fit_model", fit_model)
     monkeypatch.setattr(descriptor, "soft_map", soft_map)
-    step = 256 // levels
-    image = RasterImage(width=18, height=48, pixels=make_image(18, 48, seed=3).pixels // step * step)
+    image = posterized(levels)
     distinct = distinct_colors(image)
     m = 18 * 48 if distinct is None else distinct[0].size
     assert (distinct is None) == (levels == 256)

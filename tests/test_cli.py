@@ -382,6 +382,53 @@ class TestExtract:
         assert f"epsilon0 must be positive and finite, got {float(value)}" in err
 
 
+class TestByteOrderMark:
+    """A text input saved with a UTF-8 byte-order mark, as spreadsheet tools
+    often save it, reads as the same file without one."""
+
+    BOM = "\ufeff"
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bom") / "corpus"
+        synth_dataset(SynthSpec(n_ids=2, width=18, height=48, seed=5), root)
+        return root
+
+    def extract(self, manifest, out, *flags):
+        assert main(["extract", str(manifest), "--out", str(out), "--spaces", "RGB", *flags]) == 0
+        return out.read_bytes()
+
+    def test_manifest(self, small, tmp_path):
+        marked = small / "marked.csv"  # beside the images its paths name
+        marked.write_text(self.BOM + (small / "manifest.csv").read_text(), encoding="utf-8")
+        assert (self.extract(marked, tmp_path / "marked.sgmd")
+                == self.extract(small / "manifest.csv", tmp_path / "plain.sgmd"))
+
+    def test_config_file(self, small, tmp_path):
+        cfg = tmp_path / "marked.cfg"
+        cfg.write_text(self.BOM + "k = 3\n", encoding="utf-8")
+        manifest = small / "manifest.csv"
+        assert (self.extract(manifest, tmp_path / "marked.sgmd", "--config", str(cfg))
+                == self.extract(manifest, tmp_path / "plain.sgmd", "--k", "3"))
+
+    def test_synth_spec(self, small, tmp_path):
+        spec = tmp_path / "marked.cfg"
+        spec.write_text(self.BOM + "n_ids = 2\nwidth = 18\nheight = 48\nseed = 5\n",
+                        encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "corpus")]) == 0
+        name = "images/id1_camB_0.ppm"
+        assert (tmp_path / "corpus" / name).read_bytes() == (small / name).read_bytes()
+
+    def test_palette(self, small, tmp_path):
+        shipped = resources.files("reid_sgm").joinpath("data/colornames16.txt").read_text()
+        palette = tmp_path / "marked.txt"
+        palette.write_text(self.BOM + "# exported from a spreadsheet\n" + shipped,
+                           encoding="utf-8")
+        manifest = small / "manifest.csv"
+        assert (self.extract(manifest, tmp_path / "marked.sgmd", "--palette", str(palette))
+                == self.extract(manifest, tmp_path / "plain.sgmd"))
+
+
 class TestTrain:
     def test_model_contents(self, model):
         models = load_models(model)

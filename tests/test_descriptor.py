@@ -1,6 +1,7 @@
 """Representation pipeline: maps, pooling, stripes, histograms, fusion."""
 
 import csv
+import dataclasses
 import struct
 import tracemalloc
 from importlib import resources
@@ -26,7 +27,6 @@ from reid_sgm.descriptor import (
     SILTP_TAU,
     DescriptorSet,
     ExtractionConfig,
-    ImageRepresentation,
     LayoutRecord,
     build_maps,
     distinct_colors,
@@ -37,6 +37,7 @@ from reid_sgm.descriptor import (
     extract_siltp,
     feature_span,
     fuse,
+    layout,
     load_descriptors,
     max_pool,
     save_descriptors,
@@ -247,48 +248,49 @@ class TestExtractSgm:
         img = make_image(48, 128, seed=10)
         mask = make_mask(48, 128)
         rep = extract_sgm(img, mask, ExtractionConfig(), palette=palette)
-        assert rep.dim == 1280
-        assert len(rep.layout) == 80
-        assert all(rec.length == 16 for rec in rep.layout)
+        assert rep.shape == (1280,) and rep.dtype == np.float32
+        records = layout(ExtractionConfig(), foreground=True)
+        assert len(records) == 80
+        assert all(rec.length == 16 for rec in records)
 
     def test_unmasked_dimension(self, palette):
         img = make_image(48, 128, seed=10)
         rep = extract_sgm(img, None, ExtractionConfig(), palette=palette)
-        assert rep.dim == 640
-        assert {rec.view for rec in rep.layout} == {"whole"}
+        assert rep.shape == (640,)
+        assert {rec.view for rec in layout(ExtractionConfig(), foreground=False)} == {"whole"}
 
     def test_every_segment_is_normalized(self, palette):
         img = make_image(48, 128, seed=11)
         rep = extract_sgm(img, make_mask(48, 128), ExtractionConfig(), palette=palette)
-        sums = rep.vector.reshape(-1, 16).sum(axis=1)
+        sums = rep.reshape(-1, 16).sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-6  # float32 storage
 
     def test_concatenation_order(self, palette):
         img = make_image(48, 128, seed=12)
         mask = make_mask(48, 128)
         config = ExtractionConfig()
-        rep = extract_sgm(img, mask, config, palette=palette)
+        assert extract_sgm(img, mask, config, palette=palette).size == 1280
         expected = []
         for view in ("whole", "foreground"):
             for space in config.spaces:
                 for stripe in range(10):
                     expected.append((view, space.value, stripe))
-        got = [(rec.view, rec.space, rec.stripe) for rec in rep.layout]
+        got = [(rec.view, rec.space, rec.stripe) for rec in layout(config, foreground=True)]
         assert got == expected
 
     def test_all_ones_mask_equals_whole_view(self, palette):
         img = make_image(24, 60, seed=13)
         ones = ForegroundMask(width=24, height=60, values=np.ones((60, 24), dtype=np.uint8))
         rep = extract_sgm(img, ones, ExtractionConfig(), palette=palette)
-        half = rep.dim // 2
-        assert np.array_equal(rep.vector[:half], rep.vector[half:])
+        half = rep.size // 2
+        assert np.array_equal(rep[:half], rep[half:])
 
     def test_deterministic(self, palette):
         img = make_image(48, 128, seed=14)
         mask = make_mask(48, 128)
         a = extract_sgm(img, mask, ExtractionConfig(), palette=palette)
         b = extract_sgm(img, mask, ExtractionConfig(), palette=palette)
-        assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(a, b)
 
     def test_palette_permutation_equivariance(self, palette, rng):
         img = make_image(12, 33, seed=15)
@@ -299,8 +301,8 @@ class TestExtractSgm:
         )
         base = extract_sgm(img, None, ExtractionConfig(), palette=palette)
         swapped = extract_sgm(img, None, ExtractionConfig(), palette=permuted)
-        a = base.vector.reshape(-1, 16)
-        b = swapped.vector.reshape(-1, 16)
+        a = base.reshape(-1, 16)
+        b = swapped.reshape(-1, 16)
         assert np.array_equal(a[:, perm], b)
 
     def test_default_palette_equals_a_parsed_copy(self):
@@ -311,14 +313,14 @@ class TestExtractSgm:
         config = ExtractionConfig(features=("SGM", "CH", "SILTP"))
         implicit = extract_features(img, make_mask(18, 48, border=3), config)
         explicit = extract_features(img, make_mask(18, 48, border=3), config, palette=parsed)
-        assert_bitwise_equal(implicit.vector, explicit.vector)
+        assert_bitwise_equal(implicit, explicit)
 
     def test_euclidean_variant_differs(self, palette):
         img = make_image(12, 33, seed=16)
         fit = extract_sgm(img, None, ExtractionConfig(), palette=palette)
         euclid = extract_sgm(img, None, ExtractionConfig(euclidean=True), palette=palette)
-        assert fit.dim == euclid.dim
-        assert not np.array_equal(fit.vector, euclid.vector)
+        assert fit.size == euclid.size
+        assert not np.array_equal(fit, euclid)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -338,7 +340,7 @@ class TestColorHistogram:
         img = solid_image(8, 30, (10, 10, 10))
         config = ExtractionConfig(spaces=(ColorSpace.RGB,))
         rep = extract_color_histogram(img, None, config)
-        block = rep.vector.reshape(-1, 48)
+        block = rep.reshape(-1, 48)
         for stripe in block:
             channels = stripe.reshape(3, 16)
             for ch in channels:
@@ -348,33 +350,33 @@ class TestColorHistogram:
     def test_masked_dimension(self, palette):
         img = make_image(48, 128, seed=18)
         rep = extract_color_histogram(img, make_mask(48, 128), ExtractionConfig())
-        assert rep.dim == 48 * 10 * 4 * 2 == 3840
+        assert rep.size == 48 * 10 * 4 * 2 == 3840 and rep.dtype == np.float32
 
     def test_stripes_normalized(self, palette):
         img = make_image(48, 128, seed=19)
         rep = extract_color_histogram(img, make_mask(48, 128), ExtractionConfig())
-        sums = rep.vector.reshape(-1, 48).sum(axis=1)
+        sums = rep.reshape(-1, 48).sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-6
-        assert (rep.vector >= 0).all()
+        assert (rep >= 0).all()
 
 
 class TestSiltp:
     def test_constant_image_one_hot(self):
         img = solid_image(6, 30, (77, 77, 77))
         rep = extract_siltp(img, None, ExtractionConfig())
-        block = rep.vector.reshape(-1, 81)
+        block = rep.reshape(-1, 81)
         assert np.allclose(block[:, 0], 1.0)
         assert np.allclose(block[:, 1:], 0.0)
 
     def test_masked_dimension(self):
         img = make_image(48, 128, seed=20)
         rep = extract_siltp(img, make_mask(48, 128), ExtractionConfig())
-        assert rep.dim == 81 * 10 * 2 == 1620
+        assert rep.size == 81 * 10 * 2 == 1620 and rep.dtype == np.float32
 
     def test_stripes_normalized(self):
         img = make_image(48, 128, seed=21)
         rep = extract_siltp(img, make_mask(48, 128), ExtractionConfig())
-        sums = rep.vector.reshape(-1, 81).sum(axis=1)
+        sums = rep.reshape(-1, 81).sum(axis=1)
         assert np.abs(sums - 1.0).max() <= 1e-6
 
     def test_codes_against_scalar_reference(self, rng):
@@ -444,33 +446,38 @@ class TestFuse:
         img = make_image(12, 33, seed=22)
         rep = extract_sgm(img, None, ExtractionConfig(), palette=palette)
         fused = fuse([rep])
-        assert np.array_equal(fused.vector, rep.vector)
-        assert fused.layout == rep.layout
+        assert np.array_equal(fused, rep)
+        assert fused.dtype == np.float32
 
     def test_three_projected_features(self):
-        made = []
-        for kind in ("SGM", "CH", "SILTP"):
-            made.append(
-                ImageRepresentation(
-                    vector=np.zeros(100, dtype=np.float32),
-                    layout=(LayoutRecord(kind=kind, space=None, view="projected",
-                                         stripe=0, length=100),),
-                )
-            )
+        made = [np.full(100, i, dtype=np.float32) for i in range(3)]
         fused = fuse(made)
-        assert fused.dim == 300
-        assert [rec.kind for rec in fused.layout] == ["SGM", "CH", "SILTP"]
+        assert fused.shape == (300,)
+        assert fused[::100].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("features", [("SGM", "CH", "SILTP"), ("SILTP", "CH", "SGM")])
+    def test_layout_follows_the_feature_order(self, features):
+        records = layout(ExtractionConfig(features=features), foreground=True)
+        assert list(dict.fromkeys(rec.kind for rec in records)) == list(features)
 
     def test_feature_span(self, palette):
         img = make_image(48, 128, seed=23)
         config = ExtractionConfig(features=("SGM", "CH", "SILTP"))
         rep = extract_features(img, make_mask(48, 128), config, palette=palette)
-        assert rep.dim == 1280 + 3840 + 1620
-        assert feature_span(rep.layout, "SGM") == (0, 1280)
-        assert feature_span(rep.layout, "CH") == (1280, 3840)
-        assert feature_span(rep.layout, "SILTP") == (1280 + 3840, 1620)
+        assert rep.size == 1280 + 3840 + 1620
+        records = layout(config, foreground=True)
+        assert feature_span(records, "SGM") == (0, 1280)
+        assert feature_span(records, "CH") == (1280, 3840)
+        assert feature_span(records, "SILTP") == (1280 + 3840, 1620)
         with pytest.raises(ArtifactMismatch):
-            feature_span(rep.layout[:10], "CH")
+            feature_span(records[:10], "CH")
+
+    def test_layout_needs_a_mask_in_use(self):
+        plain = layout(ExtractionConfig(features=("SGM", "CH", "SILTP")), foreground=False)
+        unused = layout(ExtractionConfig(features=("SGM", "CH", "SILTP"), use_mask=False),
+                        foreground=True)
+        assert plain == unused
+        assert sum(rec.length for rec in plain) == (1280 + 3840 + 1620) // 2
 
 
 class TestPersistence:
@@ -478,8 +485,8 @@ class TestPersistence:
         config = ExtractionConfig(spaces=(ColorSpace.RGB, ColorSpace.HSV))
         reps = [extract_sgm(make_image(12, 33, seed=30 + i), None, config, palette=palette)
                 for i in range(n)]
-        return DescriptorSet(matrix=np.vstack([rep.vector for rep in reps]),
-                             layout=reps[0].layout, source_ids=tuple(f"img{i}" for i in range(n)))
+        return DescriptorSet(matrix=np.vstack(reps), layout=layout(config, foreground=False),
+                             source_ids=tuple(f"img{i}" for i in range(n)))
 
     def test_roundtrip_bitwise(self, tmp_path, palette):
         saved = self.make_set(palette)
@@ -673,7 +680,7 @@ class TestExtractSgmOracle:
             mask = ForegroundMask(width=17, height=40, values=np.zeros((40, 17), np.uint8))
         rep = extract_sgm(image, mask, config, palette=palette)
         expected = per_view_convert_sgm(image, mask, config, palette)
-        assert_bitwise_equal(rep.vector, expected)
+        assert_bitwise_equal(rep, expected)
 
     @pytest.mark.parametrize(
         "case, config",
@@ -701,7 +708,7 @@ class TestExtractSgmOracle:
         mask = make_mask(image.width, image.height, border=1 if image.width == 3 else 3)
         rep = extract_sgm(image, mask, config, palette=palette)
         expected = per_view_convert_sgm(image, mask, config, palette)
-        assert_bitwise_equal(rep.vector, expected)
+        assert_bitwise_equal(rep, expected)
 
 
 def rows_per_map(image):
@@ -743,22 +750,22 @@ class TestMapPasses:
             )
             rep = extract_sgm(image, mask, config, palette=palette)
             expected = per_map_extract_sgm(image, mask, config, palette)
-            assert_bitwise_equal(rep.vector, expected)
+            assert_bitwise_equal(rep, expected)
 
     @pytest.mark.parametrize("image_name", ["posterized", "random"])
     def test_short_pass_maps_into_the_buffer_head(self, palette, image_name):
         image = self.IMAGES[image_name]()
-        grids, colors = descriptor._convert_all(image, ExtractionConfig())
+        _, points, inverse = descriptor._convert_all(image, ExtractionConfig().spaces)
         maps = [fitted(image, space, palette) for space in ExtractionConfig().spaces]
         rows, pixels = rows_per_map(image), 17 * 40
         work = np.full(3 * (pixels + rows) * 16, np.nan)
-        stack = build_maps(image, maps[:2], palette, 5, grids=grids, colors=colors, out=work)
+        stack = build_maps(image, maps[:2], palette, 5, points[:2], inverse, out=work)
         assert stack.shape == (2, 16, 40, 17)
         head = 2 * (pixels + rows) * 16
         assert np.shares_memory(stack, work[:head])
         assert np.isnan(work[head:]).all()
         for i, pair in enumerate(maps[:2]):
-            alone = build_maps(image, [pair], palette, 5, grids=grids, colors=colors)
+            alone = build_maps(image, [pair], palette, 5, points[i : i + 1], inverse)
             assert_bitwise_equal(stack[i], alone[0])
 
 
@@ -873,14 +880,12 @@ def histogram_case(draw):
 @given(case=histogram_case())
 def test_histograms_match_per_stripe_oracles(case):
     image, mask, config = case
-    ch = extract_color_histogram(image, mask, config)
-    vector, layout = per_stripe_color_histogram(image, mask, config)
-    assert_bitwise_equal(ch.vector, vector)
-    assert ch.layout == layout
-    siltp = extract_siltp(image, mask, config)
-    vector, layout = per_stripe_siltp(image, mask, config)
-    assert_bitwise_equal(siltp.vector, vector)
-    assert siltp.layout == layout
+    for kind, extract, oracle in (("CH", extract_color_histogram, per_stripe_color_histogram),
+                                  ("SILTP", extract_siltp, per_stripe_siltp)):
+        vector, records = oracle(image, mask, config)
+        assert_bitwise_equal(extract(image, mask, config), vector)
+        kind_config = dataclasses.replace(config, features=(kind,))
+        assert layout(kind_config, foreground=mask is not None) == records
 
 
 class TestHistogramCacheSafety:
@@ -900,10 +905,9 @@ class TestHistogramCacheSafety:
         config = ExtractionConfig(stripes=7)
         codes = rng.integers(0, 16, size=(4, 48 * 18, 3))
         before = codes.copy()
-        rep = descriptor._stripe_histograms("CH", codes, 48, image, make_mask(18, 48, border=3),
-                                            config)
+        rep = descriptor._stripe_histograms(codes, 48, image, make_mask(18, 48, border=3), config)
         assert_bitwise_equal(codes, before)
-        assert rep.dim == 2 * 4 * 7 * 48
+        assert rep.size == 2 * 4 * 7 * 48
 
     @pytest.mark.parametrize("features", [("CH",), ("SILTP",), ("CH", "SILTP")])
     @pytest.mark.parametrize("masked", [True, False])
@@ -916,8 +920,8 @@ class TestHistogramCacheSafety:
             config = ExtractionConfig(stripes=stripes, features=features)
             rep = extract_features(image, mask, config)
             expected = [oracles[kind](image, mask, config) for kind in features]
-            assert_bitwise_equal(rep.vector, np.concatenate([vector for vector, _ in expected]))
-            assert rep.layout == tuple(rec for _, layout in expected for rec in layout)
+            assert_bitwise_equal(rep, np.concatenate([vector for vector, _ in expected]))
+            assert layout(config, masked) == tuple(rec for _, part in expected for rec in part)
 
 
 ALL_KINDS = ("SGM", "CH", "SILTP")
@@ -925,7 +929,7 @@ ALL_KINDS = ("SGM", "CH", "SILTP")
 
 class TestExtractFeaturesOracle:
     """``extract_features`` with every kind equals the per-kind oracles bit for bit,
-    with and without a mask under one config, so the shared grids and the cached
+    with and without a mask under one config, so the shared grid and the cached
     layouts are both exercised."""
 
     @pytest.mark.parametrize(
@@ -954,8 +958,9 @@ class TestExtractFeaturesOracle:
                 "SILTP": per_stripe_siltp(image, view_mask, config),
             }
             expected = np.concatenate([parts[kind][0] for kind in config.features])
-            assert_bitwise_equal(rep.vector, expected)
-            assert rep.layout == tuple(rec for kind in config.features for rec in parts[kind][1])
+            assert_bitwise_equal(rep, expected)
+            assert (layout(config, view_mask is not None)
+                    == tuple(rec for kind in config.features for rec in parts[kind][1]))
 
     @pytest.mark.parametrize("distinct", [True, False])
     def test_sgm_and_ch_on_both_color_paths(self, palette, distinct):
@@ -967,4 +972,26 @@ class TestExtractFeaturesOracle:
         rep = extract_features(image, mask, config, palette=palette)
         expected = np.concatenate([per_view_convert_sgm(image, mask, config, palette),
                                    per_stripe_color_histogram(image, mask, config)[0]])
-        assert_bitwise_equal(rep.vector, expected)
+        assert_bitwise_equal(rep, expected)
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+def test_standalone_calls_convert_as_extract_features(palette, distinct):
+    """``build_maps``, ``extract_sgm`` and ``extract_color_histogram`` called
+    without a converted grid, as ``demos/02`` calls them, convert the image
+    themselves and give the bits of their slices of ``extract_features``."""
+    image = posterized_image(17, 40, seed=9) if distinct else make_image(17, 40, seed=9)
+    assert (distinct_colors(image) is not None) == distinct
+    mask = make_mask(17, 40, border=3)
+    config = ExtractionConfig(features=ALL_KINDS)
+    fused = extract_features(image, mask, config, palette=palette)
+    records = layout(config, foreground=True)
+    spans = {kind: slice(at, at + length)
+             for kind in ALL_KINDS for at, length in [feature_span(records, kind)]}
+    assert_bitwise_equal(extract_sgm(image, mask, config, palette=palette), fused[spans["SGM"]])
+    assert_bitwise_equal(extract_color_histogram(image, mask, config), fused[spans["CH"]])
+    # One build_maps call per (view, space), pooled and striped as extract_sgm does.
+    maps = [stripe_descriptor(max_pool(build_maps(image, [fitted(image, space, palette, view)],
+                                                  palette, config.k)), config.stripes)
+            for view in (None, mask) for space in config.spaces]
+    assert_bitwise_equal(np.concatenate(maps, axis=None).astype(np.float32), fused[spans["SGM"]])

@@ -7,10 +7,11 @@ factorization, each module imports exactly the package modules pinned in
 ``PACKAGE_IMPORTS`` and none of ``LAZY_IMPORTS`` at module level, and
 ``cli`` loads images and masks only through the names the benchmark's
 tracer wraps.  The README names no command-line option that the parser
-does not define.
+does not define, and no class that neither the package nor Python defines.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -242,3 +243,29 @@ def test_guard_names_each_undefined_flag():
     readme = ("pip install -e . --no-build-isolation\n"
               "`extract --global-fit` and `--no-mask`; train --r 5 --rr 5 -- done\n")
     assert undocumented_flags(readme) == ["--global-fit", "--rr"]
+
+
+def undefined_class_names(readme: str) -> list[str]:
+    """Each CamelCase name in the text's inline code that is neither a class
+    some package module defines nor a Python builtin; fenced blocks are
+    skipped."""
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    text = re.sub(r"```.*?```", "", readme, flags=re.S)
+    names = {name for span in re.findall(r"`([^`]+)`", text)
+             for name in re.findall(r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b", span)}
+    return sorted(name for name in names
+                  if name not in defined and not isinstance(getattr(builtins, name, None), type))
+
+
+def test_readme_names_only_defined_classes():
+    assert undefined_class_names((PACKAGE.parents[1] / "README.md").read_text()) == []
+
+
+def test_guard_names_each_undefined_class():
+    readme = ("An extractor returns an `ImageRepresentation`; a run is one\n"
+              "`DescriptorSet(matrix,\n  layout)`, bad input raises `ValueError` or\n"
+              "`CorruptFile`, and `BLOCK_ROWS`, `SGM` and `reid_sgm.OldModel.dim` too.\n"
+              "```python\nFencedName = 1\n```\n")
+    assert undefined_class_names(readme) == ["ImageRepresentation", "OldModel"]
