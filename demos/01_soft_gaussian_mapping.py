@@ -10,8 +10,6 @@ covariance-aware soft assignment differs from the Euclidean one.
 import numpy as np
 
 from reid_sgm import (
-    ColorSpace,
-    PixelSet,
     default_palette,
     fit_model,
     identity_model,
@@ -28,7 +26,7 @@ palette = default_palette()
 # clothing compresses the blue channel.
 base = rng.random((4000, 3))
 squeeze = np.array([[1.0, 0.0, 0.0], [0.05, 0.9, 0.0], [0.0, 0.1, 0.25]])
-pixels = PixelSet(space=ColorSpace.RGB, points=np.clip(base @ squeeze.T, 0.0, 1.0))
+pixels = np.clip(base @ squeeze.T, 0.0, 1.0)  # (n, 3) RGB points
 
 model = fit_model(pixels, palette)
 print("fitted covariance:")
@@ -39,7 +37,7 @@ print()
 
 # The rectification floor only matters for degenerate clouds; force one to
 # see it in action.
-flat = PixelSet(space=ColorSpace.RGB, points=np.tile([[0.2, 0.4, 0.6]], (50, 1)))
+flat = np.tile([[0.2, 0.4, 0.6]], (50, 1))
 flat_model = fit_model(flat, palette)
 print("degenerate cloud eigenvalues:", np.array_str(flat_model.eigenvalues, precision=3))
 print("rectified inverse spectrum  :",

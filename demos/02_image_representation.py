@@ -42,7 +42,8 @@ print(f"image {image.width}x{image.height}, "
 
 # Stage 1: sixteen soft Gaussian maps per color space, under the
 # discrepancy Gaussian fitted on the foreground pixels.
-model = fit_model(convert(image, ColorSpace.RGB, mask), palette)
+points = convert(image, ColorSpace.RGB)
+model = fit_model(points[mask.values.reshape(-1) == 1], palette)
 stack = build_maps(image, [(ColorSpace.RGB, model)], palette, k=5)[0]
 print("map stack:", stack.shape, "- per-pixel weight sums:",
       np.round(stack.sum(axis=0).min(), 9), "to", np.round(stack.sum(axis=0).max(), 9))

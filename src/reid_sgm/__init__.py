@@ -53,7 +53,6 @@ from .evalkit import (
 from .imaging import (
     ColorSpace,
     ForegroundMask,
-    PixelSet,
     RasterImage,
     convert,
     load_image,

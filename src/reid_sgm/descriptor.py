@@ -22,7 +22,7 @@ import numpy as np
 
 from . import artifact
 from .errors import ArtifactMismatch, CorruptFile, DimensionMismatch, EmptyStripe, StackTooSmall
-from .imaging import ALL_SPACES, ColorSpace, ForegroundMask, PixelSet, RasterImage, convert
+from .imaging import ALL_SPACES, ColorSpace, ForegroundMask, RasterImage, convert
 from .sgm import (
     DEFAULT_EPSILON0,
     PALETTE_SIZE,
@@ -379,11 +379,11 @@ def _convert_all(image: RasterImage, spaces) -> tuple[np.ndarray, np.ndarray, np
     """
     distinct = distinct_colors(image)
     if distinct is None:
-        grid = np.stack([convert(image, space).points for space in spaces])
+        grid = np.stack([convert(image, space) for space in spaces])
         return grid, grid, None
     first, inverse = distinct
     row = RasterImage(width=first.size, height=1, pixels=image.pixels.reshape(-1, 3)[first][None])
-    points = np.stack([convert(row, space).points for space in spaces])
+    points = np.stack([convert(row, space) for space in spaces])
     return points.take(inverse, axis=1), points, inverse
 
 
@@ -421,8 +421,7 @@ def extract_sgm(
         sets = []
         for view_mask in mapped:
             keep = _mask_selection(view_mask)
-            view = grid if keep is None else grid.take(np.flatnonzero(keep), axis=1)
-            sets += [PixelSet(space=space, points=part) for space, part in zip(config.spaces, view)]
+            sets += list(grid if keep is None else grid.take(np.flatnonzero(keep), axis=1))
         models = fit_model(sets, palette, config.epsilon0)
     maps = list(zip(spaces, models))
     pixels, rows = image.height * image.width, points.shape[1]

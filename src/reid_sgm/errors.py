@@ -25,7 +25,7 @@ class DimensionMismatch(ReidSgmError):
     """Two paired structures disagree in shape."""
 
 
-class EmptyPixelSet(ReidSgmError):
+class EmptyPixels(ReidSgmError):
     """A pixel selection came up empty and no fallback was allowed."""
 
 

@@ -1,10 +1,10 @@
 """Raster image and mask ingestion plus color-space conversion.
 
 Images are 8-bit RGB rasters read bit-exactly from binary PPM (P6,
-maxval 255); 8-bit RGB PNG is accepted as a convenience when Pillow is
-installed.  Masks are binary PGM (P5) rasters.  ``convert`` turns an
-image into a pixel set in one of the four color spaces used by the
-descriptor pipeline, every channel scaled to [0, 1].
+maxval 255), and masks are binary PGM (P5) rasters; PNG or BMP crops are
+converted to PNM beforehand.  ``convert`` turns an image into an (n, 3)
+array of points in one of the four color spaces used by the descriptor
+pipeline, every channel scaled to [0, 1].
 
 All functions here are pure; nothing holds shared mutable state.
 """
@@ -12,6 +12,7 @@ All functions here are pure; nothing holds shared mutable state.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +27,6 @@ from .errors import (
 
 # Rasters above this pixel count are refused outright.
 MAX_PIXELS = 1 << 26
-
-_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 class ColorSpace(enum.Enum):
@@ -86,114 +84,50 @@ class ForegroundMask:
         return int(self.values.sum())
 
 
-@dataclass(frozen=True)
-class PixelSet:
-    """Pixels converted to one color space, every component in [0, 1]."""
-
-    space: ColorSpace
-    points: np.ndarray  # (n, 3) float64
-
-
-def _read_pnm_header(data: bytes, n_fields: int):
-    """Parse ``n_fields`` whitespace-separated header tokens.
-
-    Comment lines (``#`` up to end of line) are skipped.  Returns the
-    tokens and the offset of the payload, which starts after exactly one
-    whitespace byte following the last token.
-    """
-    tokens = []
-    i = 0
-    while len(tokens) < n_fields:
-        while i < len(data):
-            c = data[i : i + 1]
-            if c in (b"#",):
-                while i < len(data) and data[i : i + 1] not in (b"\r", b"\n"):
-                    i += 1
-            elif c and c in _WHITESPACE:
-                i += 1
-            else:
-                break
-        start = i
-        while i < len(data) and data[i : i + 1] not in _WHITESPACE and data[i : i + 1] != b"#":
-            i += 1
-        if i == start:
-            raise CorruptFile("truncated header")
-        tokens.append(data[start:i])
-    if i >= len(data) or data[i : i + 1] not in _WHITESPACE:
-        raise CorruptFile("missing whitespace after header")
-    return tokens, i + 1
+# A PNM header after its magic: width, height and maxval, each after
+# whitespace or comments, then the one whitespace byte that ends it.  A
+# comment runs through its line break, so the header splits only one way
+# and a match that fails backtracks in linear time.
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
-def _parse_dims(tokens) -> tuple[int, int, int]:
+def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The (height, width, channels) uint8 payload of a binary PNM that
+    starts with ``magic`` and has maxval 255."""
+    if not data.startswith(magic):
+        raise UnsupportedFormat(f"not a binary {magic.decode()} file; "
+                                "convert PNG or BMP to PNM first")
+    header = _PNM_HEADER.match(data, len(magic))
+    if header is None:
+        raise CorruptFile("malformed or truncated header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise CorruptFile(f"non-numeric header field: {exc}") from None
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:  # a field past int's digit limit
+        raise CorruptFile(f"header field too long: {exc}") from None
     if maxval != 255:
         raise UnsupportedFormat(f"only maxval 255 is supported, got {maxval}")
     if width <= 0 or height <= 0:
         raise CorruptFile(f"degenerate dimensions {width}x{height}")
     if width * height > MAX_PIXELS:
         raise DimensionOverflow(f"{width}x{height} exceeds {MAX_PIXELS} pixels")
-    return width, height, maxval
-
-
-def _load_ppm(data: bytes) -> RasterImage:
-    tokens, offset = _read_pnm_header(data, 4)
-    width, height, _ = _parse_dims(tokens[1:])
-    need = width * height * 3
-    payload = data[offset : offset + need]
+    need = width * height * channels
+    payload = data[header.end() : header.end() + need]
     if len(payload) < need:
         raise CorruptFile(f"payload holds {len(payload)} bytes, expected {need}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RasterImage(width=width, height=height, pixels=pixels)
-
-
-def _load_pgm(data: bytes) -> ForegroundMask:
-    tokens, offset = _read_pnm_header(data, 4)
-    width, height, _ = _parse_dims(tokens[1:])
-    need = width * height
-    payload = data[offset : offset + need]
-    if len(payload) < need:
-        raise CorruptFile(f"payload holds {len(payload)} bytes, expected {need}")
-    gray = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return ForegroundMask(width=width, height=height, values=(gray > 127).astype(np.uint8))
-
-
-def _load_png(path: Path) -> RasterImage:
-    try:
-        from PIL import Image
-    except ImportError:
-        raise UnsupportedFormat(
-            "PNG support requires Pillow (pip install reid-sgm[png])"
-        ) from None
-    with Image.open(path) as img:
-        if img.mode != "RGB":
-            raise UnsupportedFormat(f"only 8-bit RGB PNG is supported, got mode {img.mode}")
-        pixels = np.asarray(img, dtype=np.uint8)
-    height, width = pixels.shape[:2]
-    if width <= 0 or height <= 0:
-        raise CorruptFile(f"degenerate dimensions {width}x{height}")
-    if width * height > MAX_PIXELS:
-        raise DimensionOverflow(f"{width}x{height} exceeds {MAX_PIXELS} pixels")
-    return RasterImage(width=width, height=height, pixels=pixels)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
 
 
 def load_image(path) -> RasterImage:
-    """Load an RGB raster from a binary PPM (P6) or an 8-bit RGB PNG.
+    """Load an RGB raster from a binary PPM (P6, maxval 255).
 
     Channel values are passed through byte-exactly; no color management
     is applied.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if data.startswith(b"P6"):
-        return _load_ppm(data)
-    if data.startswith(_PNG_SIGNATURE):
-        return _load_png(path)
+    data = Path(path).read_bytes()
     if data.startswith(b"P5"):
         raise UnsupportedFormat("P5 is a mask format; use load_mask")
-    raise UnsupportedFormat(f"{path}: not a P6 PPM or PNG file")
+    pixels = _read_pnm(data, b"P6", 3)
+    return RasterImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
 
 
 def load_mask(path, image: RasterImage | None = None) -> ForegroundMask:
@@ -202,11 +136,9 @@ def load_mask(path, image: RasterImage | None = None) -> ForegroundMask:
     Gray values above 127 count as foreground.  Dimensions must match
     the image exactly, when one is given.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if not data.startswith(b"P5"):
-        raise UnsupportedFormat(f"{path}: not a P5 PGM file")
-    mask = _load_pgm(data)
+    gray = _read_pnm(Path(path).read_bytes(), b"P5", 1)[:, :, 0]
+    mask = ForegroundMask(width=gray.shape[1], height=gray.shape[0],
+                          values=(gray > 127).astype(np.uint8))
     if image is not None and (mask.width, mask.height) != (image.width, image.height):
         raise DimensionMismatch(
             f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
@@ -269,38 +201,20 @@ def _to_hsv(rgb: np.ndarray) -> np.ndarray:
     return out
 
 
-def convert(
-    image: RasterImage,
-    space: ColorSpace,
-    mask: ForegroundMask | None = None,
-) -> PixelSet:
-    """Convert an image's pixels to ``space``, optionally mask-selected.
+def convert(image: RasterImage, space: ColorSpace) -> np.ndarray:
+    """An image's pixels in ``space``, as (n, 3) float64 points in [0, 1].
 
-    With a mask, only foreground pixels are kept; if the mask selects
-    none, the whole image is used.  Every output component lies in [0, 1];
-    the achromatic singularities (zero-sum normalized rgb, equal-channel
+    The achromatic singularities (zero-sum normalized rgb, equal-channel
     l1l2l3) resolve to the uniform point (1/3, 1/3, 1/3), and HSV maps
     black to (0, 0, 0).
     """
-    if mask is not None and (mask.width, mask.height) != (image.width, image.height):
-        raise DimensionMismatch(
-            f"mask is {mask.width}x{mask.height} but image is {image.width}x{image.height}"
-        )
-    flat = image.pixels.reshape(-1, 3)
-    if mask is not None:
-        keep = mask.values.reshape(-1) == 1
-        if keep.any():
-            flat = flat[keep]
-    rgb = flat.astype(np.float64) / 255.0
-
+    rgb = image.pixels.reshape(-1, 3).astype(np.float64) / 255.0
     if space is ColorSpace.RGB:
-        points = rgb
-    elif space is ColorSpace.NORMALIZED_RGB:
-        points = _to_normalized_rgb(rgb)
-    elif space is ColorSpace.L1L2L3:
-        points = _to_l1l2l3(rgb)
-    elif space is ColorSpace.HSV:
-        points = _to_hsv(rgb)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled color space {space}")
-    return PixelSet(space=space, points=points)
+        return rgb
+    if space is ColorSpace.NORMALIZED_RGB:
+        return _to_normalized_rgb(rgb)
+    if space is ColorSpace.L1L2L3:
+        return _to_l1l2l3(rgb)
+    if space is ColorSpace.HSV:
+        return _to_hsv(rgb)
+    raise ValueError(f"unhandled color space {space}")

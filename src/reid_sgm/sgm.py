@@ -2,9 +2,10 @@
 
 The pixel-name discrepancies of an image are modeled with a zero-mean
 Gaussian whose 3x3 covariance is the average outer product over all
-pixel-name pairs.  Non-positive eigenvalues are rectified so the
-inverse exists, and each pixel is then described by its normalized
-Gaussian likelihoods over its k most similar color names.
+pixel-name pairs; pixels arrive as plain (n, 3) arrays of color-space
+points.  Non-positive eigenvalues are rectified so the inverse exists,
+and each pixel is then described by its normalized Gaussian likelihoods
+over its k most similar color names.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPixelSet, NotPositiveDefinite
-from .imaging import PixelSet
+from .errors import EmptyPixels, NotPositiveDefinite
 
 PALETTE_SIZE = 16
 DEFAULT_EPSILON0 = 1e-4
@@ -51,8 +51,12 @@ class ColorNamePalette:
     def __post_init__(self):
         if self.names.shape != (PALETTE_SIZE, 3) or len(self.labels) != PALETTE_SIZE:
             raise ValueError(f"palette must hold exactly {PALETTE_SIZE} entries")
-        if self.names.min() < 0.0 or self.names.max() > 1.0:
-            raise ValueError("palette components must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, falls outside.
+        outside = ~((self.names >= 0.0) & (self.names <= 1.0)).all(axis=1)
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValueError(f"palette entry {i} ({self.labels[i]}) has a component "
+                             f"outside [0, 1]: {self.names[i].tolist()}")
         for i in range(PALETTE_SIZE):
             for j in range(i + 1, PALETTE_SIZE):
                 if np.array_equal(self.names[i], self.names[j]):
@@ -343,22 +347,23 @@ def _sigma_stack(point_sets: Sequence[np.ndarray], names: np.ndarray) -> np.ndar
 
 
 def fit_model(
-    pixels: PixelSet | Sequence[PixelSet],
+    pixels: np.ndarray | Sequence[np.ndarray],
     palette: ColorNamePalette,
     epsilon0: float = DEFAULT_EPSILON0,
 ) -> GaussianMapModel | list[GaussianMapModel]:
-    """Fit the discrepancy Gaussian between a pixel set and the palette.
+    """Fit the discrepancy Gaussian between (n, 3) pixel points and the palette.
 
-    A sequence of B pixel sets gives a list of B models: each set's
+    A sequence of B point arrays gives a list of B models: each array's
     covariance is summed on its own, then all models are built in one
-    stacked ``model_from_sigma`` pass, each with the bits its set gets
+    stacked ``model_from_sigma`` pass, each with the bits its array gets
     alone.
     """
-    sets = [pixels] if isinstance(pixels, PixelSet) else list(pixels)
-    if any(s.points.shape[0] == 0 for s in sets):
-        raise EmptyPixelSet("cannot fit a model on zero pixels")
-    sigma = _sigma_stack([s.points for s in sets], palette.names)
-    return model_from_sigma(sigma[0] if isinstance(pixels, PixelSet) else sigma, epsilon0)
+    single = isinstance(pixels, np.ndarray) and pixels.ndim == 2
+    sets = [pixels] if single else list(pixels)
+    if any(len(points) == 0 for points in sets):
+        raise EmptyPixels("cannot fit a model on zero pixels")
+    sigma = _sigma_stack(sets, palette.names)
+    return model_from_sigma(sigma[0] if single else sigma, epsilon0)
 
 
 def pixel_likelihoods(

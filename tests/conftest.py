@@ -16,8 +16,8 @@ from reid_sgm.descriptor import (
     feature_span,
     stripe_bounds,
 )
-from reid_sgm.errors import EmptyStripe
-from reid_sgm.imaging import ForegroundMask, PixelSet, RasterImage, convert
+from reid_sgm.errors import CorruptFile, EmptyStripe, UnsupportedFormat
+from reid_sgm.imaging import ForegroundMask, RasterImage, convert
 from reid_sgm.sgm import default_palette, fit_model, identity_model, soft_map
 
 
@@ -43,6 +43,19 @@ def array_offset(footer, name: str) -> int:
             return at
         at += math.prod(shape) * int(dtype[-1])
     raise KeyError(name)
+
+
+# Image files the reader refuses, each with the error it raises: a PNG, a
+# width past int's digit limit, 200 kB headers of comment or whitespace
+# bytes, and dimensions that Python's int accepts but are not plain digits.
+BAD_IMAGE_FILES = {
+    "png": (b"\x89PNG\r\n\x1a\n" + bytes(64), UnsupportedFormat),
+    "long_width": (b"P6\n1" + b"0" * 4999 + b" 1\n255\n" + bytes(3), CorruptFile),
+    "hashes": (b"P6" + b"#" * 200_000, CorruptFile),
+    "spaces": (b"P6" + b" " * 200_000, CorruptFile),
+    "plus_sign": (b"P6\n+5 1\n255\n" + bytes(15), CorruptFile),
+    "underscore": (b"P6\n1 1_0\n255\n" + bytes(30), CorruptFile),
+}
 
 
 def make_image(width, height, seed=0):
@@ -186,7 +199,7 @@ def per_map_extract_sgm(image, mask, config, palette):
                 model = identity_model(config.epsilon0)
             else:
                 pixels = grid[index] if keep is None else grid[index][keep]
-                model = fit_model(PixelSet(space=space, points=pixels), palette, config.epsilon0)
+                model = fit_model(pixels, palette, config.epsilon0)
             weights = soft_map(model, points[index], palette, config.k)
             if inverse is not None:
                 weights = weights.take(inverse, axis=0)
@@ -347,7 +360,7 @@ def per_stripe_color_histogram(image, mask, config):
     bounds = stripe_bounds(image.height, config.stripes)
     segments = []
     layout = []
-    points = {space: convert(image, space).points for space in config.spaces}
+    points = {space: convert(image, space) for space in config.spaces}
     for view, view_mask in oracle_views(mask, config):
         selectors = _oracle_stripe_pixel_selector(view_mask, bounds, image.width)
         for space in config.spaces:

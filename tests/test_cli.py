@@ -23,10 +23,11 @@ from reid_sgm.descriptor import ExtractionConfig, load_descriptors
 from reid_sgm.ccl import load_models
 from reid_sgm.errors import CorruptFile
 from reid_sgm.evalkit import SynthSpec, load_manifest, make_splits, synth_dataset
-from reid_sgm.imaging import _load_pgm
+from reid_sgm.imaging import _read_pnm
 from reid_sgm.sgm import default_palette
 
-from conftest import array_offset, join_artifact, per_split_eval_csv, split_artifact
+from conftest import (BAD_IMAGE_FILES, array_offset, join_artifact, per_split_eval_csv,
+                      split_artifact)
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +428,56 @@ class TestByteOrderMark:
         manifest = small / "manifest.csv"
         assert (self.extract(manifest, tmp_path / "marked.sgmd", "--palette", str(palette))
                 == self.extract(manifest, tmp_path / "plain.sgmd"))
+
+
+class TestNonFinitePalette:
+    """A palette entry with a NaN component is refused where the palette is
+    read, and the refusal names the entry."""
+
+    @pytest.fixture
+    def palette_path(self, tmp_path):
+        palette = default_palette()
+        lines = [f"{label} {r!r} {g!r} {b!r}"
+                 for label, (r, g, b) in zip(palette.labels, palette.names.tolist())]
+        lines[3] = f"{palette.labels[3]} nan 0 0"
+        path = tmp_path / "nan.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("flags", [[], ["--euclidean"]], ids=["fitted", "euclidean"])
+    def test_extract_exits_1_naming_the_entry(self, corpus, tmp_path, capsys, palette_path,
+                                               flags):
+        out = tmp_path / "d.sgmd"
+        assert main(["extract", str(corpus / "manifest.csv"), "--out", str(out),
+                     "--palette", str(palette_path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"palette entry 3 ({default_palette().labels[3]})" in err
+        assert not out.exists()
+
+    def test_inspect_exits_2(self, capsys, palette_path):
+        assert main(["inspect", str(palette_path)]) == 2
+        assert "unrecognized artifact" in capsys.readouterr().err
+
+
+class TestBadImageFiles:
+    """An image file the reader refuses ends in exit 2, naming the file."""
+
+    @pytest.mark.parametrize("name", BAD_IMAGE_FILES)
+    def test_extract_exits_2(self, tmp_path, capsys, name):
+        for image in ("a.ppm", "b.ppm"):
+            (tmp_path / image).write_bytes(BAD_IMAGE_FILES[name][0])
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("person_id,camera,image_path,mask_path\n"
+                            "p0,A,a.ppm,\np0,B,b.ppm,\n")
+        assert main(["extract", str(manifest), "--out", str(tmp_path / "d.sgmd")]) == 2
+        err = capsys.readouterr().err
+        assert "a.ppm: " in err and "b.ppm: " in err and "Traceback" not in err
+
+    def test_inspect_refuses_png(self, tmp_path, capsys):
+        path = tmp_path / "img.png"
+        path.write_bytes(BAD_IMAGE_FILES["png"][0])
+        assert main(["inspect", str(path)]) == 2
+        assert "unrecognized artifact" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -1316,7 +1367,7 @@ class TestInspect:
         path = tmp_path / "m.pgm"
         path.write_bytes(data)
         with pytest.raises(CorruptFile, match=message):
-            _load_pgm(data)
+            _read_pnm(data, b"P5", 1)
         assert main(["inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err

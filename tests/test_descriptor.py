@@ -74,9 +74,17 @@ def brute_force_pool(plane):
     return out
 
 
+def masked_points(image, space, mask=None):
+    """The image's points in ``space`` that ``mask`` selects: every pixel
+    without a mask, and also when the mask selects none."""
+    points = convert(image, space)
+    keep = None if mask is None else mask.values.reshape(-1) == 1
+    return points[keep] if keep is not None and keep.any() else points
+
+
 def fitted(image, space, palette, mask=None):
     """The (space, model) pair ``build_maps`` takes, fitted on the masked pixels."""
-    return space, fit_model(convert(image, space, mask), palette)
+    return space, fit_model(masked_points(image, space, mask), palette)
 
 
 class TestBuildMaps:
@@ -284,6 +292,31 @@ class TestExtractSgm:
         rep = extract_sgm(img, ones, ExtractionConfig(), palette=palette)
         half = rep.size // 2
         assert np.array_equal(rep[:half], rep[half:])
+
+    def test_empty_mask_fits_on_the_whole_image(self, palette):
+        img = make_image(24, 60, seed=13)
+        empty = ForegroundMask(width=24, height=60, values=np.zeros((60, 24), dtype=np.uint8))
+        rep = extract_sgm(img, empty, ExtractionConfig(), palette=palette)
+        half = rep.size // 2
+        assert np.array_equal(rep[:half], rep[half:])
+
+    def test_foreground_fit_takes_exactly_the_masked_pixels(self, palette, monkeypatch):
+        img = make_image(12, 30, seed=4)
+        values = np.zeros((30, 12), dtype=np.uint8)
+        values[3, 1] = values[17, 9] = 1
+        real_fit, fitted_on = descriptor.fit_model, []
+
+        def recording(sets, *args):
+            fitted_on.extend(sets)
+            return real_fit(sets, *args)
+
+        monkeypatch.setattr(descriptor, "fit_model", recording)
+        mask = ForegroundMask(width=12, height=30, values=values)
+        extract_sgm(img, mask, ExtractionConfig(spaces=(ColorSpace.RGB,)), palette=palette)
+        flat = img.pixels.reshape(-1, 3) / 255.0
+        assert len(fitted_on) == 2  # the whole view, then the foreground
+        assert_bitwise_equal(fitted_on[0], flat)
+        assert_bitwise_equal(fitted_on[1], flat[[3 * 12 + 1, 17 * 12 + 9]])
 
     def test_deterministic(self, palette):
         img = make_image(48, 128, seed=14)
@@ -631,8 +664,9 @@ def per_view_convert_sgm(image, mask, config, palette):
             if config.euclidean:
                 model = identity_model(config.epsilon0)
             else:
-                model = fit_model(convert(image, space, view_mask), palette, config.epsilon0)
-            weights = argsort_soft_map(model, convert(image, space).points, palette, config.k)
+                model = fit_model(masked_points(image, space, view_mask), palette,
+                                  config.epsilon0)
+            weights = argsort_soft_map(model, convert(image, space), palette, config.k)
             stack = weights.reshape(image.height, image.width, 16).transpose(2, 0, 1)
             pooled = reduceat_max_pool(np.ascontiguousarray(stack))
             for bounds in stripe_bounds(pooled.shape[1], config.stripes):

@@ -1,6 +1,7 @@
 """Image/mask decoding and color-space conversion."""
 
 import colorsys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from reid_sgm.errors import (
 from reid_sgm.imaging import (
     ALL_SPACES,
     ColorSpace,
-    ForegroundMask,
     RasterImage,
     load_image,
     load_mask,
@@ -26,6 +26,7 @@ from reid_sgm.imaging import (
 )
 
 from conftest import (
+    BAD_IMAGE_FILES,
     assert_bitwise_equal,
     branching_to_hsv,
     branching_to_l1l2l3,
@@ -98,13 +99,26 @@ class TestLoadImage:
         img = load_image(path)
         assert img.pixels[0, 0].tolist() == [1, 2, 3]
 
-    def test_png_roundtrip(self, tmp_path):
-        PIL = pytest.importorskip("PIL.Image")
-        img = make_image(9, 7, seed=2)
-        path = tmp_path / "img.png"
-        PIL.fromarray(img.pixels, mode="RGB").save(path)
-        loaded = load_image(path)
-        assert np.array_equal(loaded.pixels, img.pixels)
+    @pytest.mark.parametrize("name", BAD_IMAGE_FILES)
+    def test_bad_file_raises_its_error_promptly(self, tmp_path, name):
+        data, error = BAD_IMAGE_FILES[name]
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            load_image(path)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("header, error", [
+        (b"P6\n2 2\n65535\n", UnsupportedFormat),  # maxval before the payload
+        (b"P6\n0 99999\n65535\n", UnsupportedFormat),  # maxval before dimensions
+        (b"P6\n99999 99999\n255\n", DimensionOverflow),  # the pixel cap before the payload
+    ])
+    def test_header_errors_come_in_order(self, tmp_path, header, error):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header)
+        with pytest.raises(error):
+            load_image(path)
 
 
 class TestLoadMask:
@@ -158,23 +172,23 @@ def scalar_l1l2l3(r, g, b):
 class TestConvert:
     def test_gray_normalized_rgb(self):
         img = solid_image(2, 2, (128, 128, 128))
-        pts = convert(img, ColorSpace.NORMALIZED_RGB).points
+        pts = convert(img, ColorSpace.NORMALIZED_RGB)
         assert np.allclose(pts, 1 / 3)
 
     def test_pure_red_hsv(self):
         img = solid_image(1, 1, (255, 0, 0))
-        pts = convert(img, ColorSpace.HSV).points
+        pts = convert(img, ColorSpace.HSV)
         assert np.allclose(pts[0], [0.0, 1.0, 1.0])
 
     def test_achromatic_l1l2l3(self):
         img = solid_image(1, 1, (10, 10, 10))
-        pts = convert(img, ColorSpace.L1L2L3).points
+        pts = convert(img, ColorSpace.L1L2L3)
         assert np.allclose(pts[0], 1 / 3)
 
     def test_black_pixels_stay_in_range(self):
         img = solid_image(1, 1, (0, 0, 0))
-        assert np.allclose(convert(img, ColorSpace.NORMALIZED_RGB).points[0], 1 / 3)
-        assert np.allclose(convert(img, ColorSpace.HSV).points[0], [0, 0, 0])
+        assert np.allclose(convert(img, ColorSpace.NORMALIZED_RGB)[0], 1 / 3)
+        assert np.allclose(convert(img, ColorSpace.HSV)[0], [0, 0, 0])
 
     def test_l1l2l3_matches_scalar_reference(self):
         grid = np.arange(0, 256, 51)
@@ -184,14 +198,14 @@ class TestConvert:
         from reid_sgm.imaging import RasterImage
 
         img = RasterImage(width=1, height=len(values), pixels=img_pixels)
-        pts = convert(img, ColorSpace.L1L2L3).points
+        pts = convert(img, ColorSpace.L1L2L3)
         for i, (r, g, b) in enumerate(values):
             ref = scalar_l1l2l3(r / 255.0, g / 255.0, b / 255.0)
             assert pts[i] == pytest.approx(ref, abs=1e-12)
 
     def test_hsv_matches_colorsys(self):
         img = make_image(16, 16, seed=9)
-        pts = convert(img, ColorSpace.HSV).points
+        pts = convert(img, ColorSpace.HSV)
         flat = img.pixels.reshape(-1, 3).astype(np.float64) / 255.0
         for got, (r, g, b) in zip(pts, flat):
             assert got == pytest.approx(colorsys.rgb_to_hsv(r, g, b), abs=1e-12)
@@ -200,31 +214,22 @@ class TestConvert:
     def test_total_and_in_range(self, space):
         # every 8-bit RGB input converts, components stay within [0, 1]
         img = make_image(64, 64, seed=space.value.__hash__() % 100)
-        pts = convert(img, space).points
+        pts = convert(img, space)
         assert np.isfinite(pts).all()
         assert pts.min() >= 0.0 and pts.max() <= 1.0
 
     @pytest.mark.parametrize("space", ALL_SPACES)
-    def test_all_ones_mask_equals_no_mask(self, space):
+    def test_masking_points_equals_converting_the_masked_pixels(self, space):
+        # Conversion is per pixel, so a caller may mask the converted points.
         img = make_image(10, 12, seed=3)
-        ones = ForegroundMask(width=10, height=12, values=np.ones((12, 10), dtype=np.uint8))
-        assert np.array_equal(convert(img, space).points, convert(img, space, ones).points)
+        keep = np.random.default_rng(4).random(120) < 0.3
+        picked = img.pixels.reshape(-1, 3)[keep][None]
+        row = RasterImage(width=picked.shape[1], height=1, pixels=picked)
+        assert_bitwise_equal(convert(img, space)[keep], convert(row, space))
 
-    def test_empty_mask_fallback(self):
-        img = make_image(4, 4, seed=1)
-        empty = ForegroundMask(width=4, height=4, values=np.zeros((4, 4), dtype=np.uint8))
-        pts = convert(img, ColorSpace.RGB, empty).points
-        assert pts.shape == (16, 3)
-
-    def test_mask_selects_subset(self):
-        img = make_image(4, 2, seed=4)
-        values = np.zeros((2, 4), dtype=np.uint8)
-        values[0, 1] = 1
-        values[1, 3] = 1
-        mask = ForegroundMask(width=4, height=2, values=values)
-        pts = convert(img, ColorSpace.RGB, mask).points
-        flat = img.pixels.reshape(-1, 3) / 255.0
-        assert np.allclose(pts, flat[[1, 7]])
+    def test_unknown_space_is_rejected(self):
+        with pytest.raises(ValueError, match="unhandled color space"):
+            convert(solid_image(1, 1, (1, 2, 3)), "RGB")
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,7 +241,7 @@ class TestConvert:
 )
 def test_convert_single_pixel_in_unit_cube(rgb, space):
     img = solid_image(1, 1, rgb)
-    pts = convert(img, space).points
+    pts = convert(img, space)
     assert np.isfinite(pts).all()
     assert (pts >= 0.0).all() and (pts <= 1.0).all()
 
@@ -264,6 +269,6 @@ def oracle_test_colors():
 def test_converters_match_branching_oracles(space, oracle):
     colors = oracle_test_colors()
     image = RasterImage(width=colors.shape[0], height=1, pixels=colors[None])
-    points = convert(image, space).points
+    points = convert(image, space)
     assert points.flags.c_contiguous
     assert_bitwise_equal(points, oracle(colors.astype(np.float64) / 255.0))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reid_sgm import sgm
-from reid_sgm.errors import EmptyPixelSet
-from reid_sgm.imaging import ColorSpace, PixelSet, RasterImage, convert
+from reid_sgm.errors import EmptyPixels
+from reid_sgm.imaging import ColorSpace, RasterImage, convert
 from reid_sgm.sgm import (
     PALETTE_SIZE,
     ColorNamePalette,
@@ -50,7 +50,7 @@ def shared_palette():
 
 
 def pixel_set(points):
-    return PixelSet(space=ColorSpace.RGB, points=np.asarray(points, dtype=np.float64))
+    return np.asarray(points, dtype=np.float64)
 
 
 def naive_discrepancy_covariance(points, names):
@@ -350,7 +350,7 @@ class TestStackedFits:
         assert not any(np.shares_memory(x, y) for i, x in enumerate(arrays) for y in arrays[:i])
 
     def test_empty_set_in_a_sequence_is_rejected(self, palette, rng):
-        with pytest.raises(EmptyPixelSet):
+        with pytest.raises(EmptyPixels):
             fit_model([pixel_set(rng.random((5, 3))), pixel_set(np.empty((0, 3)))], palette)
 
     def test_asymmetric_slice_is_rejected(self, rng):
@@ -404,13 +404,13 @@ class TestFitModel:
     def test_palette_pixels_match_double_loop(self, palette):
         pixels = pixel_set(palette.names.copy())
         model = fit_model(pixels, palette)
-        oracle = naive_discrepancy_covariance(pixels.points, palette.names)
+        oracle = naive_discrepancy_covariance(pixels, palette.names)
         assert np.abs(model.sigma - oracle).max() <= 1e-12
 
     def test_random_pixels_match_double_loop(self, palette, rng):
         pixels = pixel_set(rng.random((200, 3)))
         model = fit_model(pixels, palette)
-        oracle = naive_discrepancy_covariance(pixels.points, palette.names)
+        oracle = naive_discrepancy_covariance(pixels, palette.names)
         assert np.abs(model.sigma - oracle).max() <= 1e-12
 
     def test_covariance_decomposition_identity(self, palette, rng):
@@ -459,7 +459,7 @@ class TestFitModel:
         assert np.abs(sigma_a - sigma_b).max() <= 1e-12
 
     def test_empty_pixels_rejected(self, palette):
-        with pytest.raises(EmptyPixelSet):
+        with pytest.raises(EmptyPixels):
             fit_model(pixel_set(np.empty((0, 3))), palette)
 
     def test_bad_epsilon0_rejected(self, palette):
@@ -605,7 +605,7 @@ class TestSoftMap:
 )
 def test_soft_map_is_probability_vector(pts, z, k):
     palette = shared_palette()
-    model = fit_model(PixelSet(space=ColorSpace.RGB, points=pts), palette)
+    model = fit_model(pts, palette)
     weights = soft_map(model, z, palette, k)
     assert weights.shape == (16,)
     assert (weights >= 0.0).all()
@@ -644,10 +644,10 @@ class TestFastPathOracles:
         rgb = np.vstack([lattice, [[0, 0, 0], [255, 255, 255]], named])
         row = RasterImage(width=rgb.shape[0], height=1, pixels=rgb[None])
         for space in ColorSpace:
-            pts = np.vstack([convert(row, space).points, palette.names])
+            pts = np.vstack([convert(row, space), palette.names])
             models = (
-                fit_model(PixelSet(space=space, points=pts[:-16]), palette),
-                fit_model(PixelSet(space=space, points=pts[-32:-16]), palette),
+                fit_model(pts[:-16], palette),
+                fit_model(pts[-32:-16], palette),
                 identity_model(),
                 model_from_sigma(np.eye(3) * 1e-10, epsilon0=1e-4),
             )
