@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reid_sgm.descriptor import _mask_selection
 from reid_sgm.errors import (
     CorruptFile,
     DimensionMismatch,
@@ -17,6 +18,7 @@ from reid_sgm.errors import (
 from reid_sgm.imaging import (
     ALL_SPACES,
     ColorSpace,
+    ForegroundMask,
     RasterImage,
     load_image,
     load_mask,
@@ -217,6 +219,15 @@ class TestConvert:
         pts = convert(img, space)
         assert np.isfinite(pts).all()
         assert pts.min() >= 0.0 and pts.max() <= 1.0
+
+    @pytest.mark.parametrize("space", ALL_SPACES)
+    def test_all_ones_mask_equals_no_mask(self, space):
+        # The mask selection applied to convert's points: all ones keeps every point, in order.
+        img = make_image(10, 12, seed=3)
+        ones = ForegroundMask(width=10, height=12, values=np.ones((12, 10), dtype=np.uint8))
+        keep = _mask_selection(ones)
+        assert keep is not None and keep.all()
+        assert_bitwise_equal(convert(img, space)[keep], convert(img, space))
 
     @pytest.mark.parametrize("space", ALL_SPACES)
     def test_masking_points_equals_converting_the_masked_pixels(self, space):
